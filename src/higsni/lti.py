@@ -8,6 +8,9 @@ DC gain, minimality, and negative-imaginary (NI) certificates of the form
 
 A system that passes the certificate check (together with det A != 0 and
 minimality, which are reported alongside) is NI with DC gain C Y C^T.
+Certificates are searched by a numpy-only log-barrier Newton method over
+the affine solution set of B + A Y C^T = 0; a search that ends without one
+is inconclusive, not a proof that the system is not NI.
 Frequency-domain tests evaluate m(w) = j*(G(jw) - conj(G(jw))), which is
 real for SISO systems; NI requires m >= 0 for w > 0 and no poles in the
 open right half plane, strict NI additionally requires strictly stable
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 RANK_RTOL = 1e-8          # relative singular-value cutoff for rank decisions
 POLE_EXCLUSION = 1e-6     # |jw - pole| below this counts as "on a pole"
@@ -244,8 +246,8 @@ def verify_ni_certificate(sys: StateSpace, cert: NICertificate, tol: float = 1e-
     )
 
 
-def _sym_basis(n: int):
-    """Orthogonal-ish basis of symmetric n x n matrices (unit entries)."""
+def _sym_basis(n: int) -> np.ndarray:
+    """Basis of symmetric n x n matrices (unit entries), shape (m, n, n)."""
     basis = []
     for i in range(n):
         for j in range(i, n):
@@ -253,7 +255,24 @@ def _sym_basis(n: int):
             E[i, j] = 1.0
             E[j, i] = 1.0
             basis.append(E)
-    return basis
+    return np.array(basis)
+
+
+def _barrier_factor(F: np.ndarray, dF: np.ndarray):
+    """Gradient of -log det F along the directions dF, and a Hessian factor.
+
+    F is affine in the variables with partial derivatives dF[j].  With
+    F = R R^T and S_j = R^-1 dF[j] R^-T, the gradient is -tr S_j and the
+    Hessian is <S_j, S_k>, i.e. K K^T for the returned K (row j = S_j
+    flattened).  Returns None when F is not positive definite.
+    """
+    try:
+        R = np.linalg.cholesky(F)
+    except np.linalg.LinAlgError:
+        return None
+    Rinv = np.linalg.inv(R)
+    K = (Rinv @ dF @ Rinv.T).reshape(len(dF), -1)
+    return -K[:, :: F.shape[0] + 1].sum(axis=1), K
 
 
 def search_ni_certificate(
@@ -261,22 +280,29 @@ def search_ni_certificate(
     *,
     tol: float = 1e-8,
     margin: float = 1e-6,
-    restarts: int = 4,
-    seed: int = 0,
     max_dim: int = 10,
-    maxiter: int = 4000,
 ) -> Optional[NICertificate]:
     """Look for a certificate Y on the affine set solving B + A Y C^T = 0.
 
     The equality constraint is linear in the entries of symmetric Y, so the
-    search parameterizes its solution set (particular solution plus null
-    space) and runs Nelder-Mead on
+    search parameterizes its solution set as Y(xi) = Y0 + sum_i xi_i N_i
+    (particular solution plus null space) and minimizes, over (xi, t),
 
-        f = max(lambda_max(A Y + Y A^T),  margin - lambda_min(Y)),
+        t   subject to   t I - (A Y + Y A^T) > 0,   Y - (margin - t) I > 0,
 
-    restarting from seeded random points.  Returns the first Y that passes
-    verify_ni_certificate, or None when the budget is exhausted.  None is
-    inconclusive: it does not prove the system is not NI.
+    the epigraph of max(lambda_max(A Y + Y A^T), margin - lambda_min(Y)),
+    with tr Y < 1e6 max(1, tr Y0) added so that the barrier problem stays
+    bounded when Y can grow without changing t (damped or repeated modes).
+    A primal log-barrier method solves it: start strictly feasible at
+    xi = 0 with t above that maximum, center by damped Newton steps, then
+    raise the barrier weight tenfold.  In lossless directions the optimum
+    sits at t = 0 on the boundary, which the central path approaches from
+    inside, so a set with no interior is still reached to within tol.
+
+    Returns the first iterate that passes verify_ni_certificate, or None
+    once the gap bound (2n + 1) / weight falls below 1e-13 or the
+    Newton-step budget is spent.  None is inconclusive: it does not prove
+    the system is not NI.
     """
     n = sys.n
     if n > max_dim:
@@ -284,57 +310,99 @@ def search_ni_certificate(
     if not _smallest_sv_ok(sys.A):
         raise SingularA("A is singular; NI conditions require det A != 0")
 
+    A = sys.A
     basis = _sym_basis(n)
-    m = len(basis)
     # Row i of (A Y C^T + B) = 0 gives a linear system M theta = -B.
-    M = np.empty((n, m))
-    for k, E in enumerate(basis):
-        M[:, k] = sys.A @ (E @ sys.C)
+    M = (basis @ sys.C @ A.T).T
     theta0 = np.linalg.lstsq(M, -sys.B, rcond=None)[0]
     if np.linalg.norm(M @ theta0 + sys.B) > 1e-9 * max(1.0, float(np.linalg.norm(sys.B))):
         return None  # constraint infeasible: no Y satisfies B + A Y C^T = 0
 
     _, s_full, Vt = np.linalg.svd(M)
     cutoff = RANK_RTOL * (s_full[0] if s_full.size else 1.0)
-    null = Vt[np.sum(s_full > cutoff):].T  # m x q
+    null = Vt[np.sum(s_full > cutoff):]  # q x m
+    Y0 = np.tensordot(theta0, basis, axes=1)
+    N = np.tensordot(null, basis, axes=1)  # q x n x n
+    q = len(N)
 
-    def assemble(theta: np.ndarray) -> np.ndarray:
-        Y = np.zeros((n, n))
-        for coef, E in zip(theta, basis):
-            Y += coef * E
-        return Y
+    def lyap(Y):
+        AY = A @ Y
+        return AY + np.swapaxes(AY, -1, -2)
 
-    def objective(xi: np.ndarray) -> float:
-        Y = assemble(theta0 + null @ xi)
-        lyap = float(np.linalg.eigvalsh(sys.A @ Y + Y @ sys.A.T)[-1])
-        ymin = float(np.linalg.eigvalsh(Y)[0])
-        return max(lyap, margin - ymin)
+    def Y_at(z):
+        return Y0 + np.tensordot(z[:q], N, axes=1)
 
-    q = null.shape[1]
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(q)]
-    for _ in range(restarts):
-        starts.append(rng.normal(scale=1.0, size=q))
-    for xi0 in starts:
-        if q == 0:
-            xi = xi0
-        else:
-            res = minimize(
-                objective,
-                xi0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": maxiter, "maxfev": maxiter},
-            )
-            xi = res.x
-        Y = assemble(theta0 + (null @ xi if q else 0.0))
-        Y = 0.5 * (Y + Y.T)
-        if np.linalg.eigvalsh(Y)[0] <= 0.0:
-            continue
-        cert = NICertificate(Y)
-        if verify_ni_certificate(sys, cert, tol).passed:
-            return cert
-        if q == 0:
-            break
+    # Variables z = (xi, t).  The three barrier arguments are affine in z
+    # with these partial derivatives.  They are formed from Y itself, not
+    # as F(0) + sum z_j dF_j: that sum cancels large terms, and its rounding
+    # would keep t from reaching tol on ill-scaled realizations.
+    eye = np.eye(n)
+    dF_lyap = np.concatenate([-lyap(N), eye[None]])
+    dF_pos = np.concatenate([N, eye[None]])
+    dF_trace = np.append(-np.trace(N, axis1=1, axis2=2), 0.0)[:, None, None]
+    trace_bound = 1e6 * max(1.0, float(np.trace(Y0)))
+
+    def newton_step(z, weight):
+        """Newton step and squared decrement of weight * t + barrier at z,
+        or None outside the domain."""
+        Y = Y_at(z)
+        t = z[-1]
+        grad = np.zeros(q + 1)
+        grad[-1] = weight
+        factors = []
+        for F, dF in ((t * eye - lyap(Y), dF_lyap),
+                      (Y + (t - margin) * eye, dF_pos),
+                      (np.array([[trace_bound - np.trace(Y)]]), dF_trace)):
+            part = _barrier_factor(F, dF)
+            if part is None:
+                return None
+            grad += part[0]
+            factors.append(part[1])
+        # The Hessian K K^T reaches condition numbers near 1/eps as t -> 0;
+        # solving through the triangular factor of K^T keeps the step usable
+        # where a Cholesky or LU solve of K K^T itself breaks down.
+        R = np.linalg.qr(np.concatenate(factors, axis=1).T, mode="r")
+        v = np.linalg.solve(R.T, -grad)
+        return np.linalg.solve(R, v), float(v @ v)
+
+    def certificate(z):
+        # F_lyap, F_pos > 0 give lambda_max(A Y + Y A^T) < t and
+        # lambda_min(Y) > margin - t, so the full check is only worth
+        # running once t is small.
+        if z[-1] > min(tol, margin):
+            return None
+        cert = NICertificate(Y_at(z))
+        return cert if verify_ni_certificate(sys, cert, tol).passed else None
+
+    t0 = max(float(np.linalg.eigvalsh(lyap(Y0))[-1]), margin - float(np.linalg.eigvalsh(Y0)[0]))
+    z = np.zeros(q + 1)
+    z[-1] = t0 + max(1.0, abs(t0))
+    weight = 10.0 / max(1.0, abs(t0))
+    newton_steps = 0
+    while (2 * n + 1) / weight >= 1e-13 and newton_steps < 400:
+        state = newton_step(z, weight)
+        for _ in range(50):
+            dz, decrement = state
+            newton_steps += 1
+            if decrement <= 1e-8:
+                break
+            # Damped step 1 / (1 + decrement^1/2): inside the Dikin ellipsoid,
+            # so it stays feasible and decreases the self-concordant barrier
+            # without comparing values that rounding blurs at large weights.
+            # Halving only guards against rounding at the domain's edge.
+            step = 1.0 / (1.0 + np.sqrt(decrement))
+            trial = newton_step(z + step * dz, weight)
+            while trial is None and step > 1e-12:
+                step *= 0.5
+                trial = newton_step(z + step * dz, weight)
+            if trial is None:
+                break
+            z = z + step * dz
+            state = trial
+            cert = certificate(z)
+            if cert is not None:
+                return cert
+        weight *= 10.0
     return None
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .controllers import (
     HigsPii2Params,
@@ -537,6 +536,10 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, tol: float = 1e-12
 
 def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) -> Trajectory:
     """Exact discretization (matrix exponential per step) of the LTI loop."""
+    # Imported here, its only use, so that importing the package (and the
+    # CLI) does not load scipy.
+    from scipy.linalg import expm
+
     n = plant.n
     if cfg.x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")

@@ -123,6 +123,19 @@ def test_simulate_failed_check_exit_check(tmp_path, capsys):
     assert report["checks"]["convergence"]["passed"] is False
 
 
+def test_two_mode_plant_simulates_and_designs_with_certificate(config_dir, tmp_path, capsys):
+    # D < -G(0) on a lightly damped two-mode plant: W is only checkable once
+    # the plant's NI certificate is found, and design must cite it.
+    cfg = str(config_dir / "two_mode_collocated.json")
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "two_mode_collocated.report.json").read_text())
+    assert report["certificate"]["found"] is True
+    assert report["checks"]["lyapunov_monotone"]["passed"] is True
+    capsys.readouterr()
+    assert cli.main(["design", cfg, "higs_irc"]) == 0
+    assert json.loads(capsys.readouterr().out)["plant"]["ni_method"] == "certificate"
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -280,3 +293,14 @@ def test_module_entry_point(config_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Every CLI invocation pays the import; scipy is loaded only by the
+    # linear-loop simulator that needs it.
+    code = ("import sys, higsni.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, cwd=str(REPO_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

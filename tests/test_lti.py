@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higsni import (
@@ -142,6 +142,69 @@ def test_search_rejects_singular_a():
     nilpotent = StateSpace([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], [1.0, 0.0])
     with pytest.raises(SingularA):
         search_ni_certificate(nilpotent)
+
+
+def _modal_plant(modes):
+    """Collocated modal sum G(s) = sum g^2 / (s^2 + 2 zeta w s + w^2).
+
+    Every such plant is NI: blkdiag(diag(1/w^2, 1)) is a certificate, with
+    A Y + Y A^T = 0 in the directions of undamped modes.
+    """
+    n = 2 * len(modes)
+    A = np.zeros((n, n))
+    B = np.zeros(n)
+    C = np.zeros(n)
+    for m, (w, zeta, g) in enumerate(modes):
+        i = 2 * m
+        A[i, i + 1] = 1.0
+        A[i + 1, i] = -w * w
+        A[i + 1, i + 1] = -2.0 * zeta * w
+        B[i + 1] = g
+        C[i] = g
+    return A, B, C
+
+
+_mode = st.tuples(
+    st.floats(0.3, 5.0),
+    st.one_of(st.just(0.0), st.floats(0.005, 0.05)),
+    st.floats(0.3, 1.5),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_mode, min_size=1, max_size=5), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_search_certifies_collocated_modal_plants(modes, rotation_seed):
+    # Undamped and lightly damped modes leave the feasible set without
+    # interior, and repeated modes make it unbounded; an orthogonal
+    # similarity transform (drawn from the seed) takes the realization out
+    # of modal form without changing its conditioning.
+    A, B, C = _modal_plant(modes)
+    if rotation_seed is not None:
+        Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=A.shape))
+        A, B, C = Q.T @ A @ Q, Q.T @ B, C @ Q
+    sys = StateSpace(A, B, C)
+    cert = search_ni_certificate(sys)
+    assert cert is not None
+    assert verify_ni_certificate(sys, cert).passed
+
+
+def test_search_certifies_two_mode_plant():
+    # Y = diag(1, 1, 1/2.89, 1) is a certificate of this plant.
+    A = np.zeros((4, 4))
+    A[:2, :2] = [[0.0, 1.0], [-1.0, -0.04]]
+    A[2:, 2:] = [[0.0, 1.0], [-2.89, -0.068]]
+    sys = StateSpace(A, [0.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.5, 0.0])
+    assert verify_ni_certificate(sys, NICertificate(np.diag([1.0, 1.0, 1 / 2.89, 1.0]))).passed
+    cert = search_ni_certificate(sys)
+    assert cert is not None
+    assert verify_ni_certificate(sys, cert).passed
+
+
+def test_search_returns_none_for_stable_non_ni_plant():
+    # G(s) = -1/(s^2 + s + 1): stable, but j(G - conj G) < 0 near w = 1.
+    sys = StateSpace([[0.0, 1.0], [-1.0, -1.0]], [0.0, 1.0], [-1.0, 0.0])
+    assert not ni_frequency_test(sys).passed
+    assert search_ni_certificate(sys) is None
 
 
 # ---------------------------------------------------------------------------
