@@ -28,11 +28,8 @@ from .higs import (
     HigsIrcParams,
     HigsMode,
     HigsParams,
-    HybridState,
     determine_mode_base,
     determine_mode_irc,
-    higs_irc_derivative,
-    higs_irc_gain_output,
     project_to_sector,
     run_element,
     sector_contains,

@@ -205,14 +205,22 @@ def _normalize_checks(raw, ctype: str) -> list:
     return checks
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    return _scenario_from_dict(_read_json(path, "scenario file"),
+                               os.path.splitext(os.path.basename(path))[0])
+
+
+def _scenario_from_dict(raw, default_name: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a JSON object")
     plant = _build_plant(_require(raw, "plant", "scenario"))
@@ -223,7 +231,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     if not isinstance(output, dict):
         raise ConfigError("output must be an object")
     return ScenarioConfig(
-        name=str(raw.get("name", os.path.splitext(os.path.basename(path))[0])),
+        name=str(raw.get("name", default_name)),
         plant=plant,
         controller_type=ctype,
         controller=controller,
@@ -237,6 +245,10 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def _plant_ss(cfg: ScenarioConfig) -> StateSpace:
     return cfg.plant if isinstance(cfg.plant, StateSpace) else tf_to_ss(cfg.plant)
+
+
+def _linear_tf(cfg: ScenarioConfig) -> RationalTF:
+    return irc_tf(cfg.controller) if cfg.controller_type == "irc" else pii2rc_tf(cfg.controller)
 
 
 def _json_ready(obj):
@@ -289,8 +301,7 @@ def _simulate(cfg: ScenarioConfig, plant: StateSpace, cert):
         return simulate_higs_irc_loop(plant, cfg.controller, cfg.sim, cert)
     if cfg.controller_type == "higs_pii2":
         return simulate_higs_pii2_loop(plant, cfg.controller, cfg.sim, cert)
-    tf = irc_tf(cfg.controller) if cfg.controller_type == "irc" else pii2rc_tf(cfg.controller)
-    return simulate_linear_loop(plant, tf, cfg.sim)
+    return simulate_linear_loop(plant, _linear_tf(cfg), cfg.sim)
 
 
 def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
@@ -367,7 +378,10 @@ def _resolve_out(path: Optional[str], out_dir: Optional[str]) -> Optional[str]:
 
 
 def cmd_simulate(config_path: str, out_dir: Optional[str] = None) -> int:
-    cfg = load_scenario(config_path)
+    return _simulate_scenario(load_scenario(config_path), out_dir)
+
+
+def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     plant = _plant_ss(cfg)
@@ -452,8 +466,7 @@ def cmd_check(config_path: str, which: str) -> int:
     elif which == "sni":
         if cfg.controller_type not in ("irc", "pii2rc"):
             raise ConfigError("sni check applies to the linear controllers (irc, pii2rc)")
-        tf = irc_tf(cfg.controller) if cfg.controller_type == "irc" else pii2rc_tf(cfg.controller)
-        rep = sni_frequency_test(tf)
+        rep = sni_frequency_test(_linear_tf(cfg))
         report = CheckReport(
             "sni",
             rep.passed,
@@ -498,11 +511,7 @@ def cmd_check(config_path: str, which: str) -> int:
 def cmd_design(config_path: str, controller_type: str) -> int:
     if controller_type not in CHECKS_BY_CONTROLLER:
         raise ConfigError(f"unknown controller type {controller_type!r}")
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read plant config: {exc}") from exc
+    raw = _read_json(config_path, "plant config")
     plant = _build_plant(_require(raw, "plant", "design config"))
     ss = plant if isinstance(plant, StateSpace) else tf_to_ss(plant)
     assessment = assess_ni(plant)
@@ -571,32 +580,15 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 
 def _sweep_worker(args) -> tuple:
     name, config_dict, out_dir = args
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config_dict, fh)
-        tmp = fh.name
-    try:
-        code = _guarded(cmd_simulate, tmp, out_dir)
-    finally:
-        os.unlink(tmp)
-    return name, code
+    return name, _guarded(lambda: _simulate_scenario(_scenario_from_dict(config_dict, name), out_dir))
 
 
 def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read sweep config: {exc}") from exc
+    raw = _read_json(config_path, "sweep config")
     base = _require(raw, "base", "sweep config")
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(config_path), base)
-        try:
-            with open(base_path) as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read base scenario {base_path!r}: {exc}") from exc
+        base = _read_json(base_path, f"base scenario {base_path!r}")
     runs = _require(raw, "runs", "sweep config")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("sweep config needs a nonempty 'runs' list")

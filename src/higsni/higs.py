@@ -80,15 +80,6 @@ class HigsIrcParams:
         object.__setattr__(self, "kappa_tilde", self.k_h / (1.0 - self.k_h * self.D))
 
 
-@dataclass
-class HybridState:
-    """Mutable per-element integration state."""
-
-    x_h: float
-    mode: HigsMode = HigsMode.INTEGRATOR
-    last_switch_time: float = 0.0
-
-
 def sector_contains(e: float, u: float, k: float, tol: float = 0.0) -> bool:
     """e*u >= u^2/k - tol, the sector of admissible (input, output) pairs."""
     return e * u >= u * u / k - tol
@@ -142,16 +133,6 @@ def determine_mode_irc(
         if p.omega_h * e_tilde * e_tilde > p.k_h * e_tilde * e_tilde_dot:
             return HigsMode.GAIN
     return HigsMode.INTEGRATOR
-
-
-def higs_irc_derivative(x_h: float, e_tilde: float, p: HigsIrcParams) -> float:
-    """Integrator-mode right-hand side omega_h * (D x_h + e_tilde)."""
-    return p.omega_h * (p.D * x_h + e_tilde)
-
-
-def higs_irc_gain_output(e_tilde: float, p: HigsIrcParams) -> float:
-    """Gain-mode output kappa_tilde * e_tilde."""
-    return p.kappa_tilde * e_tilde
 
 
 def storage_V_h(x_h: float, p: HigsIrcParams) -> float:

@@ -132,10 +132,6 @@ class RationalTF:
 LinearSystem = Union[StateSpace, RationalTF]
 
 
-def _poles_of(sys: LinearSystem) -> np.ndarray:
-    return sys.poles()
-
-
 def freq_response(sys: LinearSystem, omega: float, *, pole_tol: float = POLE_EXCLUSION) -> complex:
     """Evaluate the transfer function at s = j*omega.
 
@@ -143,7 +139,7 @@ def freq_response(sys: LinearSystem, omega: float, *, pole_tol: float = POLE_EXC
     evaluating there would return garbage dominated by rounding.
     """
     s = 1j * float(omega)
-    poles = _poles_of(sys)
+    poles = sys.poles()
     if poles.size and np.min(np.abs(s - poles)) <= pole_tol:
         raise SingularAtFrequency(f"omega={omega} is within {pole_tol} of a pole")
     if isinstance(sys, RationalTF):
@@ -454,7 +450,7 @@ def ni_frequency_test(
     property, but m is not evaluable there).
     """
     g = _validate_grid(default_grid() if grid is None else grid)
-    poles = _poles_of(sys)
+    poles = sys.poles()
     max_re = float(np.max(poles.real)) if poles.size else -np.inf
     has_rhp = bool(max_re > tol)
     flagged = []
@@ -489,7 +485,7 @@ def sni_frequency_test(
 ) -> SniFrequencyReport:
     """Sampled strict-NI test: Re[poles] < -tol and m(w) > tol on the grid."""
     g = _validate_grid(default_grid() if grid is None else grid)
-    poles = _poles_of(sys)
+    poles = sys.poles()
     max_re = float(np.max(poles.real)) if poles.size else -np.inf
     stable = bool(max_re < -tol)
     min_m = np.inf

@@ -1,13 +1,20 @@
 """Closed-loop simulation and Lyapunov bookkeeping.
 
 All loops use positive feedback (e = r + y) against a SISO plant given as a
-StateSpace.  Hybrid loops advance on a fixed grid with element modes frozen
-per chunk; frozen-mode dynamics are affine, so chunks advance by precomputed
-RK4 maps.  Mode switches are handled where the loop algebra demands it: the
-single-element loop switches on the recording grid (its sector boundary does
-not depend on the element state), while the three-element loop localizes
-sector exits by bisection inside the step and switches on the boundary
-itself.  Recorded samples satisfy the sector inequalities by construction up
+StateSpace, and all are piecewise affine: with the element modes frozen, one
+grid step is z+ = R z + d on the joint state z = [x; controller states].
+Each simulator builds one (R, d) per frozen mode (RK4 maps for the hybrid
+loops, the matrix exponential for the linear loop) and hands a one-step
+function to a shared core, _march, which owns the time grid, the divergence
+guard after every step and the recording of (t, z, modes).  Signals, storage
+and the Lyapunov value are derived from the recorded rows afterwards.
+
+Mode switches are handled where the loop algebra demands it: the
+single-element loop switches on the grid (its sector boundary does not
+depend on the element state), while the three-element loop localizes sector
+exits by bisection inside the step and switches on the boundary itself.
+Gain-mode element states are algebraic slots of z, refreshed after every
+step.  Recorded samples satisfy the sector inequalities by construction up
 to rounding.
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -336,18 +343,51 @@ def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray,
     return R, Q @ c
 
 
-def _guard_finite(t: float, arrays, limit: float) -> None:
-    for a in arrays:
-        v = np.abs(np.atleast_1d(a))
-        if not np.all(np.isfinite(v)) or np.any(v > limit):
-            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
-
-
 def _record_count(n_steps: int, every: int) -> int:
     count = n_steps // every + 1
     if n_steps % every:
         count += 1
     return count
+
+
+def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, step) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance a joint state over the grid and sample it.
+
+    step(k, z, modes) -> (z, modes) takes the loop from t = (k-1) dt to
+    k dt, mode logic included.  Every step is followed by the divergence
+    guard (which also catches NaN); samples are taken at t = 0, every
+    record_every steps and at the final step.  Returns the sample times,
+    the joint states (one row per sample) and the integer mode codes.
+    """
+    n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
+    limit = cfg.tolerances.divergence
+    N = _record_count(n_steps, every)
+    T = np.empty(N)
+    Z = np.empty((N, z.shape[0]))
+    M = np.empty((N, len(modes)), dtype=np.int64)
+    T[0], Z[0], M[0] = 0.0, z, modes
+    i = 1
+    for k in range(1, n_steps + 1):
+        z, modes = step(k, z, modes)
+        t = k * dt
+        if not np.abs(z).max() <= limit:
+            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
+        if k % every == 0 or k == n_steps:
+            T[i], Z[i], M[i] = t, z, modes
+            i += 1
+    return T, Z, M
+
+
+def _row_dots(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w . x for every row x of X, one dot per row: a matrix-vector product
+    may sum in another order and change the last bit.  fromiter keeps no
+    per-row Python objects alive, unlike a list."""
+    return np.fromiter((w @ x for x in X), float, len(X))
+
+
+def _quadratic_rows(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """1/2 z^T Q z for every row z of Z, row by row like _row_dots."""
+    return np.fromiter((0.5 * z @ Q @ z for z in Z), float, len(Z))
 
 
 # ---------------------------------------------------------------------------
@@ -391,99 +431,73 @@ def simulate_higs_irc_loop(
     J_int[n, n] = p.omega_h * p.D
     c_int = np.zeros(n + 1)
     c_int[n] = p.omega_h * r
-    R_int, d_int = _rk4_affine_map(J_int, c_int, dt)
+    # Gain mode: x_h is an algebraic slot (zero row), refreshed after each step.
+    J_gain = np.zeros((n + 1, n + 1))
+    J_gain[:n, :n] = A + kt * np.outer(B, C)
+    c_gain = np.zeros(n + 1)
+    c_gain[:n] = kt * r * B
+    maps = {
+        HigsMode.INTEGRATOR: _rk4_affine_map(J_int, c_int, dt),
+        HigsMode.GAIN: _rk4_affine_map(J_gain, c_gain, dt),
+    }
 
-    J_gain = A + kt * np.outer(B, C)
-    c_gain = kt * r * B
-    R_gain, d_gain = _rk4_affine_map(J_gain, c_gain, dt)
-
-    n_steps = cfg.n_steps
-    every = cfg.record_every
-    N = _record_count(n_steps, every)
-    t_rec = np.empty(N)
-    x_rec = np.empty((N, n))
-    xh_rec = np.empty((N, 1))
-    mode_rec = np.empty((N, 1), dtype=np.int64)
-    e_rec = np.empty(N)
-    y_rec = np.empty(N)
-    V_rec = np.empty(N)
-    W_rec = np.empty(N) if cert is not None else None
-
-    x = cfg.x0.copy()
-    xh = float(np.asarray(cfg.controller_x0, dtype=float).reshape(-1)[0])
-
-    def error_and_rate(x, xh):
-        y = float(C @ x)
-        e = r + y
-        e_dot = float(CA @ x) + CB * xh
-        return y, e, e_dot
-
-    y, e, e_dot = error_and_rate(x, xh)
-    xh = project_to_sector(e, xh, kt, tols.sector)
-    mode = determine_mode_irc(e, e_dot, xh, p, tols.mode_boundary)
-    if mode == HigsMode.GAIN:
-        xh = kt * e
-
-    idx = 0
-
-    def record(i, t, x, xh, mode, e, y):
-        t_rec[i] = t
-        x_rec[i] = x
-        xh_rec[i, 0] = xh
-        mode_rec[i, 0] = int(mode)
-        e_rec[i] = e
-        y_rec[i] = y
-        V_rec[i] = storage_V_h(xh, p)
-        if W_rec is not None:
-            W_rec[i] = lyapunov_W_irc(x, xh, cert)
-
-    record(idx, 0.0, x, xh, mode, e, y)
-    idx += 1
-
-    z = np.empty(n + 1)
-    for k in range(1, n_steps + 1):
-        if mode == HigsMode.INTEGRATOR:
-            z[:n] = x
-            z[n] = xh
-            z = R_int @ z + d_int
-            x = z[:n].copy()
-            xh = float(z[n])
-        else:
-            x = R_gain @ x + d_gain
-            xh = kt * (r + float(C @ x))
-        t = k * dt
-        _guard_finite(t, (x, xh), tols.divergence)
-        y, e, e_dot = error_and_rate(x, xh)
-        xh = project_to_sector(e, xh, kt, tols.sector)
-        mode = determine_mode_irc(e, e_dot, xh, p, tols.mode_boundary)
+    def pick_mode(z) -> HigsMode:
+        """Clamp x_h into the sector, pick the mode, and pin x_h in gain mode."""
+        e = r + float(C @ z[:n])
+        e_dot = float(CA @ z[:n]) + CB * z[n]
+        z[n] = project_to_sector(e, z[n], kt, tols.sector)
+        mode = determine_mode_irc(e, e_dot, z[n], p, tols.mode_boundary)
         if mode == HigsMode.GAIN:
-            xh = kt * e
-        if k % every == 0 or k == n_steps:
-            record(idx, t, x, xh, mode, e, y)
-            idx += 1
+            z[n] = kt * e
+        return mode
+
+    def step(k, z, modes):
+        R, d = maps[modes[0]]
+        z = R @ z + d
+        if modes[0] == HigsMode.GAIN:
+            z[n] = kt * (r + float(C @ z[:n]))
+        return z, (pick_mode(z),)
+
+    z = np.append(cfg.x0, float(np.asarray(cfg.controller_x0, dtype=float).reshape(-1)[0]))
+    T, Z, M = _march(cfg, z, (pick_mode(z),), step)
+    X, xh = Z[:, :n], Z[:, n]
+    y = _row_dots(X, C)
 
     return Trajectory(
-        times=t_rec,
-        plant_states=x_rec,
-        controller_states=xh_rec,
-        e=e_rec,
-        u=xh_rec[:, 0].copy(),
-        y=y_rec,
-        modes=mode_rec,
-        V=V_rec,
-        W=W_rec,
+        times=T,
+        plant_states=X,
+        controller_states=Z[:, n:],
+        e=r + y,
+        u=xh,
+        y=y,
+        modes=M,
+        V=storage_V_h(xh, p),
+        W=None if cert is None else _quadratic_rows(Z, cert.P),
         meta={
             "controller": "higs_irc",
             "controller_state_names": ["xh"],
             "kappa_tilde": kt,
             "dt": dt,
-            "record_every": every,
+            "record_every": cfg.record_every,
         },
     )
 
 
 # ---------------------------------------------------------------------------
 # Linear loop
+
+
+class _Rows(NamedTuple):
+    """Output rows of the joint linear loop; see closed_loop_matrices."""
+
+    u_x: np.ndarray
+    u_k: np.ndarray
+    u_r: float
+    y_x: np.ndarray
+    y_k: np.ndarray
+    y_r: float
+    n: int
+    nk: int
 
 
 def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, tol: float = 1e-12):
@@ -519,18 +533,6 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, tol: float = 1e-12
     Acl[n:, :n] = np.outer(Bk, y_x)
     Acl[n:, n:] = Ak + np.outer(Bk, y_k)
     Bcl = np.concatenate([B * u_r, Bk * (1.0 + y_r)])
-
-    @dataclass(frozen=True)
-    class _Rows:
-        u_x: np.ndarray
-        u_k: np.ndarray
-        u_r: float
-        y_x: np.ndarray
-        y_k: np.ndarray
-        y_r: float
-        n: int
-        nk: int
-
     return Acl, Bcl, _Rows(u_x, u_k, float(u_r), y_x, y_k, float(y_r), n, nk)
 
 
@@ -558,54 +560,25 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
     aug[:nz, nz] = Bcl * cfg.dt
     Phi = expm(aug)
     E, F = Phi[:nz, :nz], Phi[:nz, nz]
-
-    n_steps = cfg.n_steps
-    every = cfg.record_every
-    N = _record_count(n_steps, every)
-    t_rec = np.empty(N)
-    x_rec = np.empty((N, n))
-    xk_rec = np.empty((N, nk))
-    e_rec = np.empty(N)
-    u_rec = np.empty(N)
-    y_rec = np.empty(N)
-
-    z = np.concatenate([cfg.x0, xk0])
     r = cfg.r
+    d = F * r
 
-    def record(i, t, z):
-        x, xk = z[:n], z[n:]
-        u = float(rows.u_x @ x + rows.u_k @ xk + rows.u_r * r)
-        y = float(rows.y_x @ x + rows.y_k @ xk + rows.y_r * r)
-        t_rec[i] = t
-        x_rec[i] = x
-        xk_rec[i] = xk
-        u_rec[i] = u
-        y_rec[i] = y
-        e_rec[i] = r + y
-
-    idx = 0
-    record(idx, 0.0, z)
-    idx += 1
-    for k in range(1, n_steps + 1):
-        z = E @ z + F * r
-        t = k * cfg.dt
-        _guard_finite(t, (z,), cfg.tolerances.divergence)
-        if k % every == 0 or k == n_steps:
-            record(idx, t, z)
-            idx += 1
+    T, Z, _ = _march(cfg, np.concatenate([cfg.x0, xk0]), (), lambda k, z, modes: (E @ z + d, modes))
+    X, XK = Z[:, :n], Z[:, n:]
+    y = _row_dots(X, rows.y_x) + _row_dots(XK, rows.y_k) + rows.y_r * r
 
     return Trajectory(
-        times=t_rec,
-        plant_states=x_rec,
-        controller_states=xk_rec,
-        e=e_rec,
-        u=u_rec,
-        y=y_rec,
+        times=T,
+        plant_states=X,
+        controller_states=XK,
+        e=r + y,
+        u=_row_dots(X, rows.u_x) + _row_dots(XK, rows.u_k) + rows.u_r * r,
+        y=y,
         meta={
             "controller": "linear",
             "controller_state_names": [f"xc{i+1}" for i in range(nk)],
             "dt": cfg.dt,
-            "record_every": every,
+            "record_every": cfg.record_every,
         },
     )
 
@@ -749,17 +722,21 @@ def simulate_higs_pii2_loop(
     def resolve_z(z, modes):
         return resolve_pii2_error_signal(r + float(C @ z[:n]), z[n], z[n + 1], z[n + 2], modes, p)
 
-    def probe(z, modes):
-        """Settled-once modes and worst scaled sector exit at a state.
-
-        The exit is measured as the projection distance in state units over
-        max(1, |x_h|), the same scaling the boundary-eligibility test uses."""
+    def mode_update(z, modes):
+        """Modes the update rule picks at a state, with the error and H3's input."""
         e, u = resolve_z(z, modes)
         slots = (z[n], z[n + 1], z[n + 2])
         x1e, x2e, x3e = pii2_effective_states(e, slots, modes, p)
         y_dot = float(CA @ z[:n]) + CB * u
         e_dot = resolve_pii2_error_rate(y_dot, e, slots, modes, p)
-        new = higs_pii2_mode_update(e, e_dot, (x1e, x2e, x3e), p, _EVENT_RTOL)
+        return higs_pii2_mode_update(e, e_dot, (x1e, x2e, x3e), p, _EVENT_RTOL), e, x2e
+
+    def probe(z, modes):
+        """Settled-once modes and worst scaled sector exit at a state.
+
+        The exit is measured as the projection distance in state units over
+        max(1, |x_h|), the same scaling the boundary-eligibility test uses."""
+        new, e, x2e = mode_update(z, modes)
         viol = 0.0
         pairs = []
         if modes.h1 == HigsMode.INTEGRATOR:
@@ -776,7 +753,7 @@ def simulate_higs_pii2_loop(
 
     def finalize(z, modes):
         """Refresh gain slots and clamp rounding dust off the sectors."""
-        e, u = resolve_z(z, modes)
+        e, _ = resolve_z(z, modes)
         x1e, x2e, x3e = pii2_effective_states(e, (z[n], z[n + 1], z[n + 2]), modes, p)
         if modes.h1 == HigsMode.GAIN:
             z[n] = x1e
@@ -790,72 +767,30 @@ def simulate_higs_pii2_loop(
             z[n + 2] = x3e
         else:
             z[n + 2] = project_to_sector(x2e, z[n + 2], ks[2], tols.sector)
-        return e, u
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
         for _ in range(8):
-            e, u = resolve_z(z, modes)
-            slots = (z[n], z[n + 1], z[n + 2])
-            x1e, x2e, x3e = pii2_effective_states(e, slots, modes, p)
-            y_dot = float(CA @ z[:n]) + CB * u
-            e_dot = resolve_pii2_error_rate(y_dot, e, slots, modes, p)
-            new = higs_pii2_mode_update(e, e_dot, (x1e, x2e, x3e), p, _EVENT_RTOL)
+            new = mode_update(z, modes)[0]
             if new == modes:
-                return e, u, modes
+                return modes
             modes = new
-            e, u = finalize(z, modes)
-        return e, u, modes
-
-    z = np.concatenate([cfg.x0, xh0])
-    modes = ModeTriple(HigsMode.INTEGRATOR, HigsMode.INTEGRATOR, HigsMode.INTEGRATOR)
-
-    n_steps = cfg.n_steps
-    every = cfg.record_every
-    N = _record_count(n_steps, every)
-    t_rec = np.empty(N)
-    x_rec = np.empty((N, n))
-    xh_rec = np.empty((N, 3))
-    mode_rec = np.empty((N, 3), dtype=np.int64)
-    e_rec = np.empty(N)
-    u_rec = np.empty(N)
-    y_rec = np.empty(N)
-    V_rec = np.empty(N)
-    V1_rec = np.empty(N)
-    V2_rec = np.empty(N)
-    W_rec = np.empty(N) if cert is not None else None
-
-    def record(i, t, z, modes, e, u):
-        x = z[:n]
-        xh = z[n:]
-        t_rec[i] = t
-        x_rec[i] = x
-        xh_rec[i] = xh
-        mode_rec[i] = [int(modes.h1), int(modes.h2), int(modes.h3)]
-        e_rec[i] = e
-        u_rec[i] = u
-        y_rec[i] = float(C @ x)
-        V1 = storage_V1(xh[0], p.h1)
-        V2 = storage_V2_cascade(xh[1], xh[2])
-        V1_rec[i] = V1
-        V2_rec[i] = V2
-        V_rec[i] = V1 + V2
-        if W_rec is not None:
-            W_rec[i] = lyapunov_W_pii2(x, xh[0], xh[1], xh[2], cert)
+            finalize(z, modes)
+        return modes
 
     # Sanitize the initial state: clamp into the sectors against the resolved
     # error (a couple of passes, since clamping moves the error), then settle
     # the starting modes.
+    z = np.concatenate([cfg.x0, xh0])
+    modes = ModeTriple(HigsMode.INTEGRATOR, HigsMode.INTEGRATOR, HigsMode.INTEGRATOR)
     for _ in range(3):
-        e, u = finalize(z, modes)
-    e, u, modes = settle(z, modes)
-    e, u = finalize(z, modes)
-    idx = 0
-    record(idx, 0.0, z, modes, e, u)
-    idx += 1
+        finalize(z, modes)
+    modes = settle(z, modes)
+    finalize(z, modes)
 
     h_min = _EVENT_MIN_FRAC * dt
-    for k in range(1, n_steps + 1):
+
+    def step(k, z, modes):
         remaining = dt
         events = 0
         while remaining > h_min:
@@ -878,7 +813,7 @@ def simulate_higs_pii2_loop(
                     lo = mid
             z = ze
             finalize(z, modes)
-            e, u, new_modes = settle(z, modes)
+            new_modes = settle(z, modes)
             stalled = new_modes == modes
             modes = new_modes
             remaining -= hi
@@ -894,30 +829,32 @@ def simulate_higs_pii2_loop(
                 raise UnsolvableLoop(
                     f"mode switching failed to settle within the step ending at t = {k * dt:.6g}"
                 )
-        t = k * dt
-        _guard_finite(t, (z,), tols.divergence)
-        e, u = resolve_z(z, modes)
-        if k % every == 0 or k == n_steps:
-            record(idx, t, z, modes, e, u)
-            idx += 1
+        return z, modes
+
+    T, Z, M = _march(cfg, z, modes, step)
+    X, XH = Z[:, :n], Z[:, n:]
+    eu = np.fromiter((resolve_z(z, ModeTriple(*map(HigsMode, m))) for z, m in zip(Z, M)),
+                     np.dtype((float, 2)), len(Z))
+    V1 = storage_V1(XH[:, 0], p.h1)
+    V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
 
     return Trajectory(
-        times=t_rec,
-        plant_states=x_rec,
-        controller_states=xh_rec,
-        e=e_rec,
-        u=u_rec,
-        y=y_rec,
-        modes=mode_rec,
-        V=V_rec,
-        W=W_rec,
-        aux={"V1": V1_rec, "V2": V2_rec},
+        times=T,
+        plant_states=X,
+        controller_states=XH,
+        e=eu[:, 0],
+        u=eu[:, 1],
+        y=_row_dots(X, C),
+        modes=M,
+        V=V1 + V2,
+        W=None if cert is None else _quadratic_rows(Z, cert.M),
+        aux={"V1": V1, "V2": V2},
         meta={
             "controller": "higs_pii2",
             "controller_state_names": ["xh1", "xh2", "xh3"],
             "sector_gains": [ks[0], ks[1], ks[2]],
             "dt": dt,
-            "record_every": every,
+            "record_every": cfg.record_every,
         },
     )
 

@@ -11,8 +11,6 @@ from higsni import (
     HigsParams,
     determine_mode_base,
     determine_mode_irc,
-    higs_irc_derivative,
-    higs_irc_gain_output,
     project_to_sector,
     run_element,
     sector_contains,
@@ -122,20 +120,6 @@ def test_mode_boundary_tolerance_is_relative():
 
 # ---------------------------------------------------------------------------
 # element dynamics and storage
-
-
-def test_irc_derivative_hand_values():
-    p = HigsIrcParams(0.5, 20.0, -1.0)
-    assert higs_irc_derivative(0.0, 1.0, p) == pytest.approx(0.5)
-    assert higs_irc_derivative(1.0, 1.0, p) == pytest.approx(0.0)
-    frozen = HigsIrcParams(0.0, 20.0, -1.0)
-    assert higs_irc_derivative(3.0, -2.0, frozen) == 0.0
-
-
-def test_gain_output_hand_values():
-    assert higs_irc_gain_output(0.0, HigsIrcParams(1.0, 1.0, -1.0)) == 0.0
-    assert higs_irc_gain_output(1.0, HigsIrcParams(0.5, 20.0, -1.0)) == pytest.approx(20.0 / 21.0)
-    assert higs_irc_gain_output(-2.0, HigsIrcParams(1.0, 1.0, -1.0)) == pytest.approx(-1.0)
 
 
 def test_storage_hand_values():

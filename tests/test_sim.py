@@ -255,13 +255,39 @@ def test_irc_loop_tracks_constant_reference(plant):
     assert traj.e == pytest.approx(0.5 + traj.y, abs=1e-12)
 
 
-def test_irc_loop_record_thinning(plant):
-    dense = simulate_higs_irc_loop(plant, HIGS20, oscillator_config(t_end=2.0))
-    thin = simulate_higs_irc_loop(plant, HIGS20,
-                                  oscillator_config(t_end=2.0, record_every=7))
+# ---------------------------------------------------------------------------
+# shared stepping core: schedule and divergence guard, on every loop
+
+LOOPS = {
+    "higs_irc": lambda plant, cfg: simulate_higs_irc_loop(plant, HIGS20, cfg),
+    "higs_pii2": lambda plant, cfg: simulate_higs_pii2_loop(plant, PII2, cfg),
+    "linear": lambda plant, cfg: simulate_linear_loop(
+        plant, irc_tf(IrcParams(HIGS20.omega_h, HIGS20.D)), cfg),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_loop_record_thinning(plant, loop):
+    dense = LOOPS[loop](plant, oscillator_config(t_end=2.0))
+    thin = LOOPS[loop](plant, oscillator_config(t_end=2.0, record_every=7))
     assert thin.times[-1] == pytest.approx(dense.times[-1])
     assert thin.plant_states[-1] == pytest.approx(dense.plant_states[-1], abs=0.0)
     assert np.all(np.isin(np.round(thin.times / 1e-3), np.round(dense.times / 1e-3)))
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_loop_guard_rejects_non_finite_state(plant, loop):
+    with pytest.raises(NonFiniteState):
+        LOOPS[loop](plant, SimConfig(dt=1e-3, t_end=0.1, x0=[np.nan, 0.0]))
+
+
+def test_linear_loop_divergence_guard(plant):
+    # K(0) G(0) = 10 > 1 breaks the DC condition (D = -0.1 > -G(0)); the
+    # loop grows like exp(1.66 t) and escapes the (lowered) guard.
+    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0],
+                    tolerances=Tolerances(divergence=1e6))
+    with pytest.raises(NonFiniteState):
+        simulate_linear_loop(plant, irc_tf(IrcParams(10.0, -0.1)), cfg)
 
 
 # ---------------------------------------------------------------------------
