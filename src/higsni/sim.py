@@ -55,6 +55,11 @@ from .higs import (
 from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, tf_to_ss
 
 
+# Rows per block of Trajectory._write_csv.  Blocks of 64 to 1024 rows write
+# equally fast; larger ones only hold more Python floats at once.
+_CSV_BLOCK_ROWS = 128
+
+
 class NonFiniteState(RuntimeError):
     """State left the admissible region (non-finite or beyond the guard)."""
 
@@ -160,30 +165,31 @@ class Trajectory:
         return names
 
     def to_csv_text(self) -> str:
-        def fmt(v) -> str:
-            return repr(float(v))
-
         out = io.StringIO()
-        out.write(",".join(self.column_names()) + "\n")
-        aux_keys = sorted(self.aux.keys())
-        for i in range(len(self)):
-            cells = [fmt(self.times[i])]
-            cells += [fmt(v) for v in self.plant_states[i]]
-            cells += [fmt(v) for v in self.controller_states[i]]
-            if self.modes is not None:
-                cells += [str(int(v)) for v in self.modes[i]]
-            cells += [fmt(self.e[i]), fmt(self.u[i]), fmt(self.y[i])]
-            if self.V is not None:
-                cells.append(fmt(self.V[i]))
-            cells += [fmt(self.aux[k][i]) for k in aux_keys]
-            if self.W is not None:
-                cells.append(fmt(self.W[i]))
-            out.write(",".join(cells) + "\n")
+        self._write_csv(out)
         return out.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
+            self._write_csv(fh)
+
+    def _write_csv(self, fh) -> None:
+        """Header, then _CSV_BLOCK_ROWS rows at a time: floats as repr, modes as int.
+
+        Each block is written as soon as it is formatted, so the text of the
+        whole file is never held at once."""
+        fh.write(",".join(self.column_names()) + "\n")
+        lead = (self.times, self.plant_states, self.controller_states)
+        aux = [self.aux[k] for k in sorted(self.aux.keys())]
+        tail = [s for s in (self.e, self.u, self.y, self.V, *aux, self.W) if s is not None]
+        modes = np.empty((len(self), 0)) if self.modes is None else self.modes
+        for a in range(0, len(self), _CSV_BLOCK_ROWS):
+            blk = slice(a, a + _CSV_BLOCK_ROWS)
+            rows = zip(np.column_stack([s[blk] for s in lead]).astype(float).tolist(),
+                       modes[blk].astype(np.int64).tolist(),
+                       np.column_stack([s[blk] for s in tail]).astype(float).tolist())
+            fh.write("".join([",".join([*map(repr, x), *map(str, m), *map(repr, w)]) + "\n"
+                              for x, m, w in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +385,16 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, step) -> Tuple[np.ndarra
 
 
 def _row_dots(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w . x for every row x of X, one dot per row: a matrix-vector product
-    may sum in another order and change the last bit.  fromiter keeps no
-    per-row Python objects alive, unlike a list."""
-    return np.fromiter((w @ x for x in X), float, len(X))
+    """w . x for every row x of X.  vecdot takes one dot per row, as w @ x
+    does; a matrix-vector product X @ w may sum in another order and change
+    the last bit."""
+    return np.vecdot(X, w)
 
 
 def _quadratic_rows(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """1/2 z^T Q z for every row z of Z, row by row like _row_dots."""
-    return np.fromiter((0.5 * z @ Q @ z for z in Z), float, len(Z))
+    """1/2 z^T Q z for every row z of Z, bit for bit as (0.5 * z) @ Q @ z per
+    row; the matrix product (0.5 * Z) @ Q would not be."""
+    return np.vecdot(np.vecmat(0.5 * Z, Q), Z)
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +840,14 @@ def simulate_higs_pii2_loop(
 
     T, Z, M = _march(cfg, z, modes, step)
     X, XH = Z[:, :n], Z[:, n:]
-    eu = np.fromiter((resolve_z(z, ModeTriple(*map(HigsMode, m))) for z, m in zip(Z, M)),
-                     np.dtype((float, 2)), len(Z))
+    y = _row_dots(X, C)
+    e, u = np.empty(len(Z)), np.empty(len(Z))
+    # The error equation is elementwise once the modes are fixed: one
+    # resolve per recorded mode triple.
+    for m in np.unique(M, axis=0):
+        rows = (M == m).all(axis=1)
+        e[rows], u[rows] = resolve_pii2_error_signal(
+            r + y[rows], XH[rows, 0], XH[rows, 1], XH[rows, 2], ModeTriple(*map(HigsMode, m)), p)
     V1 = storage_V1(XH[:, 0], p.h1)
     V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
 
@@ -842,9 +855,9 @@ def simulate_higs_pii2_loop(
         times=T,
         plant_states=X,
         controller_states=XH,
-        e=eu[:, 0],
-        u=eu[:, 1],
-        y=_row_dots(X, C),
+        e=e,
+        u=u,
+        y=y,
         modes=M,
         V=V1 + V2,
         W=None if cert is None else _quadratic_rows(Z, cert.M),

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from higsni import (
     CertificateNotPD,
     HigsIrcParams,
+    HigsMode,
     IllPosedLoop,
     InvalidParameters,
     IrcParams,
     LyapunovIrcCertificate,
     LyapunovPii2Certificate,
+    ModeTriple,
     NonFiniteState,
     Pii2Params,
     RationalTF,
@@ -28,11 +31,12 @@ from higsni import (
     lyapunov_W_irc,
     lyapunov_W_pii2,
     pii2rc_tf,
+    resolve_pii2_error_signal,
     simulate_higs_irc_loop,
     simulate_higs_pii2_loop,
     simulate_linear_loop,
 )
-from higsni.sim import _rk4_affine_map
+from higsni.sim import _CSV_BLOCK_ROWS, _quadratic_rows, _rk4_affine_map, _row_dots
 
 from conftest import HIGS5, HIGS20, PII2, oscillator_config
 
@@ -88,6 +92,28 @@ def test_rk4_affine_map_matches_stage_form(j_entries, c_entries, z_entries, h):
     k4 = f(z + h * k3)
     want = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert R @ z + d == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def _rows_and_form(draw):
+    m = draw(st.integers(2, 7))
+    n_rows = draw(st.integers(1, 40))
+    cells = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    Z = draw(arrays(float, (n_rows, m), elements=cells))
+    A = draw(arrays(float, (m, m), elements=cells))
+    return Z, A + A.T
+
+
+@given(_rows_and_form())
+def test_row_kernels_match_per_row_products(zq):
+    # The simulators write these values to CSV: they must equal the per-row
+    # products bit for bit, also on a column slice as X = Z[:, :n] is.
+    Z, Q = zq
+    w = Q[0]
+    X = Z[:, :-1]
+    assert np.array_equal(_row_dots(Z, w), np.array([w @ z for z in Z]))
+    assert np.array_equal(_row_dots(X, w[:-1]), np.array([w[:-1] @ x for x in X]))
+    assert np.array_equal(_quadratic_rows(Z, Q), np.array([0.5 * z @ Q @ z for z in Z]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +360,18 @@ def test_pii2_loop_signal_identities(pii2_traj):
     assert np.abs(res_u).max() <= 1e-9
 
 
+def test_pii2_loop_error_matches_per_row_resolve(plant, pii2_traj):
+    # e and u are resolved once per recorded mode triple; that must equal
+    # resolving every row on its own, bit for bit.
+    assert len(np.unique(pii2_traj.modes, axis=0)) >= 2
+    xh = pii2_traj.controller_states
+    for i, m in enumerate(pii2_traj.modes):
+        y = 0.0 + float(plant.C @ pii2_traj.plant_states[i])   # r = 0
+        e, u = resolve_pii2_error_signal(y, xh[i, 0], xh[i, 1], xh[i, 2],
+                                         ModeTriple(*map(HigsMode, m)), PII2)
+        assert (e, u) == (pii2_traj.e[i], pii2_traj.u[i])
+
+
 def test_pii2_loop_storage_series_match_states(pii2_traj):
     xh = pii2_traj.controller_states
     assert pii2_traj.aux["V1"] == pytest.approx(xh[:, 0] ** 2 / (2.0 * PII2.h1.k_h))
@@ -491,3 +529,48 @@ def test_csv_write(tmp_path, irc5_traj):
     path = tmp_path / "run.csv"
     irc5_traj.write_csv(path)
     assert path.read_text() == irc5_traj.to_csv_text()
+
+
+def _reference_csv_text(traj: Trajectory) -> str:
+    """The original cell-by-cell writer, kept as the oracle for the blocked one."""
+    def fmt(v) -> str:
+        return repr(float(v))
+
+    out = [",".join(traj.column_names()) + "\n"]
+    aux_keys = sorted(traj.aux.keys())
+    for i in range(len(traj)):
+        cells = [fmt(traj.times[i])]
+        cells += [fmt(v) for v in traj.plant_states[i]]
+        cells += [fmt(v) for v in traj.controller_states[i]]
+        if traj.modes is not None:
+            cells += [str(int(v)) for v in traj.modes[i]]
+        cells += [fmt(traj.e[i]), fmt(traj.u[i]), fmt(traj.y[i])]
+        if traj.V is not None:
+            cells.append(fmt(traj.V[i]))
+        cells += [fmt(traj.aux[k][i]) for k in aux_keys]
+        if traj.W is not None:
+            cells.append(fmt(traj.W[i]))
+        out.append(",".join(cells) + "\n")
+    return "".join(out)
+
+
+CSV_LOOPS = {
+    "higs_irc": lambda plant, cfg: simulate_higs_irc_loop(
+        plant, HIGS20, cfg, LyapunovIrcCertificate(np.eye(2), plant.C, HIGS20.kappa_tilde)),
+    "higs_pii2": lambda plant, cfg: simulate_higs_pii2_loop(
+        plant, PII2, cfg, LyapunovPii2Certificate(np.eye(2), plant.C, PII2)),
+    "linear": LOOPS["linear"],
+}
+
+
+@pytest.mark.parametrize("n_rows", [_CSV_BLOCK_ROWS // 2, 2 * _CSV_BLOCK_ROWS,
+                                    2 * _CSV_BLOCK_ROWS + 37])
+@pytest.mark.parametrize("loop", sorted(CSV_LOOPS))
+def test_csv_writer_matches_cell_by_cell_reference(tmp_path, plant, loop, n_rows):
+    traj = CSV_LOOPS[loop](plant, oscillator_config(t_end=(n_rows - 1) * 1e-3))
+    assert len(traj) == n_rows
+    want = _reference_csv_text(traj)
+    assert traj.to_csv_text() == want
+    path = tmp_path / "run.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == want.encode()
