@@ -4,18 +4,26 @@ All loops use positive feedback (e = r + y) against a SISO plant given as a
 StateSpace, and all are piecewise affine: with the element modes frozen, one
 grid step is z+ = R z + d on the joint state z = [x; controller states].
 Each simulator builds one (R, d) per frozen mode (RK4 maps for the hybrid
-loops, the matrix exponential for the linear loop) and hands a one-step
-function to a shared core, _march, which owns the time grid, the divergence
-guard after every step and the recording of (t, z, modes).  Signals, storage
-and the Lyapunov value are derived from the recorded rows afterwards.
+loops, the matrix exponential for the linear loop) and hands it, with its
+per-step logic written for a block of rows, to a shared core, _march.  The
+core owns the time grid and steps in blocks: it propagates up to
+_BLOCK_ROWS rows one step at a time (z = R z + d, as a lone step would),
+runs the loop's logic (mode decision, sector clamp) and the divergence
+guard on the whole block, keeps the rows up to the first one where
+something fired and resumes there.  Every kept row is the one a step at a
+time would give, bit for bit: a gain-mode slot has a zero row and column in
+the dynamics, so it never feeds the other states and is refreshed
+afterwards, and an integrator slot changes only where a clamp fires, which
+ends the block.  Signals, storage and the Lyapunov value are derived from
+the recorded rows afterwards.
 
 Mode switches are handled where the loop algebra demands it: the
 single-element loop switches on the grid (its sector boundary does not
-depend on the element state), while the three-element loop localizes sector
-exits by bisection inside the step and switches on the boundary itself.
-Gain-mode element states are algebraic slots of z, refreshed after every
-step.  Recorded samples satisfy the sector inequalities by construction up
-to rounding.
+depend on the element state), so its block logic settles a switching row
+itself, while the three-element loop localizes sector exits by bisection
+inside the step and switches on the boundary itself; its block ends before
+such a row, which is then taken by the bisecting step.  Recorded samples
+satisfy the sector inequalities by construction up to rounding.
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -46,7 +54,6 @@ from .higs import (
     HigsIrcParams,
     HigsMode,
     MODE_BOUNDARY_RTOL,
-    determine_mode_irc,
     project_to_sector,
     storage_V1,
     storage_V2_cascade,
@@ -58,6 +65,10 @@ from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, tf_to_ss
 # Rows per block of Trajectory._write_csv.  Blocks of 64 to 1024 rows write
 # equally fast; larger ones only hold more Python floats at once.
 _CSV_BLOCK_ROWS = 128
+
+# Steps per block of _march.  Propagation stays one row at a time; the mode
+# logic, sector clamp and divergence guard run once per block on all rows.
+_BLOCK_ROWS = 256
 
 
 class NonFiniteState(RuntimeError):
@@ -356,31 +367,73 @@ def _record_count(n_steps: int, every: int) -> int:
     return count
 
 
-def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, step) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance a joint state over the grid and sample it.
+def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
+           step=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance a joint state over the grid in blocks and sample it.
 
-    step(k, z, modes) -> (z, modes) takes the loop from t = (k-1) dt to
-    k dt, mode logic included.  Every step is followed by the divergence
-    guard (which also catches NaN); samples are taken at t = 0, every
-    record_every steps and at the final step.  Returns the sample times,
-    the joint states (one row per sample) and the integer mode codes.
+    maps(modes) -> (R, d) is the frozen-mode map of one step.  A block
+    propagates up to _BLOCK_ROWS rows one step at a time, z = R z + d; then
+    scan(rows, modes) -> (q, modes) applies the loop's per-step logic to
+    every row in place and keeps the first q rows: the rows before the first
+    one where the logic fired, plus that row when the scan settled it (it
+    then carries the returned modes).  The next block starts from the last
+    kept row.  When step is given, the row after a block cut short is taken
+    by step(k, z, modes) -> (z, modes), the step from t = (k-1) dt to k dt;
+    such a loop's scan stops before any row it cannot settle.  Without a
+    scan the loop has no events.  The
+    divergence guard (which also catches NaN) runs on every kept row;
+    samples are taken at t = 0, every record_every steps and at the final
+    step.  Returns the sample times, the joint states (one row per sample)
+    and the integer mode codes.
     """
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
     limit = cfg.tolerances.divergence
     N = _record_count(n_steps, every)
-    T = np.empty(N)
+    # Multiples of every are exact in floating point, so T[i] = (i every) dt
+    # as a step counter gives it.
+    T = np.arange(0.0, N * every, every) * dt
+    T[-1] = n_steps * dt
     Z = np.empty((N, z.shape[0]))
     M = np.empty((N, len(modes)), dtype=np.int64)
-    T[0], Z[0], M[0] = 0.0, z, modes
-    i = 1
-    for k in range(1, n_steps + 1):
-        z, modes = step(k, z, modes)
-        t = k * dt
-        if not np.abs(z).max() <= limit:
-            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
-        if k % every == 0 or k == n_steps:
-            T[i], Z[i], M[i] = t, z, modes
-            i += 1
+    Z[0], M[0] = z, modes
+    buf = np.empty((_BLOCK_ROWS, z.shape[0]))
+    rows = list(buf)
+    k, bisect = 0, False
+    # Rows past a guard trip or an event may overflow; they are never kept.
+    with np.errstate(all="ignore"):
+        while k < n_steps:
+            if bisect:
+                z, after = step(k + 1, z, modes)
+                blk = buf[:1]
+                blk[0] = z
+                q = 1
+                bisect = False
+            else:
+                R, d = maps(modes)
+                blk = buf[:min(_BLOCK_ROWS, n_steps - k)]
+                prev = z
+                # The gemv and add of R @ z + d, written into the buffer.
+                for row in rows[:len(blk)]:
+                    np.dot(R, prev, out=row)
+                    np.add(row, d, out=row)
+                    prev = row
+                q, after = (len(blk), modes) if scan is None else scan(blk, modes)
+                bisect = step is not None and q < len(blk)
+            ok = np.abs(blk[:q]).max(axis=1) <= limit
+            if not ok.all():
+                t = (k + 1 + int(np.argmin(ok))) * dt
+                raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
+            a = -(k + 1) % every    # first row of the block on the sample grid
+            i = (k + 1 + a) // every
+            kept = blk[a:q:every]
+            Z[i:i + len(kept)], M[i:i + len(kept)] = kept, modes
+            k += q
+            modes = after
+            if q:
+                z = blk[q - 1].copy()
+                if k % every == 0:
+                    M[k // every] = modes
+    Z[-1], M[-1] = z, modes
     return T, Z, M
 
 
@@ -395,6 +448,43 @@ def _quadratic_rows(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """1/2 z^T Q z for every row z of Z, bit for bit as (0.5 * z) @ Q @ z per
     row; the matrix product (0.5 * Z) @ Q would not be."""
     return np.vecdot(np.vecmat(0.5 * Z, Q), Z)
+
+
+# Elementwise forms of the scalar mode logic, for the block scans of _march.
+# Each applies the scalar function's operations in the same order, so every
+# element equals the scalar result bit for bit (NaN and signed zeros too);
+# np.where, not np.maximum/np.minimum, reproduces Python's max and min.
+
+
+def _sector_clamp_rows(e: np.ndarray, x_h: np.ndarray, k_bound: float, tol: float) -> np.ndarray:
+    """project_to_sector(e, x_h, k_bound, tol) elementwise."""
+    edge = k_bound * e
+    up = edge >= 0.0
+    lo = np.where(up, 0.0, edge)
+    hi = np.where(up, edge, 0.0)
+    v = np.where(lo > x_h, lo, x_h)
+    v = np.where(hi < v, hi, v)
+    return np.where(e * x_h >= x_h * x_h / k_bound - tol, x_h, v)
+
+
+def _gain_mode_rows(e, e_dot, x_h, k_bound: float, p, tol: float) -> np.ndarray:
+    """Gain-mode mask of determine_mode_base (k_bound = p.k_h) or
+    determine_mode_irc (k_bound = p.kappa_tilde), elementwise."""
+    # max(1, |x_h|) is NaN at NaN x_h where Python's max gives 1.0; the
+    # comparison is False either way.
+    on_edge = np.abs(x_h - k_bound * e) <= tol * np.maximum(np.abs(x_h), 1.0)
+    return on_edge & (p.omega_h * e * e > p.k_h * e * e_dot)
+
+
+def _pii2_gain_rows(e, e_dot, states, p: HigsPii2Params, tol: float):
+    """Gain-mode masks of higs_pii2_mode_update elementwise, H3 driven by
+    H2's output (k_h2 e in gain mode, x_h2 integrating)."""
+    x1, x2, x3 = states
+    g1 = _gain_mode_rows(e, e_dot, x1, p.h1.k_h, p.h1, tol)
+    g2 = _gain_mode_rows(e, e_dot, x2, p.h2.k_h, p.h2, tol)
+    e3 = np.where(g2, p.h2.k_h * e, x2)
+    e3_dot = np.where(g2, p.h2.k_h * e_dot, p.h2.omega_h * e)
+    return g1, g2, _gain_mode_rows(e3, e3_dot, x3, p.h3.k_h, p.h3, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +534,32 @@ def simulate_higs_irc_loop(
     c_gain = np.zeros(n + 1)
     c_gain[:n] = kt * r * B
     maps = {
-        HigsMode.INTEGRATOR: _rk4_affine_map(J_int, c_int, dt),
-        HigsMode.GAIN: _rk4_affine_map(J_gain, c_gain, dt),
+        (HigsMode.INTEGRATOR,): _rk4_affine_map(J_int, c_int, dt),
+        (HigsMode.GAIN,): _rk4_affine_map(J_gain, c_gain, dt),
     }
 
-    def pick_mode(z) -> HigsMode:
-        """Clamp x_h into the sector, pick the mode, and pin x_h in gain mode."""
-        e = r + float(C @ z[:n])
-        e_dot = float(CA @ z[:n]) + CB * z[n]
-        z[n] = project_to_sector(e, z[n], kt, tols.sector)
-        mode = determine_mode_irc(e, e_dot, z[n], p, tols.mode_boundary)
-        if mode == HigsMode.GAIN:
-            z[n] = kt * e
-        return mode
-
-    def step(k, z, modes):
-        R, d = maps[modes[0]]
-        z = R @ z + d
-        if modes[0] == HigsMode.GAIN:
-            z[n] = kt * (r + float(C @ z[:n]))
-        return z, (pick_mode(z),)
+    def irc_rows(Zb, modes):
+        """One step's logic on rows stepped in `modes`: refresh x_h in gain
+        mode, clamp it into the sector, pick the mode and pin x_h in gain
+        mode.  Keeps the rows up to the first whose mode or clamp fired."""
+        gain = modes[0] == HigsMode.GAIN
+        X = Zb[:, :n]
+        e = r + np.vecdot(X, C)
+        if gain:
+            Zb[:, n] = kt * e
+        xh = Zb[:, n].copy()
+        e_dot = np.vecdot(X, CA) + CB * xh
+        xc = _sector_clamp_rows(e, xh, kt, tols.sector)
+        to_gain = _gain_mode_rows(e, e_dot, xc, kt, p, tols.mode_boundary)
+        Zb[:, n] = np.where(to_gain, kt * e, xc)
+        fired = np.flatnonzero((to_gain != gain) | (xc != xh))
+        q = int(fired[0]) + 1 if len(fired) else len(Zb)
+        return q, (HigsMode.GAIN if to_gain[q - 1] else HigsMode.INTEGRATOR,)
 
     z = np.append(cfg.x0, float(np.asarray(cfg.controller_x0, dtype=float).reshape(-1)[0]))
-    T, Z, M = _march(cfg, z, (pick_mode(z),), step)
+    with np.errstate(all="ignore"):
+        _, modes = irc_rows(z[None], (HigsMode.INTEGRATOR,))
+    T, Z, M = _march(cfg, z, modes, maps.__getitem__, irc_rows)
     X, xh = Z[:, :n], Z[:, n]
     y = _row_dots(X, C)
 
@@ -570,7 +663,7 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
     r = cfg.r
     d = F * r
 
-    T, Z, _ = _march(cfg, np.concatenate([cfg.x0, xk0]), (), lambda k, z, modes: (E @ z + d, modes))
+    T, Z, _ = _march(cfg, np.concatenate([cfg.x0, xk0]), (), lambda modes: (E, d))
     X, XK = Z[:, :n], Z[:, n:]
     y = _row_dots(X, rows.y_x) + _row_dots(XK, rows.y_k) + rows.y_r * r
 
@@ -838,16 +931,46 @@ def simulate_higs_pii2_loop(
                 )
         return z, modes
 
-    T, Z, M = _march(cfg, z, modes, step)
+    def pii2_rows(Zb, modes):
+        """probe and finalize of one step on rows stepped in `modes`.  Keeps
+        the rows before the first mode change or sector exit (the bisecting
+        step takes that row) and up to the first row the clamp moved."""
+        X = Zb[:, :n]
+        slots = tuple(Zb[:, n:].T.copy())
+        e, u = resolve_pii2_error_signal(r + np.vecdot(X, C), *slots, modes, p)
+        eff = pii2_effective_states(e, slots, modes, p)
+        e_dot = resolve_pii2_error_rate(np.vecdot(X, CA) + CB * u, e, slots, modes, p)
+        gains = _pii2_gain_rows(e, e_dot, eff, p, _EVENT_RTOL)
+        event = np.zeros(len(Zb), dtype=bool)
+        moved = np.zeros(len(Zb), dtype=bool)
+        for i, (mode, g, x, ei, ki) in enumerate(zip(modes, gains, slots, (e, e, eff[1]), ks)):
+            if mode == HigsMode.GAIN:
+                event |= ~g
+                Zb[:, n + i] = eff[i]
+            else:
+                event |= g
+                event |= np.abs(_sector_clamp_rows(ei, x, ki, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
+                xc = _sector_clamp_rows(ei, x, ki, tols.sector)
+                moved |= xc != x
+                Zb[:, n + i] = xc
+        fired = np.flatnonzero(event | moved)
+        if not len(fired):
+            return len(Zb), modes
+        s = int(fired[0])
+        return (s if event[s] else s + 1), modes
+
+    T, Z, M = _march(cfg, z, modes, lambda modes: step_maps(modes)[2:], pii2_rows, step)
     X, XH = Z[:, :n], Z[:, n:]
     y = _row_dots(X, C)
     e, u = np.empty(len(Z)), np.empty(len(Z))
     # The error equation is elementwise once the modes are fixed: one
     # resolve per recorded mode triple.
-    for m in np.unique(M, axis=0):
-        rows = (M == m).all(axis=1)
+    codes = M @ (4, 2, 1)
+    for c in np.unique(codes):
+        rows = codes == c
+        triple = ModeTriple(*(HigsMode(int(c) >> b & 1) for b in (2, 1, 0)))
         e[rows], u[rows] = resolve_pii2_error_signal(
-            r + y[rows], XH[rows, 0], XH[rows, 1], XH[rows, 2], ModeTriple(*map(HigsMode, m)), p)
+            r + y[rows], XH[rows, 0], XH[rows, 1], XH[rows, 2], triple, p)
     V1 = storage_V1(XH[:, 0], p.h1)
     V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
 

@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from higsni import (
     HigsIrcParams,
@@ -45,6 +46,34 @@ PII2 = HigsPii2Params(
     h1=HigsParams(omega_h=0.3, k_h=2.0),
     h2=HigsParams(omega_h=0.2, k_h=1.0),
     h3=HigsParams(omega_h=0.4, k_h=1.0),
+)
+
+
+def modal_plant(modes):
+    """Collocated modal sum G(s) = sum g^2 / (s^2 + 2 zeta w s + w^2).
+
+    Every such plant is NI: blkdiag(diag(1/w^2, 1)) is a certificate, with
+    A Y + Y A^T = 0 in the directions of undamped modes.
+    """
+    n = 2 * len(modes)
+    A = np.zeros((n, n))
+    B = np.zeros(n)
+    C = np.zeros(n)
+    for m, (w, zeta, g) in enumerate(modes):
+        i = 2 * m
+        A[i, i + 1] = 1.0
+        A[i + 1, i] = -w * w
+        A[i + 1, i + 1] = -2.0 * zeta * w
+        B[i + 1] = g
+        C[i] = g
+    return A, B, C
+
+
+# (w, zeta, g) of one mode: undamped or lightly damped.
+MODAL_MODE = st.tuples(
+    st.floats(0.3, 5.0),
+    st.one_of(st.just(0.0), st.floats(0.005, 0.05)),
+    st.floats(0.3, 1.5),
 )
 
 

@@ -25,6 +25,8 @@ from higsni import (
 )
 from higsni.lti import default_grid
 
+from conftest import MODAL_MODE, modal_plant
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -144,41 +146,14 @@ def test_search_rejects_singular_a():
         search_ni_certificate(nilpotent)
 
 
-def _modal_plant(modes):
-    """Collocated modal sum G(s) = sum g^2 / (s^2 + 2 zeta w s + w^2).
-
-    Every such plant is NI: blkdiag(diag(1/w^2, 1)) is a certificate, with
-    A Y + Y A^T = 0 in the directions of undamped modes.
-    """
-    n = 2 * len(modes)
-    A = np.zeros((n, n))
-    B = np.zeros(n)
-    C = np.zeros(n)
-    for m, (w, zeta, g) in enumerate(modes):
-        i = 2 * m
-        A[i, i + 1] = 1.0
-        A[i + 1, i] = -w * w
-        A[i + 1, i + 1] = -2.0 * zeta * w
-        B[i + 1] = g
-        C[i] = g
-    return A, B, C
-
-
-_mode = st.tuples(
-    st.floats(0.3, 5.0),
-    st.one_of(st.just(0.0), st.floats(0.005, 0.05)),
-    st.floats(0.3, 1.5),
-)
-
-
 @settings(deadline=None)
-@given(st.lists(_mode, min_size=1, max_size=5), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@given(st.lists(MODAL_MODE, min_size=1, max_size=5), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 def test_search_certifies_collocated_modal_plants(modes, rotation_seed):
     # Undamped and lightly damped modes leave the feasible set without
     # interior, and repeated modes make it unbounded; an orthogonal
     # similarity transform (drawn from the seed) takes the realization out
     # of modal form without changing its conditioning.
-    A, B, C = _modal_plant(modes)
+    A, B, C = modal_plant(modes)
     if rotation_seed is not None:
         Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=A.shape))
         A, B, C = Q.T @ A @ Q, Q.T @ B, C @ Q

@@ -1,8 +1,10 @@
 """Closed-loop simulators, Lyapunov certificates, and trajectory checks."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,6 +12,8 @@ from higsni import (
     CertificateNotPD,
     HigsIrcParams,
     HigsMode,
+    HigsParams,
+    HigsPii2Params,
     IllPosedLoop,
     InvalidParameters,
     IrcParams,
@@ -27,18 +31,31 @@ from higsni import (
     check_monotone,
     check_sector,
     closed_loop_matrices,
+    determine_mode_base,
+    determine_mode_irc,
+    higs_pii2_mode_update,
     irc_tf,
     lyapunov_W_irc,
     lyapunov_W_pii2,
     pii2rc_tf,
+    project_to_sector,
     resolve_pii2_error_signal,
     simulate_higs_irc_loop,
     simulate_higs_pii2_loop,
     simulate_linear_loop,
 )
-from higsni.sim import _CSV_BLOCK_ROWS, _quadratic_rows, _rk4_affine_map, _row_dots
+from higsni import sim
+from higsni.sim import (
+    _CSV_BLOCK_ROWS,
+    _gain_mode_rows,
+    _pii2_gain_rows,
+    _quadratic_rows,
+    _rk4_affine_map,
+    _row_dots,
+    _sector_clamp_rows,
+)
 
-from conftest import HIGS5, HIGS20, PII2, oscillator_config
+from conftest import HIGS5, HIGS20, MODAL_MODE, PII2, modal_plant, oscillator_config
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +331,173 @@ def test_linear_loop_divergence_guard(plant):
                     tolerances=Tolerances(divergence=1e6))
     with pytest.raises(NonFiniteState):
         simulate_linear_loop(plant, irc_tf(IrcParams(10.0, -0.1)), cfg)
+
+
+# ---------------------------------------------------------------------------
+# block stepping: the array kernels and the blocked core against one step at
+# a time
+
+
+def _bits(values) -> list:
+    """IEEE bit patterns, so that -0.0 != 0.0 and NaN == NaN."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_logic_cells = st.one_of(st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0]),
+                         st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@st.composite
+def _logic_rows(draw):
+    """Element inputs, rates and states, with states put exactly on a
+    sector edge where the flags say so."""
+    n = draw(st.integers(1, 30))
+    cols = [draw(arrays(float, n, elements=_logic_cells)) for _ in range(5)]
+    edges = draw(arrays(np.int64, (n, 3), elements=st.integers(0, 2)))
+    return cols, edges
+
+
+@given(_logic_rows(), st.floats(0.1, 30.0), st.floats(0.0, 5.0), st.floats(-3.0, -0.1),
+       st.sampled_from([0.0, 1e-12]))
+def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D, tol):
+    (e, e_dot, x, _, _), edges = rows
+    irc = HigsIrcParams(omega_h, k_h, D)
+    base = HigsParams(omega_h, k_h)
+    for k_bound, p, decide in ((irc.kappa_tilde, irc, determine_mode_irc),
+                               (k_h, base, determine_mode_base)):
+        xs = np.where(edges[:, 0] > 0, k_bound * e, x)
+        cells = list(zip(e.tolist(), e_dot.tolist(), xs.tolist()))
+        assert _bits(_sector_clamp_rows(e, xs, k_bound, tol)) == \
+            _bits([project_to_sector(a, c, k_bound, tol) for a, _, c in cells])
+        assert _gain_mode_rows(e, e_dot, xs, k_bound, p, 1e-9).tolist() == \
+            [decide(a, b, c, p, 1e-9) == HigsMode.GAIN for a, b, c in cells]
+
+
+@given(_logic_rows(), st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.floats(0.01, 2.0))
+def test_pii2_mode_kernel_matches_scalar_update(rows, k1, k2, w1, w2, dw):
+    # H3's input is H2's output: k_h2 e when H2 is in gain mode, x_h2
+    # otherwise; edges put x_h3 on k_h3 times either of them.
+    (e, e_dot, x1, x2, x3), edges = rows
+    p = HigsPii2Params(0.5, -1.5, HigsParams(w1, k1), HigsParams(w2, k2), HigsParams(w2 + dw, k2))
+    x1 = np.where(edges[:, 0] > 0, k1 * e, x1)
+    x2 = np.where(edges[:, 1] > 0, k2 * e, x2)
+    x3 = np.select([edges[:, 2] == 1, edges[:, 2] == 2], [k2 * x2, k2 * (k2 * e)], x3)
+    got = np.column_stack(_pii2_gain_rows(e, e_dot, (x1, x2, x3), p, 1e-12))
+    want = [list(higs_pii2_mode_update(a, b, (c, d, f), p, 1e-12))
+            for a, b, c, d, f in zip(e.tolist(), e_dot.tolist(), x1.tolist(), x2.tolist(), x3.tolist())]
+    assert got.astype(int).tolist() == want
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_loop_block_size_invariance(plant, loop, monkeypatch):
+    # 6001 steps: a multiple of neither block size, nor of record_every.
+    cfg = oscillator_config(t_end=6.001, record_every=7)
+    runs = []
+    for rows in (1, 3, sim._BLOCK_ROWS):
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        runs.append(LOOPS[loop](plant, cfg))
+    if loop != "linear":
+        assert (np.diff(runs[0].modes, axis=0) != 0).any()
+    for traj in runs[1:]:
+        assert np.array_equal(traj.times, runs[0].times)
+        assert np.array_equal(traj.plant_states, runs[0].plant_states)
+        assert np.array_equal(traj.controller_states, runs[0].controller_states)
+        assert (traj.modes is None) == (runs[0].modes is None)
+        assert traj.modes is None or np.array_equal(traj.modes, runs[0].modes)
+
+
+def _per_step_irc_loop(plant, p, cfg):
+    """The single-element loop one step at a time, as it ran before block
+    stepping: propagate, mode logic, guard and sample after every step.
+    Kept as the oracle for the blocked core; returns (T, Z, M)."""
+    n, A, B, C = plant.n, plant.A, plant.B, plant.C
+    kt, r, tols, dt = p.kappa_tilde, cfg.r, cfg.tolerances, cfg.dt
+    CA, CB = C @ A, float(C @ B)
+    J_int = np.zeros((n + 1, n + 1))
+    J_int[:n, :n], J_int[:n, n], J_int[n, :n], J_int[n, n] = A, B, p.omega_h * C, p.omega_h * p.D
+    c_int = np.zeros(n + 1)
+    c_int[n] = p.omega_h * r
+    J_gain = np.zeros((n + 1, n + 1))
+    J_gain[:n, :n] = A + kt * np.outer(B, C)
+    c_gain = np.zeros(n + 1)
+    c_gain[:n] = kt * r * B
+    maps = {HigsMode.INTEGRATOR: _rk4_affine_map(J_int, c_int, dt),
+            HigsMode.GAIN: _rk4_affine_map(J_gain, c_gain, dt)}
+
+    def pick_mode(z):
+        e = r + float(C @ z[:n])
+        e_dot = float(CA @ z[:n]) + CB * z[n]
+        z[n] = project_to_sector(e, z[n], kt, tols.sector)
+        mode = determine_mode_irc(e, e_dot, z[n], p, tols.mode_boundary)
+        if mode == HigsMode.GAIN:
+            z[n] = kt * e
+        return mode
+
+    z = np.append(cfg.x0, float(cfg.controller_x0))
+    mode = pick_mode(z)
+    T, Z, M = [0.0], [z.copy()], [mode]
+    for k in range(1, cfg.n_steps + 1):
+        R, d = maps[mode]
+        z = R @ z + d
+        if mode == HigsMode.GAIN:
+            z[n] = kt * (r + float(C @ z[:n]))
+        mode = pick_mode(z)
+        t = k * dt
+        if not np.abs(z).max() <= tols.divergence:
+            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {tols.divergence:g} or non-finite)")
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            T.append(t)
+            Z.append(z.copy())
+            M.append(mode)
+    return np.array(T), np.array(Z), np.array(M, dtype=np.int64)[:, None]
+
+
+@st.composite
+def _irc_runs(draw):
+    modes = draw(st.lists(MODAL_MODE, min_size=1, max_size=3))
+    x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * len(modes), max_size=2 * len(modes)))
+    p = HigsIrcParams(draw(st.floats(0.1, 3.0)), draw(st.floats(1.0, 30.0)), draw(st.floats(-2.0, -0.2)))
+    # The coarse grid makes rows where the clamp alone moves x_h, which must
+    # end a block; on the fine grids they are rare.
+    dt = draw(st.sampled_from([1e-3, 4e-3, 5e-2]))
+    cfg = SimConfig(dt=dt, t_end=draw(st.integers(100, 3000)) * dt, x0=x0,
+                    controller_x0=draw(st.floats(-1.0, 1.0)), r=draw(st.sampled_from([0.0, 0.3])),
+                    record_every=draw(st.sampled_from([1, 7])))
+    return StateSpace(*modal_plant(modes)), p, cfg
+
+
+# e = x1 crosses zero at t = 0.1 s with x_h still on the old side, so the
+# clamp alone moves x_h to 0 on a row inside the first block.
+@example((StateSpace([[0.0, 1.0], [-1.0, 0.0]], [0.0, 1.0], [1.0, 0.0]), HIGS20,
+          SimConfig(dt=1e-2, t_end=20.0, x0=[0.1, -1.0])))
+@settings(deadline=None)
+@given(_irc_runs())
+def test_blocked_irc_loop_matches_per_step_reference(run):
+    plant, p, cfg = run
+    try:
+        T, Z, M = _per_step_irc_loop(plant, p, cfg)
+    except NonFiniteState as exc:
+        with pytest.raises(NonFiniteState, match=re.escape(str(exc))):
+            simulate_higs_irc_loop(plant, p, cfg)
+        return
+    traj = simulate_higs_irc_loop(plant, p, cfg)
+    assert np.array_equal(traj.times, T)
+    assert _bits(traj.plant_states) == _bits(Z[:, :-1])
+    assert _bits(traj.controller_states) == _bits(Z[:, -1:])
+    assert np.array_equal(traj.modes, M)
+
+
+@pytest.mark.parametrize("limit", [1e6, 1e9])
+def test_irc_divergence_in_block_names_the_per_step_time(plant, limit):
+    # The rows of the block after the guard trips are discarded; the error
+    # names the step a step-at-a-time loop stops at.
+    wild = HigsIrcParams(10.0, 40.0, -0.01)
+    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0], tolerances=Tolerances(divergence=limit))
+    with pytest.raises(NonFiniteState) as ref:
+        _per_step_irc_loop(plant, wild, cfg)
+    with pytest.raises(NonFiniteState, match=re.escape(str(ref.value))):
+        simulate_higs_irc_loop(plant, wild, cfg)
 
 
 # ---------------------------------------------------------------------------
