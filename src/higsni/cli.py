@@ -19,8 +19,8 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,11 +74,39 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK = 3
 
-CHECKS_BY_CONTROLLER = {
-    "irc": {"convergence"},
-    "pii2rc": {"convergence"},
-    "higs_irc": {"sector", "lyapunov_monotone", "dissipation", "convergence"},
-    "higs_pii2": {"sector", "lyapunov_monotone", "convergence"},
+
+class _Controller(NamedTuple):
+    """What the CLI needs to know about one controller type."""
+
+    params: type
+    keys: tuple                   # constructor order; _ELEMENT_KEYS build HigsParams
+    checks: set
+    simulate: Callable            # (plant, params, SimConfig, cert) -> Trajectory
+    certificate: Optional[Callable] = None   # (Y, C, params) -> Lyapunov form; hybrid types
+    tf: Optional[Callable] = None            # params -> RationalTF; linear types
+
+
+_ELEMENT_KEYS = ("h1", "h2", "h3")
+
+
+def _linear_loop(tf: Callable) -> Callable:
+    return lambda plant, c, sim, cert: simulate_linear_loop(plant, tf(c), sim)
+
+
+CONTROLLERS = {
+    "irc": _Controller(IrcParams, ("Gamma", "D"), {"convergence"},
+                       _linear_loop(irc_tf), tf=irc_tf),
+    "pii2rc": _Controller(Pii2Params, ("k_p", "k1", "k2", "D"), {"convergence"},
+                          _linear_loop(pii2rc_tf), tf=pii2rc_tf),
+    "higs_irc": _Controller(
+        HigsIrcParams, ("omega_h", "k_h", "D"),
+        {"sector", "lyapunov_monotone", "dissipation", "convergence"},
+        simulate_higs_irc_loop,
+        certificate=lambda Y, C, c: LyapunovIrcCertificate(Y, C, c.kappa_tilde)),
+    "higs_pii2": _Controller(
+        HigsPii2Params, ("k_p", "D") + _ELEMENT_KEYS,
+        {"sector", "lyapunov_monotone", "convergence"},
+        simulate_higs_pii2_loop, certificate=LyapunovPii2Certificate),
 }
 
 
@@ -145,29 +173,21 @@ def _build_controller(d: dict):
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError("controller must be an object with a 'type' field")
     ctype = d["type"]
+    row = CONTROLLERS.get(ctype) if isinstance(ctype, str) else None
+    if row is None:
+        raise ConfigError(f"unknown controller type {ctype!r}")
     try:
-        if ctype == "irc":
-            return ctype, IrcParams(_require(d, "Gamma", "controller"), _require(d, "D", "controller"))
-        if ctype == "pii2rc":
-            return ctype, Pii2Params(
-                _require(d, "k_p", "controller"), _require(d, "k1", "controller"),
-                _require(d, "k2", "controller"), _require(d, "D", "controller"))
-        if ctype == "higs_irc":
-            return ctype, HigsIrcParams(
-                _require(d, "omega_h", "controller"), _require(d, "k_h", "controller"),
-                _require(d, "D", "controller"))
-        if ctype == "higs_pii2":
-            def elem(key):
-                e = _require(d, key, "controller")
-                return HigsParams(_require(e, "omega_h", key), _require(e, "k_h", key))
-            return ctype, HigsPii2Params(
-                _require(d, "k_p", "controller"), _require(d, "D", "controller"),
-                elem("h1"), elem("h2"), elem("h3"))
+        args = []
+        for key in row.keys:
+            value = _require(d, key, "controller")
+            if key in _ELEMENT_KEYS:
+                value = HigsParams(_require(value, "omega_h", key), _require(value, "k_h", key))
+            args.append(value)
+        return ctype, row.params(*args)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid controller parameters: {exc}") from exc
-    raise ConfigError(f"unknown controller type {ctype!r}")
 
 
 def _build_sim(d: dict) -> SimConfig:
@@ -188,7 +208,7 @@ def _build_sim(d: dict) -> SimConfig:
 
 def _normalize_checks(raw, ctype: str) -> list:
     checks = []
-    allowed = CHECKS_BY_CONTROLLER[ctype]
+    allowed = CONTROLLERS[ctype].checks
     for entry in raw or []:
         if isinstance(entry, str):
             name, opts = entry, {}
@@ -243,12 +263,8 @@ def _scenario_from_dict(raw, default_name: str) -> ScenarioConfig:
     )
 
 
-def _plant_ss(cfg: ScenarioConfig) -> StateSpace:
-    return cfg.plant if isinstance(cfg.plant, StateSpace) else tf_to_ss(cfg.plant)
-
-
-def _linear_tf(cfg: ScenarioConfig) -> RationalTF:
-    return irc_tf(cfg.controller) if cfg.controller_type == "irc" else pii2rc_tf(cfg.controller)
+def _plant_ss(plant) -> StateSpace:
+    return plant if isinstance(plant, StateSpace) else tf_to_ss(plant)
 
 
 def _json_ready(obj):
@@ -285,10 +301,7 @@ def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
         return None, info
     info["found"] = True
     info["Y"] = Y.Y.tolist()
-    if cfg.controller_type == "higs_irc":
-        cert = LyapunovIrcCertificate(Y.Y, plant.C, cfg.controller.kappa_tilde)
-    else:
-        cert = LyapunovPii2Certificate(Y.Y, plant.C, cfg.controller)
+    cert = CONTROLLERS[cfg.controller_type].certificate(Y.Y, plant.C, cfg.controller)
     info["positive_definite"] = cert.positive_definite
     if not cert.positive_definite:
         info["reason"] = f"certificate not positive definite at stage: {cert.failed_stage}"
@@ -297,11 +310,7 @@ def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
 
 
 def _simulate(cfg: ScenarioConfig, plant: StateSpace, cert):
-    if cfg.controller_type == "higs_irc":
-        return simulate_higs_irc_loop(plant, cfg.controller, cfg.sim, cert)
-    if cfg.controller_type == "higs_pii2":
-        return simulate_higs_pii2_loop(plant, cfg.controller, cfg.sim, cert)
-    return simulate_linear_loop(plant, _linear_tf(cfg), cfg.sim)
+    return CONTROLLERS[cfg.controller_type].simulate(plant, cfg.controller, cfg.sim, cert)
 
 
 def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
@@ -350,25 +359,6 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
     return reports
 
 
-def _controller_summary(cfg: ScenarioConfig) -> dict:
-    out = {"type": cfg.controller_type}
-    c = cfg.controller
-    if cfg.controller_type == "higs_irc":
-        out.update(omega_h=c.omega_h, k_h=c.k_h, D=c.D, kappa_tilde=c.kappa_tilde)
-    elif cfg.controller_type == "irc":
-        out.update(Gamma=c.Gamma, D=c.D)
-    elif cfg.controller_type == "pii2rc":
-        out.update(k_p=c.k_p, k1=c.k1, k2=c.k2, D=c.D)
-    else:
-        out.update(
-            k_p=c.k_p, D=c.D, gamma=c.gamma,
-            h1={"omega_h": c.h1.omega_h, "k_h": c.h1.k_h},
-            h2={"omega_h": c.h2.omega_h, "k_h": c.h2.k_h},
-            h3={"omega_h": c.h3.omega_h, "k_h": c.h3.k_h},
-        )
-    return out
-
-
 def _resolve_out(path: Optional[str], out_dir: Optional[str]) -> Optional[str]:
     if path is None:
         return None
@@ -384,7 +374,7 @@ def cmd_simulate(config_path: str, out_dir: Optional[str] = None) -> int:
 def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    plant = _plant_ss(cfg)
+    plant = _plant_ss(cfg.plant)
     cert = None
     cert_info = None
     wants_lyapunov = any(name == "lyapunov_monotone" for name, _ in cfg.checks)
@@ -402,7 +392,7 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     report = {
         "scenario": cfg.name,
         "config": cfg.raw,
-        "controller": _controller_summary(cfg),
+        "controller": {"type": cfg.controller_type, **asdict(cfg.controller)},
         "certificate": cert_info,
         "checks": checks,
         "result": {
@@ -449,7 +439,7 @@ def _stability_report(cfg: ScenarioConfig, plant: StateSpace) -> CheckReport:
 
 def cmd_check(config_path: str, which: str) -> int:
     cfg = load_scenario(config_path)
-    plant = _plant_ss(cfg)
+    plant = _plant_ss(cfg.plant)
     if which == "ni":
         rep = ni_frequency_test(cfg.plant)
         report = CheckReport(
@@ -464,9 +454,10 @@ def cmd_check(config_path: str, which: str) -> int:
             },
         )
     elif which == "sni":
-        if cfg.controller_type not in ("irc", "pii2rc"):
+        tf = CONTROLLERS[cfg.controller_type].tf
+        if tf is None:
             raise ConfigError("sni check applies to the linear controllers (irc, pii2rc)")
-        rep = sni_frequency_test(_linear_tf(cfg))
+        rep = sni_frequency_test(tf(cfg.controller))
         report = CheckReport(
             "sni",
             rep.passed,
@@ -509,11 +500,11 @@ def cmd_check(config_path: str, which: str) -> int:
 
 
 def cmd_design(config_path: str, controller_type: str) -> int:
-    if controller_type not in CHECKS_BY_CONTROLLER:
+    if controller_type not in CONTROLLERS:
         raise ConfigError(f"unknown controller type {controller_type!r}")
     raw = _read_json(config_path, "plant config")
     plant = _build_plant(_require(raw, "plant", "design config"))
-    ss = plant if isinstance(plant, StateSpace) else tf_to_ss(plant)
+    ss = _plant_ss(plant)
     assessment = assess_ni(plant)
     if not assessment.verified:
         raise NotNI(
@@ -661,7 +652,7 @@ def main(argv=None) -> int:
 
     p_design = sub.add_parser("design", help="admissible parameter regions for an NI plant")
     p_design.add_argument("config")
-    p_design.add_argument("controller_type", choices=sorted(CHECKS_BY_CONTROLLER))
+    p_design.add_argument("controller_type", choices=sorted(CONTROLLERS))
 
     p_sweep = sub.add_parser("sweep", help="fan a base scenario out over overrides")
     p_sweep.add_argument("config")

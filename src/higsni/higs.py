@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -153,85 +152,3 @@ def storage_V2_cascade(x_h2: float, x_h3: float) -> float:
     enforced where the cascade parameters are constructed.
     """
     return 0.5 * x_h2 * x_h2
-
-
-ElementParams = Union[HigsParams, HigsIrcParams]
-
-
-@dataclass
-class ElementTrace:
-    times: np.ndarray
-    x_h: np.ndarray
-    modes: np.ndarray
-
-
-def run_element(
-    p: ElementParams,
-    e_fn: Callable[[float], float],
-    e_dot_fn: Optional[Callable[[float], float]] = None,
-    *,
-    dt: float,
-    t_end: float,
-    x_h0: float = 0.0,
-    mode_tol: float = MODE_BOUNDARY_RTOL,
-) -> ElementTrace:
-    """Drive a single element open loop with input e(t).
-
-    Fixed-step RK4 in integrator mode with the mode frozen per step, exact
-    algebraic output in gain mode, sector projection after every step.  If
-    e_dot_fn is omitted the rate is approximated by central differences
-    with step 1e-6, which is adequate for smooth inputs only.
-    """
-    if dt <= 0.0 or t_end < dt:
-        raise ValueError("need dt > 0 and t_end >= dt")
-    if e_dot_fn is None:
-        h = 1e-6
-        e_dot_fn = lambda t: (e_fn(t + h) - e_fn(t - h)) / (2.0 * h)
-
-    irc = isinstance(p, HigsIrcParams)
-    k_bound = p.kappa_tilde if irc else p.k_h
-
-    def deriv(x: float, t: float) -> float:
-        e = e_fn(t)
-        return p.omega_h * (p.D * x + e) if irc else p.omega_h * e
-
-    def gain_value(e: float) -> float:
-        return k_bound * e
-
-    def mode_of(e: float, edot: float, x: float) -> HigsMode:
-        if irc:
-            return determine_mode_irc(e, edot, x, p, mode_tol)
-        return determine_mode_base(e, edot, x, p, mode_tol)
-
-    n_steps = int(round(t_end / dt))
-    times = np.empty(n_steps + 1)
-    xs = np.empty(n_steps + 1)
-    modes = np.empty(n_steps + 1, dtype=np.int64)
-
-    t = 0.0
-    x = project_to_sector(e_fn(0.0), float(x_h0), k_bound)
-    mode = mode_of(e_fn(0.0), e_dot_fn(0.0), x)
-    if mode == HigsMode.GAIN:
-        x = gain_value(e_fn(0.0))
-    times[0], xs[0], modes[0] = t, x, int(mode)
-
-    for k in range(1, n_steps + 1):
-        t_next = k * dt
-        if mode == HigsMode.INTEGRATOR:
-            k1 = deriv(x, t)
-            k2 = deriv(x + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = deriv(x + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = deriv(x + dt * k3, t + dt)
-            x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            x = gain_value(e_fn(t_next))
-        e = e_fn(t_next)
-        x = project_to_sector(e, x, k_bound)
-        new_mode = mode_of(e, e_dot_fn(t_next), x)
-        if new_mode == HigsMode.GAIN:
-            x = gain_value(e)
-        mode = new_mode
-        t = t_next
-        times[k], xs[k], modes[k] = t, x, int(mode)
-
-    return ElementTrace(times=times, x_h=xs, modes=modes)

@@ -360,6 +360,16 @@ def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray,
     return R, Q @ c
 
 
+def _controller_x0(cfg: SimConfig, m: int) -> np.ndarray:
+    """cfg.controller_x0 as m entries; a scalar or a single entry is broadcast."""
+    x0 = np.asarray(cfg.controller_x0, dtype=float).reshape(-1)
+    if x0.shape == (1,):
+        return np.full(m, x0[0])
+    if x0.shape != (m,):
+        raise ValueError(f"controller_x0 must be a scalar or {m} entries")
+    return x0
+
+
 def _record_count(n_steps: int, every: int) -> int:
     count = n_steps // every + 1
     if n_steps % every:
@@ -556,7 +566,7 @@ def simulate_higs_irc_loop(
         q = int(fired[0]) + 1 if len(fired) else len(Zb)
         return q, (HigsMode.GAIN if to_gain[q - 1] else HigsMode.INTEGRATOR,)
 
-    z = np.append(cfg.x0, float(np.asarray(cfg.controller_x0, dtype=float).reshape(-1)[0]))
+    z = np.concatenate([cfg.x0, _controller_x0(cfg, 1)])
     with np.errstate(all="ignore"):
         _, modes = irc_rows(z[None], (HigsMode.INTEGRATOR,))
     T, Z, M = _march(cfg, z, modes, maps.__getitem__, irc_rows)
@@ -647,13 +657,7 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
         raise ValueError(f"x0 must have {n} entries")
     Acl, Bcl, rows = closed_loop_matrices(plant, ctrl)
     nk = rows.nk
-    xk0 = np.asarray(cfg.controller_x0, dtype=float).reshape(-1)
-    if nk == 0:
-        xk0 = np.zeros(0)
-    elif xk0.shape == (1,) and nk > 1:
-        xk0 = np.full(nk, xk0[0])
-    elif xk0.shape != (nk,):
-        raise ValueError(f"controller_x0 must have {nk} entries")
+    xk0 = _controller_x0(cfg, nk)
     nz = n + nk
     aug = np.zeros((nz + 1, nz + 1))
     aug[:nz, :nz] = Acl * cfg.dt
@@ -741,11 +745,7 @@ def simulate_higs_pii2_loop(
     D = p.D
     nz = n + 3
 
-    xh0 = np.asarray(cfg.controller_x0, dtype=float).reshape(-1)
-    if xh0.shape == (1,):
-        xh0 = np.full(3, xh0[0])
-    elif xh0.shape != (3,):
-        raise ValueError("controller_x0 must be a scalar or 3 entries")
+    xh0 = _controller_x0(cfg, 3)
 
     def mode_matrices(modes: ModeTriple):
         """Affine dz/dt = J z + c for one frozen mode combination.

@@ -14,21 +14,19 @@ from higsni import (
     HigsIrcParams,
     IrcParams,
     LyapunovPii2Certificate,
-    NICertificate,
     Pii2Params,
     Trajectory,
-    check_irc_stability,
     check_monotone,
     check_sector,
-    closed_loop_matrices,
     irc_tf,
-    pii2rc_sni_value,
     pii2rc_tf,
     search_ni_certificate,
     simulate_higs_irc_loop,
-    verify_ni_certificate,
 )
 from higsni.cli import ConfigError, _plant_ss, _simulate, cmd_simulate, load_scenario
+from higsni.controllers import check_irc_stability, pii2rc_sni_value
+from higsni.lti import NICertificate, verify_ni_certificate
+from higsni.sim import closed_loop_matrices
 
 from conftest import HIGS20, PII2, oscillator_config
 
@@ -141,7 +139,7 @@ def test_criterion_6_sector_all_scenarios(config_dir):
             scenarios.append(cfg)
     results = {}
     for cfg in scenarios:
-        traj = _simulate(cfg, _plant_ss(cfg), None)
+        traj = _simulate(cfg, _plant_ss(cfg.plant), None)
         results[cfg.name] = check_sector(traj, rtol=1e-9)
     ok = len(results) == 3 and all(rep.passed for rep in results.values())
     margins = {name: f"{rep.worst_margin:.1e}" for name, rep in results.items()}

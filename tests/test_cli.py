@@ -109,6 +109,59 @@ def test_simulate_check_requires_matching_controller(tmp_path):
     assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
 
 
+_PII2_CONTROLLER = {
+    "type": "higs_pii2", "k_p": 0.5, "D": -1.5,
+    "h1": {"omega_h": 0.3, "k_h": 2.0},
+    "h2": {"omega_h": 0.2, "k_h": 1.0},
+    "h3": {"omega_h": 0.4, "k_h": 1.0},
+}
+
+
+@pytest.mark.parametrize("controller, message", [
+    ({"type": "pid", "k": 1.0}, "unknown controller type 'pid'"),
+    ({"type": ["irc"]}, "unknown controller type ['irc']"),
+    ({"type": "irc", "D": -1.0}, "missing key 'Gamma' in controller"),
+    ({k: v for k, v in _PII2_CONTROLLER.items() if k != "h2"}, "missing key 'h2' in controller"),
+    (dict(_PII2_CONTROLLER, h3={"k_h": 1.0}), "missing key 'omega_h' in h3"),
+    (dict(_PII2_CONTROLLER, h1=3.0),
+     "invalid controller parameters: argument of type 'float' is not iterable"),
+], ids=["unknown_type", "unhashable_type", "missing_Gamma", "missing_h2", "missing_h3_omega_h", "h1_not_object"])
+def test_simulate_malformed_controller_exit_config(tmp_path, capsys, controller, message):
+    cfg = _write(tmp_path, "bad.json", _quick_scenario(controller=controller))
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("controller_x0", [[], [0.1, 0.2]], ids=["empty", "two_entries"])
+def test_simulate_malformed_controller_x0_exit_config(tmp_path, capsys, controller_x0):
+    scenario = _quick_scenario()
+    scenario["sim"]["controller_x0"] = controller_x0
+    cfg = _write(tmp_path, "bad.json", scenario)
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: controller_x0 must be a scalar or 1 entries\n"
+
+
+@pytest.mark.parametrize("controller, summary", [
+    ({"type": "irc", "Gamma": 1.0, "D": -1.5}, {"Gamma": 1.0, "D": -1.5}),
+    ({"type": "pii2rc", "k_p": 1.0, "k1": 2.0, "k2": 3.0, "D": -2.0},
+     {"k_p": 1.0, "k1": 2.0, "k2": 3.0, "D": -2.0}),
+    ({"type": "higs_irc", "omega_h": 0.5, "k_h": 20.0, "D": -1.0},
+     {"omega_h": 0.5, "k_h": 20.0, "D": -1.0, "kappa_tilde": 20.0 / 21.0}),
+    (_PII2_CONTROLLER,
+     {"k_p": 0.5, "D": -1.5, "gamma": 1.0 / 1.75,
+      "h1": {"omega_h": 0.3, "k_h": 2.0},
+      "h2": {"omega_h": 0.2, "k_h": 1.0},
+      "h3": {"omega_h": 0.4, "k_h": 1.0}}),
+], ids=["irc", "pii2rc", "higs_irc", "higs_pii2"])
+def test_report_controller_block(tmp_path, capsys, controller, summary):
+    scenario = _quick_scenario(controller=controller, checks=[], output={})
+    scenario["sim"]["t_end"] = 0.01
+    cfg = _write(tmp_path, "quick.json", scenario)
+    assert cli.main(["simulate", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["controller"] == {"type": controller["type"], **summary}
+
+
 def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
     cfg = str(config_dir / "mass_spring_irc_unstable.json")
     assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_RUNTIME

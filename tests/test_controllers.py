@@ -7,27 +7,28 @@ from hypothesis import strategies as st
 
 from higsni import (
     CascadeAssumptionViolated,
-    HigsMode,
     HigsParams,
     HigsPii2Params,
     InvalidParameters,
     IrcParams,
-    ModeTriple,
     Pii2Params,
-    check_irc_stability,
-    check_pii2_stability,
-    freq_response,
-    gain_sum_admissible,
-    higs_pii2_mode_update,
     irc_tf,
     ni_frequency_test,
-    pii2rc_sni_value,
     pii2rc_tf,
+)
+from higsni.controllers import (
+    ModeTriple,
+    check_irc_stability,
+    check_pii2_stability,
+    gain_sum_admissible,
+    higs_pii2_mode_update,
+    pii2_effective_states,
+    pii2rc_sni_value,
     resolve_pii2_error_rate,
     resolve_pii2_error_signal,
-    sni_frequency_test,
 )
-from higsni.controllers import pii2_effective_states
+from higsni.higs import HigsMode
+from higsni.lti import freq_response, sni_frequency_test
 
 gains = st.floats(1e-2, 1e2)
 neg_d = st.floats(-1e2, -1e-2)

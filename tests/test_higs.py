@@ -1,18 +1,16 @@
-"""Element-level behavior: sector, mode switching, storage, open-loop runs."""
+"""Element-level behavior: sector, mode switching, storage, runs driven by e = sin t."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from higsni import (
-    HigsIrcParams,
+from higsni import HigsIrcParams, HigsParams, SimConfig, StateSpace, simulate_higs_irc_loop
+from higsni.higs import (
     HigsMode,
-    HigsParams,
     determine_mode_base,
     determine_mode_irc,
     project_to_sector,
-    run_element,
     sector_contains,
     storage_V1,
     storage_V2_cascade,
@@ -135,26 +133,23 @@ def test_storage_hand_values():
 
 
 # ---------------------------------------------------------------------------
-# open-loop element runs
+# element runs driven by e = sin t
+
+# An undriven oscillator as the plant: its output x1 = sin t (from x0 = [0, 1])
+# is the element input, and B = 0 keeps the element output from feeding back.
+EXOSYSTEM = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0], [1.0, 0.0])
 
 
 def _sine_trace(p, dt=1e-3, t_end=20.0):
-    return run_element(p, np.sin, np.cos, dt=dt, t_end=t_end)
-
-
-def test_run_element_validates_steps():
-    with pytest.raises(ValueError):
-        run_element(HigsParams(1.0, 1.0), np.sin, np.cos, dt=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        run_element(HigsParams(1.0, 1.0), np.sin, np.cos, dt=1.0, t_end=0.5)
+    return simulate_higs_irc_loop(EXOSYSTEM, p, SimConfig(dt=dt, t_end=t_end, x0=[0.0, 1.0]))
 
 
 def test_trace_stays_in_sector():
     p = HigsIrcParams(0.5, 20.0, -1.0)
     tr = _sine_trace(p)
     e = np.sin(tr.times)
-    lhs = e * tr.x_h
-    rhs = tr.x_h ** 2 / p.kappa_tilde
+    lhs = e * tr.u
+    rhs = tr.u ** 2 / p.kappa_tilde
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), rhs))
     assert ((lhs - rhs) / scale).min() >= -1e-9
 
@@ -162,17 +157,17 @@ def test_trace_stays_in_sector():
 def test_trace_gain_samples_sit_on_boundary():
     p = HigsIrcParams(0.5, 20.0, -1.0)
     tr = _sine_trace(p)
-    gain = tr.modes == int(HigsMode.GAIN)
+    gain = tr.modes[:, 0] == int(HigsMode.GAIN)
     assert gain.any() and (~gain).any()
-    dev = np.abs(tr.x_h[gain] - p.kappa_tilde * np.sin(tr.times[gain]))
-    assert dev.max() <= 1e-9 * max(1.0, np.abs(tr.x_h).max())
+    dev = np.abs(tr.u[gain] - p.kappa_tilde * np.sin(tr.times[gain]))
+    assert dev.max() <= 1e-9 * max(1.0, np.abs(tr.u).max())
 
 
 def test_trace_is_continuous_across_switches():
     p = HigsIrcParams(0.5, 20.0, -1.0)
     tr = _sine_trace(p)
     # rates are bounded by omega_h*(|D| kt + 1) and kt*|de/dt|, both < 1 here
-    assert np.abs(np.diff(tr.x_h)).max() <= 5e-3
+    assert np.abs(np.diff(tr.u)).max() <= 5e-3
 
 
 @pytest.mark.parametrize("dt", [4e-3, 2e-3, 1e-3])
@@ -180,20 +175,6 @@ def test_trace_dissipation_budget_scales_quadratically(dt):
     p = HigsIrcParams(0.5, 20.0, -1.0)
     tr = _sine_trace(p, dt=dt)
     e = np.sin(tr.times)
-    dV = np.diff([storage_V_h(x, p) for x in tr.x_h])
-    supply = 0.5 * (e[1:] + e[:-1]) * np.diff(tr.x_h)
+    dV = np.diff([storage_V_h(x, p) for x in tr.u])
+    supply = 0.5 * (e[1:] + e[:-1]) * np.diff(tr.u)
     assert (dV - supply).max() <= 100.0 * dt * dt
-
-
-def test_vanishing_feedthrough_matches_base_element():
-    # D -> 0^- reduces the compensated element to the plain one.
-    base = run_element(HigsParams(0.5, 2.0), np.sin, np.cos, dt=1e-3, t_end=10.0)
-    irc = run_element(HigsIrcParams(0.5, 2.0, -1e-12), np.sin, np.cos, dt=1e-3, t_end=10.0)
-    assert np.abs(base.x_h - irc.x_h).max() <= 1e-6
-
-
-def test_central_difference_fallback_matches_exact_rate():
-    p = HigsParams(0.5, 2.0)
-    exact = run_element(p, np.sin, np.cos, dt=1e-3, t_end=10.0)
-    approx = run_element(p, np.sin, dt=1e-3, t_end=10.0)
-    assert np.abs(exact.x_h - approx.x_h).max() <= 1e-6

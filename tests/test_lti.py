@@ -6,24 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higsni import (
-    DimensionMismatch,
-    NICertificate,
     RationalTF,
     SingularA,
     SingularAtFrequency,
     StateSpace,
     assess_ni,
     dc_gain,
-    freq_response,
-    is_minimal,
     ni_frequency_test,
     search_ni_certificate,
+    tf_to_ss,
+)
+from higsni.lti import (
+    DimensionMismatch,
+    NICertificate,
+    default_grid,
+    freq_response,
+    is_minimal,
     sni_frequency_test,
     ss_to_tf,
-    tf_to_ss,
     verify_ni_certificate,
 )
-from higsni.lti import default_grid
 
 from conftest import MODAL_MODE, modal_plant
 

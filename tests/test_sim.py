@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from higsni import (
-    CertificateNotPD,
     HigsIrcParams,
-    HigsMode,
     HigsParams,
     HigsPii2Params,
     IllPosedLoop,
@@ -19,33 +17,27 @@ from higsni import (
     IrcParams,
     LyapunovIrcCertificate,
     LyapunovPii2Certificate,
-    ModeTriple,
     NonFiniteState,
     Pii2Params,
     RationalTF,
     SimConfig,
     StateSpace,
-    Tolerances,
     Trajectory,
     check_dissipation,
     check_monotone,
     check_sector,
-    closed_loop_matrices,
-    determine_mode_base,
-    determine_mode_irc,
-    higs_pii2_mode_update,
     irc_tf,
-    lyapunov_W_irc,
-    lyapunov_W_pii2,
     pii2rc_tf,
-    project_to_sector,
-    resolve_pii2_error_signal,
     simulate_higs_irc_loop,
     simulate_higs_pii2_loop,
     simulate_linear_loop,
 )
 from higsni import sim
+from higsni.controllers import ModeTriple, higs_pii2_mode_update, resolve_pii2_error_signal
+from higsni.higs import HigsMode, determine_mode_base, determine_mode_irc, project_to_sector
 from higsni.sim import (
+    CertificateNotPD,
+    Tolerances,
     _CSV_BLOCK_ROWS,
     _gain_mode_rows,
     _pii2_gain_rows,
@@ -53,6 +45,9 @@ from higsni.sim import (
     _rk4_affine_map,
     _row_dots,
     _sector_clamp_rows,
+    closed_loop_matrices,
+    lyapunov_W_irc,
+    lyapunov_W_pii2,
 )
 
 from conftest import HIGS5, HIGS20, MODAL_MODE, PII2, modal_plant, oscillator_config
