@@ -29,6 +29,7 @@ from .lti import (
 )
 from .sim import (
     IllPosedLoop,
+    LyapunovCertificate,
     LyapunovIrcCertificate,
     LyapunovPii2Certificate,
     NonFiniteState,

@@ -128,12 +128,7 @@ class CheckReport:
     evidence: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "condition": self.condition,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -317,14 +312,7 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
     reports = {}
     for name, opts in cfg.checks:
         if name == "sector":
-            rep = check_sector(traj, rtol=float(opts.get("rtol", 1e-9)))
-            reports[name] = {
-                "passed": rep.passed,
-                "worst_margin": rep.worst_margin,
-                "worst_time": rep.worst_time,
-                "worst_element": rep.worst_element,
-                "rtol": rep.rtol,
-            }
+            reports[name] = asdict(check_sector(traj, rtol=float(opts.get("rtol", 1e-9))))
         elif name == "lyapunov_monotone":
             if traj.W is None:
                 reports[name] = {
@@ -332,21 +320,10 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
                     "reason": (cert_info or {}).get("reason", "no Lyapunov certificate available"),
                 }
             else:
-                rep = check_monotone(traj, budget=float(opts.get("budget", 1e-6)))
-                reports[name] = {
-                    "passed": rep.passed,
-                    "worst_increase": rep.worst_increase,
-                    "worst_time": rep.worst_time,
-                    "budget": rep.budget,
-                }
+                reports[name] = asdict(check_monotone(traj, budget=float(opts.get("budget", 1e-6))))
         elif name == "dissipation":
-            rep = check_dissipation(traj, budget_coeff=float(opts.get("budget_coeff", 100.0)))
-            reports[name] = {
-                "passed": rep.passed,
-                "worst_excess": rep.worst_excess,
-                "worst_time": rep.worst_time,
-                "budget_coeff": rep.budget_coeff,
-            }
+            reports[name] = asdict(
+                check_dissipation(traj, budget_coeff=float(opts.get("budget_coeff", 100.0))))
         elif name == "convergence":
             threshold = float(opts.get("threshold", 0.2))
             final = np.concatenate([traj.plant_states[-1], traj.controller_states[-1]])

@@ -3,14 +3,13 @@
 All loops use positive feedback (e = r + y) against a SISO plant given as a
 StateSpace, and all are piecewise affine: with the element modes frozen, one
 grid step is z+ = R z + d on the joint state z = [x; controller states].
-Each simulator builds one (R, d) per frozen mode (RK4 maps for the hybrid
-loops, the matrix exponential for the linear loop) and hands it, with its
-per-step logic written for a block of rows, to a shared core, _march.  The
-core owns the time grid and steps in blocks: it propagates up to
-_BLOCK_ROWS rows one step at a time (z = R z + d, as a lone step would),
-runs the loop's logic (mode decision, sector clamp) and the divergence
-guard on the whole block, keeps the rows up to the first one where
-something fired and resumes there.  Every kept row is the one a step at a
+Each simulator builds one RK4 map (R, d) per frozen mode (the linear loop
+has a single mode) and hands it, with its per-step logic written for a
+block of rows, to a shared core, _march.  The core owns the time grid and
+steps in blocks: it propagates up to _BLOCK_ROWS rows one step at a time
+(z = R z + d, as a lone step would), runs the loop's logic (mode decision,
+sector clamp) and the divergence guard on the whole block, keeps the rows
+up to the first one where something fired and resumes there.  Every kept row is the one a step at a
 time would give, bit for bit: a gain-mode slot has a zero row and column in
 the dynamics, so it never feeds the other states and is refreshed
 afterwards, and an integrator slot changes only where a clamp fires, which
@@ -34,6 +33,7 @@ they are rejected.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -111,6 +111,7 @@ class SimConfig:
         self.dt = float(self.dt)
         self.t_end = float(self.t_end)
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        self.controller_x0 = np.asarray(self.controller_x0, dtype=float)
         self.r = float(self.r)
         self.record_every = int(self.record_every)
         if self.dt <= 0.0 or not np.isfinite(self.dt):
@@ -208,139 +209,104 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class LyapunovIrcCertificate:
+class LyapunovCertificate:
+    """Joint quadratic form W(z) = 1/2 z^T P z on the loop state z = [x; x_h...].
+
+    stages holds (name, margin) pairs in evaluation order: a Schur-complement
+    chain from the plant certificate Y > 0 down to the loop's DC condition,
+    whose margins are all positive iff P > 0.  The first non-positive margin
+    names the failing stage.
+    """
+
+    P: np.ndarray
+    stages: tuple
+
+    def __post_init__(self):
+        self.P.flags.writeable = False
+
+    @property
+    def failed_stage(self) -> Optional[str]:
+        return next((name for name, margin in self.stages if margin <= 0.0), None)
+
+    @property
+    def failed_margin(self) -> float:
+        return float(next((margin for _, margin in self.stages if margin <= 0.0), np.inf))
+
+    @property
+    def positive_definite(self) -> bool:
+        return self.failed_stage is None
+
+    def require_positive_definite(self) -> None:
+        if not self.positive_definite:
+            raise CertificateNotPD(self.failed_stage, self.failed_margin)
+
+    def W(self, z) -> float:
+        self.require_positive_definite()
+        z = np.asarray(z, dtype=float).reshape(-1)
+        return float(0.5 * z @ self.P @ z)
+
+
+def _plant_block(Y, C):
+    """C as a vector, C Y C^T, the plant block 1/2 (Y^-1 + Y^-T) of P and the
+    stage Y > 0, shared by both loop certificates."""
+    Y = np.array(Y, dtype=float)
+    C = np.asarray(C, dtype=float).reshape(-1)
+    n = C.shape[0]
+    if Y.shape != (n, n):
+        raise ValueError(f"Y must be {n} x {n}, got {Y.shape}")
+    Yinv = np.linalg.inv(Y)
+    y_min = float(np.linalg.eigvalsh(0.5 * (Y + Y.T))[0])
+    return C, float(C @ Y @ C), 0.5 * (Yinv + Yinv.T), ("Y > 0", y_min)
+
+
+def LyapunovIrcCertificate(Y, C, kappa_tilde: float) -> LyapunovCertificate:
     """W(x, x_h) = 1/2 [x; x_h]^T [[Y^-1, -C^T], [-C, 1/kt]] [x; x_h].
 
     Positive definite (given Y > 0) iff kappa_tilde * C Y C^T < 1, the same
     DC condition that certifies closed-loop stability.
     """
-
-    Y: np.ndarray
-    C: np.ndarray
-    kappa_tilde: float
-    P: np.ndarray = field(init=False)
-    y_min_eig: float = field(init=False)
-    schur_margin: float = field(init=False)
-    positive_definite: bool = field(init=False)
-    failed_stage: Optional[str] = field(init=False)
-
-    def __post_init__(self):
-        Y = np.array(self.Y, dtype=float)
-        C = np.asarray(self.C, dtype=float).reshape(-1)
-        n = C.shape[0]
-        if Y.shape != (n, n):
-            raise ValueError(f"Y must be {n} x {n}, got {Y.shape}")
-        kt = float(self.kappa_tilde)
-        if kt <= 0.0:
-            raise ValueError("kappa_tilde must be > 0")
-        Yinv = np.linalg.inv(Y)
-        P = np.empty((n + 1, n + 1))
-        P[:n, :n] = 0.5 * (Yinv + Yinv.T)
-        P[:n, n] = -C
-        P[n, :n] = -C
-        P[n, n] = 1.0 / kt
-        y_min = float(np.linalg.eigvalsh(0.5 * (Y + Y.T))[0])
-        schur = 1.0 / kt - float(C @ Y @ C)
-        if y_min <= 0.0:
-            failed = "Y > 0"
-        elif schur <= 0.0:
-            failed = "1/kappa_tilde - C Y C^T > 0"
-        else:
-            failed = None
-        for arr in (Y, C, P):
-            arr.flags.writeable = False
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "kappa_tilde", kt)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "y_min_eig", y_min)
-        object.__setattr__(self, "schur_margin", schur)
-        object.__setattr__(self, "positive_definite", failed is None)
-        object.__setattr__(self, "failed_stage", failed)
+    kt = float(kappa_tilde)
+    if kt <= 0.0:
+        raise ValueError("kappa_tilde must be > 0")
+    C, cyc, plant, y_stage = _plant_block(Y, C)
+    n = C.shape[0]
+    P = np.empty((n + 1, n + 1))
+    P[:n, :n] = plant
+    P[:n, n] = -C
+    P[n, :n] = -C
+    P[n, n] = 1.0 / kt
+    return LyapunovCertificate(P, (y_stage, ("1/kappa_tilde - C Y C^T > 0", 1.0 / kt - cyc)))
 
 
-def lyapunov_W_irc(x, x_h: float, cert: LyapunovIrcCertificate) -> float:
-    if not cert.positive_definite:
-        margin = cert.y_min_eig if cert.failed_stage == "Y > 0" else cert.schur_margin
-        raise CertificateNotPD(cert.failed_stage, margin)
-    z = np.append(np.asarray(x, dtype=float).reshape(-1), float(x_h))
-    return float(0.5 * z @ cert.P @ z)
-
-
-@dataclass(frozen=True)
-class LyapunovPii2Certificate:
+def LyapunovPii2Certificate(Y, C, params: HigsPii2Params) -> LyapunovCertificate:
     """Joint quadratic form for the hybrid PII^2 loop.
 
-    M couples the plant energy 1/2 x^T Y^-1 x with the three element
-    storages; a Schur-complement chain reduces M > 0 to -D - C Y C^T > 0,
-    i.e. the DC condition D < -G(0).  Stages are evaluated in order and the
-    first failure is recorded.
+    P couples the plant energy 1/2 x^T Y^-1 x with the three element
+    storages; a Schur-complement chain reduces P > 0 to -D - C Y C^T > 0,
+    i.e. the DC condition D < -G(0).  The last stage, "M > 0", tests P itself.
     """
-
-    Y: np.ndarray
-    C: np.ndarray
-    params: HigsPii2Params
-    M: np.ndarray = field(init=False)
-    stages: tuple = field(init=False)
-    positive_definite: bool = field(init=False)
-    failed_stage: Optional[str] = field(init=False)
-    failed_margin: float = field(init=False)
-
-    def __post_init__(self):
-        Y = np.array(self.Y, dtype=float)
-        C = np.asarray(self.C, dtype=float).reshape(-1)
-        n = C.shape[0]
-        if Y.shape != (n, n):
-            raise ValueError(f"Y must be {n} x {n}, got {Y.shape}")
-        p = self.params
-        g = p.gamma
-        D = p.D
-        Yinv = np.linalg.inv(Y)
-        M = np.zeros((n + 3, n + 3))
-        M[:n, :n] = 0.5 * (Yinv + Yinv.T) - p.k_p * g * np.outer(C, C)
-        M[:n, n] = -g * C
-        M[n, :n] = -g * C
-        M[:n, n + 2] = -g * C
-        M[n + 2, :n] = -g * C
-        M[n, n] = 1.0 / p.h1.k_h - D * g
-        M[n, n + 2] = -D * g
-        M[n + 2, n] = -D * g
-        M[n + 1, n + 1] = 1.0
-        M[n + 2, n + 2] = -D * g
-        y_min = float(np.linalg.eigvalsh(0.5 * (Y + Y.T))[0])
-        cyc = float(C @ Y @ C)
-        stages = (
-            ("Y > 0", y_min),
-            ("-D > 0", -D),
-            ("-D - C Y C^T > 0", -D - cyc),
-            ("M > 0", float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])),
-        )
-        failed = None
-        failed_margin = np.inf
-        for name, margin in stages:
-            if margin <= 0.0:
-                failed = name
-                failed_margin = margin
-                break
-        for arr in (Y, C, M):
-            arr.flags.writeable = False
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "positive_definite", failed is None)
-        object.__setattr__(self, "failed_stage", failed)
-        object.__setattr__(self, "failed_margin", float(failed_margin))
-
-
-def lyapunov_W_pii2(
-    x, x_h1: float, x_h2: float, x_h3: float, cert: LyapunovPii2Certificate
-) -> float:
-    if not cert.positive_definite:
-        raise CertificateNotPD(cert.failed_stage, cert.failed_margin)
-    z = np.concatenate([np.asarray(x, dtype=float).reshape(-1),
-                        [float(x_h1), float(x_h2), float(x_h3)]])
-    return float(0.5 * z @ cert.M @ z)
+    C, cyc, plant, y_stage = _plant_block(Y, C)
+    n = C.shape[0]
+    p = params
+    g = p.gamma
+    D = p.D
+    P = np.zeros((n + 3, n + 3))
+    P[:n, :n] = plant - p.k_p * g * np.outer(C, C)
+    P[:n, n] = -g * C
+    P[n, :n] = -g * C
+    P[:n, n + 2] = -g * C
+    P[n + 2, :n] = -g * C
+    P[n, n] = 1.0 / p.h1.k_h - D * g
+    P[n, n + 2] = -D * g
+    P[n + 2, n] = -D * g
+    P[n + 1, n + 1] = 1.0
+    P[n + 2, n + 2] = -D * g
+    return LyapunovCertificate(P, (
+        y_stage,
+        ("-D > 0", -D),
+        ("-D - C Y C^T > 0", -D - cyc),
+        ("M > 0", float(np.linalg.eigvalsh(0.5 * (P + P.T))[0])),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +314,34 @@ def lyapunov_W_pii2(
 
 
 def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact RK4 update z+ = R z + d for the affine system dz/dt = J z + c."""
+    """RK4 map z+ = R z + d of one step h of the affine system dz/dt = J z + c.
+
+    A step with ||hJ||_1 > 1 is taken as 2^s RK4 substeps of h / 2^s, each
+    with ||.||_1 < 1 and so inside RK4's stability region, combined by
+    squaring: stiff modes then decay as they do in the exact flow.  With
+    s = 0 this is one plain RK4 step.
+    """
     n = J.shape[0]
     I = np.eye(n)
     hJ = h * J
+    norm = float(np.abs(hJ).sum(axis=0).max())
+    s = math.frexp(norm)[1] if norm > 1.0 else 0
+    if s:
+        h, hJ = h / 2**s, hJ / 2**s
     hJ2 = hJ @ hJ
     hJ3 = hJ2 @ hJ
     hJ4 = hJ3 @ hJ
     R = I + hJ + hJ2 / 2.0 + hJ3 / 6.0 + hJ4 / 24.0
     Q = h * (I + hJ / 2.0 + hJ2 / 6.0 + hJ3 / 24.0)
-    return R, Q @ c
+    d = Q @ c
+    for _ in range(s):
+        R, d = R @ R, R @ d + d
+    return R, d
 
 
 def _controller_x0(cfg: SimConfig, m: int) -> np.ndarray:
     """cfg.controller_x0 as m entries; a scalar or a single entry is broadcast."""
-    x0 = np.asarray(cfg.controller_x0, dtype=float).reshape(-1)
+    x0 = cfg.controller_x0.reshape(-1)
     if x0.shape == (1,):
         return np.full(m, x0[0])
     if x0.shape != (m,):
@@ -505,7 +484,7 @@ def simulate_higs_irc_loop(
     plant: StateSpace,
     p: HigsIrcParams,
     cfg: SimConfig,
-    cert: Optional[LyapunovIrcCertificate] = None,
+    cert: Optional[LyapunovCertificate] = None,
 ) -> Trajectory:
     """Positive-feedback loop of an NI plant with one compensated element.
 
@@ -516,9 +495,8 @@ def simulate_higs_irc_loop(
     """
     if not _smallest_sv_ok(plant.A):
         raise SingularA("plant A must be invertible")
-    if cert is not None and not cert.positive_definite:
-        raise CertificateNotPD(cert.failed_stage,
-                               cert.y_min_eig if cert.failed_stage == "Y > 0" else cert.schur_margin)
+    if cert is not None:
+        cert.require_positive_definite()
     n = plant.n
     if cfg.x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
@@ -647,25 +625,16 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, tol: float = 1e-12
 
 
 def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) -> Trajectory:
-    """Exact discretization (matrix exponential per step) of the LTI loop."""
-    # Imported here, its only use, so that importing the package (and the
-    # CLI) does not load scipy.
-    from scipy.linalg import expm
-
+    """The LTI loop on the hybrid loops' RK4 step map (substepped where the
+    loop is stiff): it is their all-integrator limit."""
     n = plant.n
     if cfg.x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
     Acl, Bcl, rows = closed_loop_matrices(plant, ctrl)
     nk = rows.nk
     xk0 = _controller_x0(cfg, nk)
-    nz = n + nk
-    aug = np.zeros((nz + 1, nz + 1))
-    aug[:nz, :nz] = Acl * cfg.dt
-    aug[:nz, nz] = Bcl * cfg.dt
-    Phi = expm(aug)
-    E, F = Phi[:nz, :nz], Phi[:nz, nz]
     r = cfg.r
-    d = F * r
+    E, d = _rk4_affine_map(Acl, Bcl * r, cfg.dt)
 
     T, Z, _ = _march(cfg, np.concatenate([cfg.x0, xk0]), (), lambda modes: (E, d))
     X, XK = Z[:, :n], Z[:, n:]
@@ -706,7 +675,7 @@ def simulate_higs_pii2_loop(
     plant: StateSpace,
     p: HigsPii2Params,
     cfg: SimConfig,
-    cert: Optional[LyapunovPii2Certificate] = None,
+    cert: Optional[LyapunovCertificate] = None,
 ) -> Trajectory:
     """Hybrid PII^2 loop: H1 and the H2->H3 chain in parallel with k_p.
 
@@ -729,8 +698,8 @@ def simulate_higs_pii2_loop(
         raise InvalidParameters(
             "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
         )
-    if cert is not None and not cert.positive_definite:
-        raise CertificateNotPD(cert.failed_stage, cert.failed_margin)
+    if cert is not None:
+        cert.require_positive_definite()
     n = plant.n
     if cfg.x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
@@ -983,7 +952,7 @@ def simulate_higs_pii2_loop(
         y=y,
         modes=M,
         V=V1 + V2,
-        W=None if cert is None else _quadratic_rows(Z, cert.M),
+        W=None if cert is None else _quadratic_rows(Z, cert.P),
         aux={"V1": V1, "V2": V2},
         meta={
             "controller": "higs_pii2",

@@ -132,13 +132,17 @@ def test_simulate_malformed_controller_exit_config(tmp_path, capsys, controller,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-@pytest.mark.parametrize("controller_x0", [[], [0.1, 0.2]], ids=["empty", "two_entries"])
-def test_simulate_malformed_controller_x0_exit_config(tmp_path, capsys, controller_x0):
+@pytest.mark.parametrize("controller_x0, message", [
+    ([], "controller_x0 must be a scalar or 1 entries"),
+    ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries"),
+    ({}, "invalid sim section: float() argument must be a string or a real number, not 'dict'"),
+], ids=["empty", "two_entries", "object"])
+def test_simulate_malformed_controller_x0_exit_config(tmp_path, capsys, controller_x0, message):
     scenario = _quick_scenario()
     scenario["sim"]["controller_x0"] = controller_x0
     cfg = _write(tmp_path, "bad.json", scenario)
     assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: controller_x0 must be a scalar or 1 entries\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("controller, summary", [
@@ -348,11 +352,15 @@ def test_module_entry_point(config_dir):
     assert json.loads(proc.stdout)["passed"] is True
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # Every CLI invocation pays the import; scipy is loaded only by the
-    # linear-loop simulator that needs it.
-    code = ("import sys, higsni.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+@pytest.mark.parametrize("snippet", [
+    "pass",
+    "assert higsni.cli.main(['simulate', 'configs/mass_spring_irc_linear.json', '--out-dir', OUT]) == 0",
+], ids=["import", "linear_simulate"])
+def test_cli_import_leaves_scipy_unloaded(tmp_path, snippet):
+    # Every CLI invocation pays the import, and every linear simulate and
+    # sweep worker runs the linear loop: neither may load scipy.
+    code = (f"import sys, higsni.cli; OUT = {str(tmp_path)!r}; {snippet}; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, cwd=str(REPO_ROOT))
     assert proc.returncode == 0, proc.stderr

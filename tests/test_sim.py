@@ -2,6 +2,7 @@
 
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,7 @@ from higsni import (
     simulate_higs_pii2_loop,
     simulate_linear_loop,
 )
-from higsni import sim
+from higsni import cli, sim
 from higsni.controllers import ModeTriple, higs_pii2_mode_update, resolve_pii2_error_signal
 from higsni.higs import HigsMode, determine_mode_base, determine_mode_irc, project_to_sector
 from higsni.sim import (
@@ -46,8 +47,6 @@ from higsni.sim import (
     _row_dots,
     _sector_clamp_rows,
     closed_loop_matrices,
-    lyapunov_W_irc,
-    lyapunov_W_pii2,
 )
 
 from conftest import HIGS5, HIGS20, MODAL_MODE, PII2, modal_plant, oscillator_config
@@ -135,11 +134,11 @@ def test_row_kernels_match_per_row_products(zq):
 def test_irc_certificate_hand_values(plant):
     cert = LyapunovIrcCertificate(np.eye(2), plant.C, 20.0 / 21.0)
     assert cert.positive_definite
-    assert cert.schur_margin == pytest.approx(1.0 / 20.0)
-    assert lyapunov_W_irc([0.0, 0.0], 1.0, cert) == pytest.approx(21.0 / 40.0)
-    assert lyapunov_W_irc([3.0, 1.0], 0.0, cert) == pytest.approx(5.0)
+    assert dict(cert.stages)["1/kappa_tilde - C Y C^T > 0"] == pytest.approx(1.0 / 20.0)
+    assert cert.W([0.0, 0.0, 1.0]) == pytest.approx(21.0 / 40.0)
+    assert cert.W([3.0, 1.0, 0.0]) == pytest.approx(5.0)
     # cross term: 1/2 (1 - 2 + 21/20)
-    assert lyapunov_W_irc([1.0, 0.0], 1.0, cert) == pytest.approx(0.025)
+    assert cert.W([1.0, 0.0, 1.0]) == pytest.approx(0.025)
 
 
 def test_irc_certificate_fails_above_unit_loop_gain(plant):
@@ -147,7 +146,7 @@ def test_irc_certificate_fails_above_unit_loop_gain(plant):
     assert not cert.positive_definite
     assert cert.failed_stage == "1/kappa_tilde - C Y C^T > 0"
     with pytest.raises(CertificateNotPD):
-        lyapunov_W_irc([0.0, 0.0], 1.0, cert)
+        cert.W([0.0, 0.0, 1.0])
     with pytest.raises(CertificateNotPD):
         simulate_higs_irc_loop(plant, HigsIrcParams(0.5, 100.0, -0.01),
                                oscillator_config(t_end=1.0), cert)
@@ -164,9 +163,9 @@ def test_pii2_certificate_stage_order(plant):
 def test_pii2_certificate_hand_values(plant):
     cert = LyapunovPii2Certificate(np.eye(2), plant.C, PII2)
     # second cascade state enters only through its own unit diagonal
-    assert lyapunov_W_pii2([0.0, 0.0], 0.0, 2.0, 0.0, cert) == pytest.approx(2.0)
+    assert cert.W([0.0, 0.0, 0.0, 2.0, 0.0]) == pytest.approx(2.0)
     # plant block is Y^-1 - k_p*gamma*C C^T = diag(5/7, 1)
-    assert lyapunov_W_pii2([3.0, 1.0], 0.0, 0.0, 0.0, cert) == pytest.approx(26.0 / 7.0)
+    assert cert.W([3.0, 1.0, 0.0, 0.0, 0.0]) == pytest.approx(26.0 / 7.0)
 
 
 def test_pii2_certificate_dc_stage_failure(plant):
@@ -175,7 +174,7 @@ def test_pii2_certificate_dc_stage_failure(plant):
     assert not cert.positive_definite
     assert cert.failed_stage == "-D - C Y C^T > 0"
     with pytest.raises(CertificateNotPD):
-        lyapunov_W_pii2([0.0, 0.0], 0.0, 0.0, 0.0, cert)
+        cert.W([0.0, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(CertificateNotPD):
         simulate_higs_pii2_loop(plant, weak, oscillator_config(t_end=1.0), cert)
 
@@ -213,6 +212,73 @@ def test_linear_loop_controller_state_validation(plant):
     cfg = SimConfig(dt=1e-3, t_end=1.0, x0=[1.0, 0.0], controller_x0=[0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         simulate_linear_loop(plant, ctrl, cfg)
+
+
+def _expm_reference(plant, ctrl, cfg):
+    """Joint states of the linear loop stepped by the 30-digit mpmath
+    exponential of the augmented matrix [[A_cl, B_cl], [0, 0]] dt."""
+    Acl, Bcl, rows = closed_loop_matrices(plant, ctrl)
+    nz = Acl.shape[0]
+    aug = np.zeros((nz + 1, nz + 1))
+    aug[:nz, :nz] = Acl
+    aug[:nz, nz] = Bcl
+    with mpmath.workdps(30):
+        Phi = mpmath.expm(mpmath.matrix(aug.tolist()) * mpmath.mpf(cfg.dt))
+        Phi = np.array([[float(Phi[i, j]) for j in range(nz + 1)] for i in range(nz + 1)])
+    E, d = Phi[:nz, :nz], Phi[:nz, nz] * cfg.r
+    z = np.concatenate([cfg.x0, np.broadcast_to(cfg.controller_x0, (rows.nk,))])
+    Z = [z]
+    for k in range(1, cfg.n_steps + 1):
+        z = E @ z + d
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            Z.append(z)
+    return np.array(Z)
+
+
+@pytest.mark.parametrize("name", ["mass_spring_irc_linear", "mass_spring_pii2_linear"])
+def test_shipped_linear_loops_match_exponential_map(config_dir, name):
+    cfg = cli.load_scenario(str(config_dir / f"{name}.json"))
+    ctrl = cli.CONTROLLERS[cfg.controller_type].tf(cfg.controller)
+    traj = simulate_linear_loop(cfg.plant, ctrl, cfg.sim)
+    Z = np.column_stack([traj.plant_states, traj.controller_states])
+    assert np.abs(Z - _expm_reference(cfg.plant, ctrl, cfg.sim)).max() <= 1e-11
+
+
+def test_stiff_linear_loop_matches_exponential_map(plant):
+    # The controller pole at Gamma D = -7500 gives h lambda = -7.5 at
+    # dt = 1e-3, outside RK4's stability region: the map must substep.
+    ctrl = irc_tf(IrcParams(5000.0, -1.5))
+    cfg = SimConfig(dt=1e-3, t_end=40.0, x0=[3.0, 1.0])
+    traj = simulate_linear_loop(plant, ctrl, cfg)
+    Z = np.column_stack([traj.plant_states, traj.controller_states])
+    assert np.abs(Z - _expm_reference(plant, ctrl, cfg)).max() <= 1e-6
+
+
+def _rk4_steps(J, c, z, h, count):
+    for _ in range(count):
+        k1 = J @ z + c
+        k2 = J @ (z + 0.5 * h * k1) + c
+        k3 = J @ (z + 0.5 * h * k2) + c
+        k4 = J @ (z + h * k3) + c
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
+
+
+@pytest.mark.parametrize("J, c, h", [
+    (np.diag([-3000.0, -1.0]), np.array([1.0, 2.0]), 1e-3),
+    (np.array([[-7.0, 40.0, 0.0], [-40.0, -7.0, 1.0], [0.0, 0.5, -0.2]]), np.array([0.0, 1.0, -1.0]), 0.05),
+    (np.array([[0.5, 3.0], [-3.0, 0.5]]), np.array([1.0, 0.0]), 0.7),
+], ids=["stiff_diagonal", "fast_rotation", "growing_rotation"])
+def test_rk4_affine_map_squares_substeps(J, c, h):
+    # s is the fewest halvings that bring ||hJ||_1 below 1.
+    s = 0
+    while np.abs(h * J).sum(axis=0).max() / 2**s >= 1.0:
+        s += 1
+    assert s >= 1
+    z = np.linspace(1.0, -2.0, len(c))
+    R, d = _rk4_affine_map(J, c, h)
+    want = _rk4_steps(J, c, z, h / 2**s, 2**s)
+    assert np.abs(R @ z + d - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
