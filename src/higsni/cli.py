@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -565,6 +564,7 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
     jobs = jobs or raw.get("jobs") or min(len(runs), os.cpu_count() or 1)
 
     tasks = []
+    writers = {}
     for run in runs:
         name = _require(run, "name", "sweep run")
         merged = _deep_merge(base, run.get("overrides", {}))
@@ -573,9 +573,20 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
         merged["output"] = dict(merged.get("output") or {})
         merged["output"]["csv"] = f"{name}.csv"
         merged["output"]["report"] = f"{name}.report.json"
+        # Two runs writing one file would race for it, and the summary would
+        # list one of them.  The report path differs from the CSV's only by
+        # its suffix, so the CSV decides.
+        csv_path = _resolve_out(merged["output"]["csv"], out_dir)
+        if csv_path in writers:
+            raise ConfigError(f"sweep runs {writers[csv_path]!r} and {name!r} "
+                              f"both write {csv_path!r}")
+        writers[csv_path] = name
         # fail fast on malformed overrides before spawning workers
         _build_controller(_require(merged, "controller", "sweep run"))
         tasks.append((name, merged, out_dir))
+
+    # imported here: only sweep uses the pool, and every command pays the import
+    from concurrent.futures import ProcessPoolExecutor
 
     results = []
     with ProcessPoolExecutor(max_workers=int(jobs)) as pool:

@@ -62,8 +62,10 @@ from .higs import (
 from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, tf_to_ss
 
 
-# Rows per block of Trajectory._write_csv.  Blocks of 64 to 1024 rows write
-# equally fast; larger ones only hold more Python floats at once.
+# Rows per block of Trajectory._write_csv.  Formatting column by column,
+# blocks of 64 to 1024 rows write a 10 001-row run equally fast and 32-row
+# blocks about 10 % slower.  A block's strings are held at once: about 0.2 MB
+# at 128 rows on the 16-column PII^2 loop, 1.7 MB at 1024.
 _CSV_BLOCK_ROWS = 128
 
 # Steps per block of _march.  Propagation stays one row at a time; the mode
@@ -188,20 +190,32 @@ class Trajectory:
     def _write_csv(self, fh) -> None:
         """Header, then _CSV_BLOCK_ROWS rows at a time: floats as repr, modes as int.
 
+        Blocks are formatted column by column.  A column whose bits equal an
+        earlier column's under the same formatter reuses that column's
+        strings: on the mass-spring IRC loop, e and y are x1 and u is xh.
         Each block is written as soon as it is formatted, so the text of the
         whole file is never held at once."""
         fh.write(",".join(self.column_names()) + "\n")
-        lead = (self.times, self.plant_states, self.controller_states)
         aux = [self.aux[k] for k in sorted(self.aux.keys())]
         tail = [s for s in (self.e, self.u, self.y, self.V, *aux, self.W) if s is not None]
-        modes = np.empty((len(self), 0)) if self.modes is None else self.modes
+        groups = [(repr, float, (self.times, self.plant_states, self.controller_states)),
+                  (str, np.int64, () if self.modes is None else (self.modes,)),
+                  (repr, float, tail)]
+        # One (formatter, 1-D array) per CSV column, in header order.
+        cols = [(fmt, c) for fmt, dtype, group in groups for s in group
+                for c in np.reshape(s, (len(self), -1)).T.astype(dtype, copy=False)]
+        # Bits, not values: 0.0 and -0.0 are equal but print differently.
+        same = []
+        for i, (fmt, col) in enumerate(cols):
+            bits = col.view(np.int64)
+            same.append(next((j for j in range(i) if cols[j][0] is fmt
+                              and np.array_equal(cols[j][1].view(np.int64), bits)), None))
         for a in range(0, len(self), _CSV_BLOCK_ROWS):
             blk = slice(a, a + _CSV_BLOCK_ROWS)
-            rows = zip(np.column_stack([s[blk] for s in lead]).astype(float).tolist(),
-                       modes[blk].astype(np.int64).tolist(),
-                       np.column_stack([s[blk] for s in tail]).astype(float).tolist())
-            fh.write("".join([",".join([*map(repr, x), *map(str, m), *map(repr, w)]) + "\n"
-                              for x, m, w in rows]))
+            cells = []
+            for (fmt, col), j in zip(cols, same):
+                cells.append(list(map(fmt, col[blk].tolist())) if j is None else cells[j])
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,29 @@ def test_sweep_distinguishes_runs(config_dir, tmp_path):
     assert rep_b["controller"]["k_h"] == 5.0
 
 
+@pytest.mark.parametrize("names, written", [
+    (["k20", "k20"], "k20.csv"),
+    (["a/k", "b/k"], "k.csv"),
+], ids=["same_name", "same_file_name"])
+def test_sweep_rejects_runs_writing_one_file(config_dir, tmp_path, capsys, names, written):
+    # Each run writes <output_dir>/<basename of its name>.csv: two runs that
+    # share it would race for the file and the summary would list one run.
+    out = tmp_path / "out"
+    sweep = {
+        "base": str(config_dir / "mass_spring_irc_k20.json"),
+        "output_dir": str(out),
+        "runs": [{"name": n, "overrides": {"sim": {"t_end": 0.5}, "checks": ["sector"]}}
+                 for n in names],
+    }
+    cfg = _write(tmp_path, "sweep.json", sweep)
+    assert cli.main(["sweep", cfg, "--jobs", "2"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: sweep runs {names[0]!r} and {names[1]!r} "
+                            f"both write {str(out / written)!r}\n")
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_missing_base_exit_config(tmp_path):
     cfg = _write(tmp_path, "sweep.json",
                  {"base": "absent.json", "runs": [{"name": "x"}]})
@@ -361,6 +384,17 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, snippet):
     # sweep worker runs the linear loop: neither may load scipy.
     code = (f"import sys, higsni.cli; OUT = {str(tmp_path)!r}; {snippet}; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, cwd=str(REPO_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only sweep starts a process pool; every other command would pay the
+    # import of concurrent.futures.process and multiprocessing.
+    code = ("import sys, higsni.cli; print([m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, cwd=str(REPO_ROOT))
     assert proc.returncode == 0, proc.stderr

@@ -819,3 +819,93 @@ def test_csv_writer_matches_cell_by_cell_reference(tmp_path, plant, loop, n_rows
     path = tmp_path / "run.csv"
     traj.write_csv(path)
     assert path.read_bytes() == want.encode()
+
+
+# Columns of the hand-built trajectories below: F holds the float series in
+# CSV order after t, M the two mode columns (written between xc2 and e).
+TABLE_COLS = ["x1", "x2", "xc1", "xc2", "e", "u", "y", "V", "V1", "V2", "W"]
+
+
+def _table_trajectory(F: np.ndarray, M: np.ndarray) -> Trajectory:
+    """A trajectory whose series are views into F and M, V1/V2 as aux."""
+    c = {name: F[:, i] for i, name in enumerate(TABLE_COLS)}
+    return Trajectory(
+        times=np.arange(len(F)) * 1e-3,
+        plant_states=F[:, 0:2],
+        controller_states=F[:, 2:4],
+        e=c["e"], u=c["u"], y=c["y"],
+        modes=M, V=c["V"], W=c["W"],
+        aux={"V2": c["V2"], "V1": c["V1"]},
+    )
+
+
+def _minus_zero_in_one_row(F, M):
+    # y equals x1 by value everywhere, but one row holds -0.0 against 0.0
+    r = len(F) // 2
+    F[r, 0] = 0.0
+    F[:, 6] = F[:, 0]
+    F[r, 6] = -0.0
+
+
+def _equal_in_first_block_only(F, M):
+    F[:, 5] = F[:, 2]
+    F[_CSV_BLOCK_ROWS:, 5] += 1.0
+
+
+def _equal_modes(F, M):
+    M[:, 1] = M[:, 0]
+
+
+def _zero_floats_around_zero_mode(F, M):
+    # same bits, different text: 0.0 as a float, 0 as a mode code
+    F[:, 2] = 0.0
+    M[:, 0] = 0
+    F[:, 4] = 0.0
+
+
+def _aux_equal_to_other_columns(F, M):
+    F[:, 8] = F[:, 7]
+    F[:, 9] = F[:, 10]
+
+
+@pytest.mark.parametrize("n_rows", [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                    2 * _CSV_BLOCK_ROWS + 37])
+@pytest.mark.parametrize("edit", [_minus_zero_in_one_row, _equal_in_first_block_only,
+                                  _equal_modes, _zero_floats_around_zero_mode,
+                                  _aux_equal_to_other_columns],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_csv_writer_reuses_only_bit_equal_columns(tmp_path, edit, n_rows):
+    rng = np.random.default_rng(n_rows)
+    F = rng.standard_normal((n_rows, len(TABLE_COLS)))
+    M = rng.integers(0, 2, size=(n_rows, 2))
+    edit(F, M)
+    traj = _table_trajectory(F, M)
+    want = _reference_csv_text(traj)
+    assert traj.to_csv_text() == want
+    path = tmp_path / "run.csv"
+    traj.write_csv(path)
+    assert path.read_bytes() == want.encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 2 * _CSV_BLOCK_ROWS + 37))
+def test_csv_writer_matches_reference_on_copied_columns(data, n_rows):
+    # Few distinct values, so all-zero columns, -0.0 against 0.0 and columns
+    # equal to one another come up often; then copy columns into others and
+    # change single cells, which leaves columns equal only in part.
+    floats = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5])
+    F = data.draw(arrays(np.float64, (n_rows, len(TABLE_COLS)), elements=floats))
+    M = data.draw(arrays(np.int64, (n_rows, 2), elements=st.sampled_from([0, 1])))
+    def pick(n):
+        return data.draw(st.integers(0, n - 1))
+
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(["float", "mode", "cell"]))
+        if kind == "float":
+            F[:, pick(F.shape[1])] = F[:, pick(F.shape[1])]
+        elif kind == "mode":
+            M[:, pick(2)] = M[:, pick(2)]
+        else:
+            F[pick(n_rows), pick(F.shape[1])] = data.draw(floats)
+    traj = _table_trajectory(F, M)
+    assert traj.to_csv_text() == _reference_csv_text(traj)
