@@ -87,6 +87,14 @@ class _Controller(NamedTuple):
 
 _ELEMENT_KEYS = ("h1", "h2", "h3")
 
+# The numeric option each trajectory check takes from a scenario, with its default.
+_CHECK_OPTIONS = {
+    "sector": ("rtol", 1e-9),
+    "lyapunov_monotone": ("budget", 1e-6),
+    "dissipation": ("budget_coeff", 100.0),
+    "convergence": ("threshold", 0.2),
+}
+
 
 def _linear_loop(tf: Callable) -> Callable:
     return lambda plant, c, sim, cert: simulate_linear_loop(plant, tf(c), sim)
@@ -137,7 +145,7 @@ class ScenarioConfig:
     controller_type: str
     controller: object
     sim: SimConfig
-    checks: list                  # list of (name, opts) pairs
+    checks: list                  # (name, {option: float}) pairs
     csv_path: Optional[str]
     report_path: Optional[str]
     raw: dict
@@ -205,17 +213,21 @@ def _normalize_checks(raw, ctype: str) -> list:
     allowed = CONTROLLERS[ctype].checks
     for entry in raw or []:
         if isinstance(entry, str):
-            name, opts = entry, {}
+            name, given = entry, {}
         elif isinstance(entry, dict) and "name" in entry:
-            name = entry["name"]
-            opts = {k: v for k, v in entry.items() if k != "name"}
+            name, given = entry["name"], entry
         else:
             raise ConfigError(f"check entries must be names or objects with 'name', got {entry!r}")
         if name not in allowed:
             raise ConfigError(
                 f"check {name!r} not available for controller type {ctype!r} "
                 f"(available: {sorted(allowed)})")
-        checks.append((name, opts))
+        key, default = _CHECK_OPTIONS[name]
+        value = given.get(key, default)
+        try:
+            checks.append((name, {key: float(value)}))
+        except (TypeError, ValueError):
+            raise ConfigError(f"check {name!r}: {key} must be a number, got {value!r}") from None
     return checks
 
 
@@ -311,7 +323,7 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
     reports = {}
     for name, opts in cfg.checks:
         if name == "sector":
-            reports[name] = asdict(check_sector(traj, rtol=float(opts.get("rtol", 1e-9))))
+            reports[name] = asdict(check_sector(traj, **opts))
         elif name == "lyapunov_monotone":
             if traj.W is None:
                 reports[name] = {
@@ -319,12 +331,11 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
                     "reason": (cert_info or {}).get("reason", "no Lyapunov certificate available"),
                 }
             else:
-                reports[name] = asdict(check_monotone(traj, budget=float(opts.get("budget", 1e-6))))
+                reports[name] = asdict(check_monotone(traj, **opts))
         elif name == "dissipation":
-            reports[name] = asdict(
-                check_dissipation(traj, budget_coeff=float(opts.get("budget_coeff", 100.0))))
+            reports[name] = asdict(check_dissipation(traj, **opts))
         elif name == "convergence":
-            threshold = float(opts.get("threshold", 0.2))
+            threshold = opts["threshold"]
             final = np.concatenate([traj.plant_states[-1], traj.controller_states[-1]])
             final_norm = float(np.linalg.norm(final))
             reports[name] = {
@@ -552,23 +563,41 @@ def _sweep_worker(args) -> tuple:
 
 def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
     raw = _read_json(config_path, "sweep config")
+    if not isinstance(raw, dict):
+        raise ConfigError("sweep config must contain a JSON object")
     base = _require(raw, "base", "sweep config")
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(config_path), base)
         base = _read_json(base_path, f"base scenario {base_path!r}")
+    if not isinstance(base, dict):
+        raise ConfigError(f"sweep base must be a scenario object or file name, got {base!r}")
     runs = _require(raw, "runs", "sweep config")
     if not isinstance(runs, list) or not runs:
         raise ConfigError("sweep config needs a nonempty 'runs' list")
     out_dir = raw.get("output_dir", "sweep_out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"sweep output_dir must be a nonempty string, got {out_dir!r}")
+    raw_jobs = raw.get("jobs")
+    if raw_jobs is not None and (type(raw_jobs) is not int or raw_jobs < 1):
+        raise ConfigError(f"sweep jobs must be a positive integer, got {raw_jobs!r}")
+    jobs = jobs or raw_jobs or min(len(runs), os.cpu_count() or 1)
     os.makedirs(out_dir, exist_ok=True)
-    jobs = jobs or raw.get("jobs") or min(len(runs), os.cpu_count() or 1)
 
     tasks = []
     writers = {}
     for run in runs:
+        if not isinstance(run, dict):
+            raise ConfigError(f"sweep runs must be objects, got {run!r}")
         name = _require(run, "name", "sweep run")
-        merged = _deep_merge(base, run.get("overrides", {}))
+        if not isinstance(name, str):
+            raise ConfigError(f"sweep run name must be a string, got {name!r}")
+        overrides = run.get("overrides", {})
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"overrides of sweep run {name!r} must be an object, got {overrides!r}")
+        merged = _deep_merge(base, overrides)
         merged["name"] = name
+        # fail fast on a malformed scenario before spawning workers
+        _scenario_from_dict(merged, name)
         # copy before mutating: non-overridden sections are shared with base
         merged["output"] = dict(merged.get("output") or {})
         merged["output"]["csv"] = f"{name}.csv"
@@ -581,15 +610,14 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
             raise ConfigError(f"sweep runs {writers[csv_path]!r} and {name!r} "
                               f"both write {csv_path!r}")
         writers[csv_path] = name
-        # fail fast on malformed overrides before spawning workers
-        _build_controller(_require(merged, "controller", "sweep run"))
         tasks.append((name, merged, out_dir))
 
     # imported here: only sweep uses the pool, and every command pays the import
     from concurrent.futures import ProcessPoolExecutor
 
     results = []
-    with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+    # no more workers than runs: under fork the pool starts them all up front
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         for name, code in pool.map(_sweep_worker, tasks):
             results.append((name, code))
             log.info("sweep run %-20s exit %d", name, code)

@@ -24,6 +24,12 @@ import numpy as np
 from .higs import HigsMode, HigsParams, determine_mode_base, MODE_BOUNDARY_RTOL
 from .lti import RationalTF, StateSpace, dc_gain
 
+# |1/(G(0) + D) - gain sum| must exceed this times max(1, |1/(G(0) + D)|);
+# |G(0) + D| at or below it leaves no finite exclusion.
+GAIN_SUM_TOL = 1e-9
+# Smallest |denominator| of an algebraic feedthrough loop that is still solved.
+ALGEBRAIC_LOOP_TOL = 1e-12
+
 
 class CascadeAssumptionViolated(ValueError):
     """The series pair needs k_h2 = k_h3 and omega_h2 < omega_h3."""
@@ -179,14 +185,14 @@ def check_pii2_stability(plant: StateSpace, D: float) -> StabilityVerdict:
     )
 
 
-def gain_sum_admissible(p: HigsPii2Params, plant_dc: float, tol: float = 1e-9) -> bool:
+def gain_sum_admissible(p: HigsPii2Params, plant_dc: float) -> bool:
     """k_h1 + k_h2^2 + k_p must avoid 1/(G(0) + D) (no finite exclusion if
     G(0) + D = 0)."""
     denom = plant_dc + p.D
-    if abs(denom) <= tol:
+    if abs(denom) <= GAIN_SUM_TOL:
         return True
     target = 1.0 / denom
-    return abs(p.gain_sum() - target) > tol * max(1.0, abs(target))
+    return abs(p.gain_sum() - target) > GAIN_SUM_TOL * max(1.0, abs(target))
 
 
 def pii2_effective_states(
@@ -210,7 +216,6 @@ def resolve_pii2_error_signal(
     x_h3: float,
     modes: ModeTriple,
     p: HigsPii2Params,
-    tol: float = 1e-12,
 ) -> Tuple[float, float]:
     """Solve the algebraic loop e = gamma*y + gamma*D*(x_h1 + x_h3) for e.
 
@@ -234,7 +239,7 @@ def resolve_pii2_error_signal(
     else:
         b += x_h3
     denom = 1.0 - p.gamma * p.D * a
-    if abs(denom) <= tol:
+    if abs(denom) <= ALGEBRAIC_LOOP_TOL:
         raise UnsolvableLoop(f"degenerate error equation, denominator {denom}")
     e = p.gamma * (y + p.D * b) / denom
     x1e, _, x3e = pii2_effective_states(e, (x_h1, x_h2, x_h3), modes, p)
@@ -248,7 +253,6 @@ def resolve_pii2_error_rate(
     states: Tuple[float, float, float],
     modes: ModeTriple,
     p: HigsPii2Params,
-    tol: float = 1e-12,
 ) -> float:
     """de/dt consistent with the active modes.
 
@@ -273,7 +277,7 @@ def resolve_pii2_error_rate(
     else:
         beta += p.h3.omega_h * x2e
     denom = 1.0 - p.gamma * p.D * a
-    if abs(denom) <= tol:
+    if abs(denom) <= ALGEBRAIC_LOOP_TOL:
         raise UnsolvableLoop(f"degenerate error-rate equation, denominator {denom}")
     return p.gamma * (y_dot + p.D * beta) / denom
 

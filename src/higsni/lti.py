@@ -19,13 +19,21 @@ poles and m > 0 on the tested grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 RANK_RTOL = 1e-8          # relative singular-value cutoff for rank decisions
 POLE_EXCLUSION = 1e-6     # |jw - pole| below this counts as "on a pole"
+NI_TOL = 1e-8             # certificate LMI slack; NI test: m(w) >= -NI_TOL, Re(poles) <= NI_TOL
+SNI_TOL = 1e-12           # strict-NI test: Re(poles) < -SNI_TOL and m(w) > SNI_TOL
+CERT_MARGIN = 1e-6        # positivity margin of Y in the certificate search
+CERT_MAX_DIM = 10         # largest plant order the certificate search accepts
+# Frequencies (rad/s) of the sampled NI and strict-NI tests: 121 points,
+# 20 per decade, from 1e-3 to 1e3.
+FREQ_GRID = np.logspace(np.log10(1e-3), np.log10(1e3), 121)
+FREQ_GRID.flags.writeable = False
 
 
 class SingularA(ValueError):
@@ -47,10 +55,10 @@ def _as_state_vector(v, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _smallest_sv_ok(M: np.ndarray, rtol: float = RANK_RTOL) -> bool:
+def _smallest_sv_ok(M: np.ndarray) -> bool:
     """True when M is invertible at the working rank tolerance."""
     sv = np.linalg.svd(M, compute_uv=False)
-    return bool(sv[-1] > rtol * max(sv[0], 1e-300))
+    return bool(sv[-1] > RANK_RTOL * max(sv[0], 1e-300))
 
 
 @dataclass(frozen=True)
@@ -132,16 +140,16 @@ class RationalTF:
 LinearSystem = Union[StateSpace, RationalTF]
 
 
-def freq_response(sys: LinearSystem, omega: float, *, pole_tol: float = POLE_EXCLUSION) -> complex:
+def freq_response(sys: LinearSystem, omega: float) -> complex:
     """Evaluate the transfer function at s = j*omega.
 
-    Raises SingularAtFrequency when j*omega lies within pole_tol of a pole;
-    evaluating there would return garbage dominated by rounding.
+    Raises SingularAtFrequency when j*omega lies within POLE_EXCLUSION of a
+    pole; evaluating there would return garbage dominated by rounding.
     """
     s = 1j * float(omega)
     poles = sys.poles()
-    if poles.size and np.min(np.abs(s - poles)) <= pole_tol:
-        raise SingularAtFrequency(f"omega={omega} is within {pole_tol} of a pole")
+    if poles.size and np.min(np.abs(s - poles)) <= POLE_EXCLUSION:
+        raise SingularAtFrequency(f"omega={omega} is within {POLE_EXCLUSION} of a pole")
     if isinstance(sys, RationalTF):
         return sys(s)
     rhs = np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B.astype(complex))
@@ -155,16 +163,16 @@ def dc_gain(sys: StateSpace) -> float:
     return float(sys.D_ff - sys.C @ np.linalg.solve(sys.A, sys.B))
 
 
-def _rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def _rank(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
-def is_minimal(sys: StateSpace, rtol: float = RANK_RTOL) -> bool:
+def is_minimal(sys: StateSpace) -> bool:
     """Controllability and observability via staircase-free rank tests."""
     n = sys.n
     ctrb = np.empty((n, n))
@@ -176,7 +184,7 @@ def is_minimal(sys: StateSpace, rtol: float = RANK_RTOL) -> bool:
         obsv[k, :] = w
         v = sys.A @ v
         w = w @ sys.A
-    return _rank(ctrb, rtol) == n and _rank(obsv, rtol) == n
+    return _rank(ctrb) == n and _rank(obsv) == n
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,8 @@ class NICertificate:
 class CertReport:
     """Outcome of checking one NICertificate against one realization.
 
-    passed is True iff y_min_eig > 0, lyap_max_eig <= tol and
-    residual_norm <= tol.  Minimality and det A != 0 are informational;
+    passed is True iff y_min_eig > 0, lyap_max_eig <= NI_TOL and
+    residual_norm <= NI_TOL.  Minimality and det A != 0 are informational;
     together with passed they make the NI conclusion rigorous.
     """
 
@@ -213,15 +221,14 @@ class CertReport:
     residual_zero: bool
     minimal: bool
     det_a_nonzero: bool
-    tol: float
 
     @property
     def passed(self) -> bool:
         return self.y_positive and self.lyap_nonpositive and self.residual_zero
 
 
-def verify_ni_certificate(sys: StateSpace, cert: NICertificate, tol: float = 1e-8) -> CertReport:
-    """Check Y > 0, A Y + Y A^T <= tol and ||B + A Y C^T|| <= tol."""
+def verify_ni_certificate(sys: StateSpace, cert: NICertificate) -> CertReport:
+    """Check Y > 0, A Y + Y A^T <= NI_TOL and ||B + A Y C^T|| <= NI_TOL."""
     Y = cert.Y
     if Y.shape != (sys.n, sys.n):
         raise DimensionMismatch(f"Y has shape {Y.shape}, expected {(sys.n, sys.n)}")
@@ -234,11 +241,10 @@ def verify_ni_certificate(sys: StateSpace, cert: NICertificate, tol: float = 1e-
         lyap_max_eig=lyap_max,
         residual_norm=residual,
         y_positive=y_min > 0.0,
-        lyap_nonpositive=lyap_max <= tol,
-        residual_zero=residual <= tol,
+        lyap_nonpositive=lyap_max <= NI_TOL,
+        residual_zero=residual <= NI_TOL,
         minimal=is_minimal(sys),
         det_a_nonzero=_smallest_sv_ok(sys.A),
-        tol=float(tol),
     )
 
 
@@ -271,29 +277,23 @@ def _barrier_factor(F: np.ndarray, dF: np.ndarray):
     return -K[:, :: F.shape[0] + 1].sum(axis=1), K
 
 
-def search_ni_certificate(
-    sys: StateSpace,
-    *,
-    tol: float = 1e-8,
-    margin: float = 1e-6,
-    max_dim: int = 10,
-) -> Optional[NICertificate]:
+def search_ni_certificate(sys: StateSpace) -> Optional[NICertificate]:
     """Look for a certificate Y on the affine set solving B + A Y C^T = 0.
 
     The equality constraint is linear in the entries of symmetric Y, so the
     search parameterizes its solution set as Y(xi) = Y0 + sum_i xi_i N_i
     (particular solution plus null space) and minimizes, over (xi, t),
 
-        t   subject to   t I - (A Y + Y A^T) > 0,   Y - (margin - t) I > 0,
+        t   subject to   t I - (A Y + Y A^T) > 0,   Y - (CERT_MARGIN - t) I > 0,
 
-    the epigraph of max(lambda_max(A Y + Y A^T), margin - lambda_min(Y)),
+    the epigraph of max(lambda_max(A Y + Y A^T), CERT_MARGIN - lambda_min(Y)),
     with tr Y < 1e6 max(1, tr Y0) added so that the barrier problem stays
     bounded when Y can grow without changing t (damped or repeated modes).
     A primal log-barrier method solves it: start strictly feasible at
     xi = 0 with t above that maximum, center by damped Newton steps, then
     raise the barrier weight tenfold.  In lossless directions the optimum
     sits at t = 0 on the boundary, which the central path approaches from
-    inside, so a set with no interior is still reached to within tol.
+    inside, so a set with no interior is still reached to within NI_TOL.
 
     Returns the first iterate that passes verify_ni_certificate, or None
     once the gap bound (2n + 1) / weight falls below 1e-13 or the
@@ -301,8 +301,8 @@ def search_ni_certificate(
     the system is not NI.
     """
     n = sys.n
-    if n > max_dim:
-        raise ValueError(f"certificate search supports n <= {max_dim}, got n = {n}")
+    if n > CERT_MAX_DIM:
+        raise ValueError(f"certificate search supports n <= {CERT_MAX_DIM}, got n = {n}")
     if not _smallest_sv_ok(sys.A):
         raise SingularA("A is singular; NI conditions require det A != 0")
 
@@ -331,7 +331,7 @@ def search_ni_certificate(
     # Variables z = (xi, t).  The three barrier arguments are affine in z
     # with these partial derivatives.  They are formed from Y itself, not
     # as F(0) + sum z_j dF_j: that sum cancels large terms, and its rounding
-    # would keep t from reaching tol on ill-scaled realizations.
+    # would keep t from reaching NI_TOL on ill-scaled realizations.
     eye = np.eye(n)
     dF_lyap = np.concatenate([-lyap(N), eye[None]])
     dF_pos = np.concatenate([N, eye[None]])
@@ -347,7 +347,7 @@ def search_ni_certificate(
         grad[-1] = weight
         factors = []
         for F, dF in ((t * eye - lyap(Y), dF_lyap),
-                      (Y + (t - margin) * eye, dF_pos),
+                      (Y + (t - CERT_MARGIN) * eye, dF_pos),
                       (np.array([[trace_bound - np.trace(Y)]]), dF_trace)):
             part = _barrier_factor(F, dF)
             if part is None:
@@ -363,14 +363,15 @@ def search_ni_certificate(
 
     def certificate(z):
         # F_lyap, F_pos > 0 give lambda_max(A Y + Y A^T) < t and
-        # lambda_min(Y) > margin - t, so the full check is only worth
+        # lambda_min(Y) > CERT_MARGIN - t, so the full check is only worth
         # running once t is small.
-        if z[-1] > min(tol, margin):
+        if z[-1] > min(NI_TOL, CERT_MARGIN):
             return None
         cert = NICertificate(Y_at(z))
-        return cert if verify_ni_certificate(sys, cert, tol).passed else None
+        return cert if verify_ni_certificate(sys, cert).passed else None
 
-    t0 = max(float(np.linalg.eigvalsh(lyap(Y0))[-1]), margin - float(np.linalg.eigvalsh(Y0)[0]))
+    t0 = max(float(np.linalg.eigvalsh(lyap(Y0))[-1]),
+             CERT_MARGIN - float(np.linalg.eigvalsh(Y0)[0]))
     z = np.zeros(q + 1)
     z[-1] = t0 + max(1.0, abs(t0))
     weight = 10.0 / max(1.0, abs(t0))
@@ -412,7 +413,6 @@ class NiFrequencyReport:
     flagged_omegas: tuple
     max_pole_real: float
     has_unstable_pole: bool
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -422,43 +422,24 @@ class SniFrequencyReport:
     worst_omega: float
     max_pole_real: float
     poles_strictly_stable: bool
-    tol: float
 
 
-def _validate_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise ValueError("grid must be a nonempty 1-D array of positive finite frequencies")
-    return g
+def ni_frequency_test(sys: LinearSystem) -> NiFrequencyReport:
+    """Sampled NI test: no open-RHP poles and m(w) >= -NI_TOL on FREQ_GRID.
 
-
-def default_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 121) -> np.ndarray:
-    return np.logspace(np.log10(lo), np.log10(hi), n)
-
-
-def ni_frequency_test(
-    sys: LinearSystem,
-    grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-8,
-    *,
-    pole_tol: float = POLE_EXCLUSION,
-) -> NiFrequencyReport:
-    """Sampled NI test: no open-RHP poles and m(w) >= -tol on the grid.
-
-    Grid points within pole_tol of a pole are excluded from the minimum and
-    reported in flagged_omegas (imaginary-axis poles do not defeat the NI
-    property, but m is not evaluable there).
+    Grid points within POLE_EXCLUSION of a pole are excluded from the
+    minimum and reported in flagged_omegas (imaginary-axis poles do not
+    defeat the NI property, but m is not evaluable there).
     """
-    g = _validate_grid(default_grid() if grid is None else grid)
     poles = sys.poles()
     max_re = float(np.max(poles.real)) if poles.size else -np.inf
-    has_rhp = bool(max_re > tol)
+    has_rhp = bool(max_re > NI_TOL)
     flagged = []
     min_m = np.inf
     worst = float("nan")
-    for w in g:
+    for w in FREQ_GRID:
         try:
-            G = freq_response(sys, w, pole_tol=pole_tol)
+            G = freq_response(sys, w)
         except SingularAtFrequency:
             flagged.append(float(w))
             continue
@@ -466,7 +447,7 @@ def ni_frequency_test(
         if m < min_m:
             min_m = m
             worst = float(w)
-    passed = (not has_rhp) and (min_m >= -tol or not np.isfinite(min_m))
+    passed = (not has_rhp) and (min_m >= -NI_TOL or not np.isfinite(min_m))
     return NiFrequencyReport(
         passed=bool(passed),
         min_value=float(min_m),
@@ -474,24 +455,18 @@ def ni_frequency_test(
         flagged_omegas=tuple(flagged),
         max_pole_real=max_re,
         has_unstable_pole=has_rhp,
-        tol=float(tol),
     )
 
 
-def sni_frequency_test(
-    sys: LinearSystem,
-    grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-12,
-) -> SniFrequencyReport:
-    """Sampled strict-NI test: Re[poles] < -tol and m(w) > tol on the grid."""
-    g = _validate_grid(default_grid() if grid is None else grid)
+def sni_frequency_test(sys: LinearSystem) -> SniFrequencyReport:
+    """Sampled strict-NI test: Re[poles] < -SNI_TOL and m(w) > SNI_TOL on FREQ_GRID."""
     poles = sys.poles()
     max_re = float(np.max(poles.real)) if poles.size else -np.inf
-    stable = bool(max_re < -tol)
+    stable = bool(max_re < -SNI_TOL)
     min_m = np.inf
     worst = float("nan")
     if stable:
-        for w in g:
+        for w in FREQ_GRID:
             try:
                 G = freq_response(sys, w)
             except SingularAtFrequency:
@@ -503,14 +478,13 @@ def sni_frequency_test(
             if m < min_m:
                 min_m = m
                 worst = float(w)
-    passed = stable and np.isfinite(min_m) and min_m > tol
+    passed = stable and np.isfinite(min_m) and min_m > SNI_TOL
     return SniFrequencyReport(
         passed=bool(passed),
         min_value=float(min_m),
         worst_omega=worst,
         max_pole_real=max_re,
         poles_strictly_stable=stable,
-        tol=float(tol),
     )
 
 
@@ -561,7 +535,7 @@ class NiAssessment:
     freq_report: NiFrequencyReport
 
 
-def assess_ni(sys: LinearSystem, grid: Optional[Sequence[float]] = None, tol: float = 1e-8) -> NiAssessment:
+def assess_ni(sys: LinearSystem) -> NiAssessment:
     """Try the Lyapunov certificate route, fall back to the frequency test.
 
     Either route passing counts as NI verified; the report records which one
@@ -571,12 +545,12 @@ def assess_ni(sys: LinearSystem, grid: Optional[Sequence[float]] = None, tol: fl
     cert = None
     cert_report = None
     try:
-        cert = search_ni_certificate(ss, tol=tol)
+        cert = search_ni_certificate(ss)
     except (ValueError, SingularA):
         cert = None
     if cert is not None:
-        cert_report = verify_ni_certificate(ss, cert, tol)
-    freq = ni_frequency_test(sys, grid, tol)
+        cert_report = verify_ni_certificate(ss, cert)
+    freq = ni_frequency_test(sys)
     if cert_report is not None and cert_report.passed:
         return NiAssessment(True, "certificate", cert, cert_report, freq)
     if freq.passed:

@@ -40,6 +40,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .controllers import (
+    ALGEBRAIC_LOOP_TOL,
     HigsPii2Params,
     InvalidParameters,
     ModeTriple,
@@ -72,6 +73,13 @@ _CSV_BLOCK_ROWS = 128
 # logic, sector clamp and divergence guard run once per block on all rows.
 _BLOCK_ROWS = 256
 
+# Slack of the sector clamp: x_h is projected into the sector only when
+# e*x_h < x_h^2/k - SECTOR_CLAMP_TOL, so rounding dust on the edge stays.
+SECTOR_CLAMP_TOL = 1e-12
+# The divergence guard: a kept row with |state| above this (or NaN) ends the
+# run with NonFiniteState.
+DIVERGENCE_LIMIT = 1e9
+
 
 class NonFiniteState(RuntimeError):
     """State left the admissible region (non-finite or beyond the guard)."""
@@ -90,15 +98,6 @@ class CertificateNotPD(ValueError):
         self.margin = margin
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric guards shared by the simulators."""
-
-    mode_boundary: float = MODE_BOUNDARY_RTOL
-    sector: float = 1e-12
-    divergence: float = 1e9
-
-
 @dataclass
 class SimConfig:
     dt: float
@@ -107,7 +106,6 @@ class SimConfig:
     controller_x0: object = 0.0
     r: float = 0.0
     record_every: int = 1
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         self.dt = float(self.dt)
@@ -383,14 +381,13 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     kept row.  When step is given, the row after a block cut short is taken
     by step(k, z, modes) -> (z, modes), the step from t = (k-1) dt to k dt;
     such a loop's scan stops before any row it cannot settle.  Without a
-    scan the loop has no events.  The
-    divergence guard (which also catches NaN) runs on every kept row;
+    scan the loop has no events.  The divergence guard (|z| <=
+    DIVERGENCE_LIMIT, which also catches NaN) runs on every kept row;
     samples are taken at t = 0, every record_every steps and at the final
     step.  Returns the sample times, the joint states (one row per sample)
     and the integer mode codes.
     """
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
-    limit = cfg.tolerances.divergence
     N = _record_count(n_steps, every)
     # Multiples of every are exact in floating point, so T[i] = (i every) dt
     # as a step counter gives it.
@@ -422,10 +419,10 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
                     prev = row
                 q, after = (len(blk), modes) if scan is None else scan(blk, modes)
                 bisect = step is not None and q < len(blk)
-            ok = np.abs(blk[:q]).max(axis=1) <= limit
+            ok = np.abs(blk[:q]).max(axis=1) <= DIVERGENCE_LIMIT
             if not ok.all():
                 t = (k + 1 + int(np.argmin(ok))) * dt
-                raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
+                raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {DIVERGENCE_LIMIT:g} or non-finite)")
             a = -(k + 1) % every    # first row of the block on the sample grid
             i = (k + 1 + a) // every
             kept = blk[a:q:every]
@@ -517,7 +514,6 @@ def simulate_higs_irc_loop(
     A, B, C = plant.A, plant.B, plant.C
     kt = p.kappa_tilde
     r = cfg.r
-    tols = cfg.tolerances
     dt = cfg.dt
 
     CA = C @ A
@@ -551,8 +547,8 @@ def simulate_higs_irc_loop(
             Zb[:, n] = kt * e
         xh = Zb[:, n].copy()
         e_dot = np.vecdot(X, CA) + CB * xh
-        xc = _sector_clamp_rows(e, xh, kt, tols.sector)
-        to_gain = _gain_mode_rows(e, e_dot, xc, kt, p, tols.mode_boundary)
+        xc = _sector_clamp_rows(e, xh, kt, SECTOR_CLAMP_TOL)
+        to_gain = _gain_mode_rows(e, e_dot, xc, kt, p, MODE_BOUNDARY_RTOL)
         Zb[:, n] = np.where(to_gain, kt * e, xc)
         fired = np.flatnonzero((to_gain != gain) | (xc != xh))
         q = int(fired[0]) + 1 if len(fired) else len(Zb)
@@ -579,8 +575,6 @@ def simulate_higs_irc_loop(
             "controller": "higs_irc",
             "controller_state_names": ["xh"],
             "kappa_tilde": kt,
-            "dt": dt,
-            "record_every": cfg.record_every,
         },
     )
 
@@ -602,13 +596,13 @@ class _Rows(NamedTuple):
     nk: int
 
 
-def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, tol: float = 1e-12):
+def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF):
     """Joint (A_cl, B_cl) for the positive-feedback loop plus output rows.
 
     Returns (A_cl, B_cl, rows) where rows maps the joint state and the
     reference to (u, y): u = rows.u_x @ x + rows.u_k @ xk + rows.u_r * r and
     likewise for y.  Static controllers (order 0) contribute feedthrough
-    only.  Raises IllPosedLoop when 1 - Dk * Dp vanishes.
+    only.  Raises IllPosedLoop when |1 - Dk * Dp| <= ALGEBRAIC_LOOP_TOL.
     """
     if ctrl.order >= 1:
         k = tf_to_ss(ctrl)
@@ -621,7 +615,7 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, tol: float = 1e-12
     A, B, C, Dp = plant.A, plant.B, plant.C, plant.D_ff
     n, nk = plant.n, Ak.shape[0]
     delta = 1.0 - Dk * Dp
-    if abs(delta) <= tol:
+    if abs(delta) <= ALGEBRAIC_LOOP_TOL:
         raise IllPosedLoop(f"feedthrough product gives 1 - Dk*Dp = {delta}")
     u_x = (Dk / delta) * C
     u_k = Ck / delta
@@ -661,12 +655,7 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
         e=r + y,
         u=_row_dots(X, rows.u_x) + _row_dots(XK, rows.u_k) + rows.u_r * r,
         y=y,
-        meta={
-            "controller": "linear",
-            "controller_state_names": [f"xc{i+1}" for i in range(nk)],
-            "dt": cfg.dt,
-            "record_every": cfg.record_every,
-        },
+        meta={"controller": "linear", "controller_state_names": [f"xc{i+1}" for i in range(nk)]},
     )
 
 
@@ -722,7 +711,6 @@ def simulate_higs_pii2_loop(
     CB = float(C @ B)
     r = cfg.r
     dt = cfg.dt
-    tols = cfg.tolerances
     ks = (p.h1.k_h, p.h2.k_h, p.h3.k_h)
     gam = p.gamma
     D = p.D
@@ -740,7 +728,7 @@ def simulate_higs_pii2_loop(
         g3 = modes.h3 == HigsMode.GAIN
         a = (ks[0] if g1 else 0.0) + (ks[2] * ks[1] if (g3 and g2) else 0.0)
         den = 1.0 - gam * D * a
-        if abs(den) <= 1e-12:
+        if abs(den) <= ALGEBRAIC_LOOP_TOL:
             raise UnsolvableLoop(f"degenerate error equation, denominator {den}")
         w_e = np.zeros(nz)
         w_e[:n] = (gam / den) * C
@@ -841,15 +829,15 @@ def simulate_higs_pii2_loop(
         if modes.h1 == HigsMode.GAIN:
             z[n] = x1e
         else:
-            z[n] = project_to_sector(e, z[n], ks[0], tols.sector)
+            z[n] = project_to_sector(e, z[n], ks[0], SECTOR_CLAMP_TOL)
         if modes.h2 == HigsMode.GAIN:
             z[n + 1] = x2e
         else:
-            z[n + 1] = project_to_sector(e, z[n + 1], ks[1], tols.sector)
+            z[n + 1] = project_to_sector(e, z[n + 1], ks[1], SECTOR_CLAMP_TOL)
         if modes.h3 == HigsMode.GAIN:
             z[n + 2] = x3e
         else:
-            z[n + 2] = project_to_sector(x2e, z[n + 2], ks[2], tols.sector)
+            z[n + 2] = project_to_sector(x2e, z[n + 2], ks[2], SECTOR_CLAMP_TOL)
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
@@ -933,7 +921,7 @@ def simulate_higs_pii2_loop(
             else:
                 event |= g
                 event |= np.abs(_sector_clamp_rows(ei, x, ki, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
-                xc = _sector_clamp_rows(ei, x, ki, tols.sector)
+                xc = _sector_clamp_rows(ei, x, ki, SECTOR_CLAMP_TOL)
                 moved |= xc != x
                 Zb[:, n + i] = xc
         fired = np.flatnonzero(event | moved)
@@ -972,8 +960,6 @@ def simulate_higs_pii2_loop(
             "controller": "higs_pii2",
             "controller_state_names": ["xh1", "xh2", "xh3"],
             "sector_gains": [ks[0], ks[1], ks[2]],
-            "dt": dt,
-            "record_every": cfg.record_every,
         },
     )
 

@@ -171,6 +171,30 @@ def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
     assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_RUNTIME
 
 
+@pytest.mark.parametrize("check, message", [
+    ({"name": "sector", "rtol": None}, "check 'sector': rtol must be a number, got None"),
+    ({"name": "convergence", "threshold": [1]},
+     "check 'convergence': threshold must be a number, got [1]"),
+    ({"name": "dissipation", "budget_coeff": "x"},
+     "check 'dissipation': budget_coeff must be a number, got 'x'"),
+], ids=["sector_rtol_null", "convergence_threshold_list", "dissipation_coeff_text"])
+def test_simulate_bad_check_option_exit_config_before_running(tmp_path, monkeypatch, capsys,
+                                                             check, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "bad.json", _quick_scenario(checks=[check]))
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_scenario_check_options_are_numbers_with_defaults(tmp_path):
+    checks = ["sector", {"name": "convergence", "threshold": 1}, {"name": "dissipation"}]
+    cfg = cli.load_scenario(_write(tmp_path, "quick.json", _quick_scenario(checks=checks)))
+    assert cfg.checks == [("sector", {"rtol": 1e-9}), ("convergence", {"threshold": 1.0}),
+                          ("dissipation", {"budget_coeff": 100.0})]
+    assert type(cfg.checks[1][1]["threshold"]) is float
+
+
 def test_simulate_failed_check_exit_check(tmp_path, capsys):
     scenario = _quick_scenario(checks=[{"name": "convergence", "threshold": 1e-9}],
                                output={})
@@ -353,6 +377,38 @@ def test_sweep_rejects_runs_writing_one_file(config_dir, tmp_path, capsys, names
     assert captured.err == (f"config error: sweep runs {names[0]!r} and {names[1]!r} "
                             f"both write {str(out / written)!r}\n")
     assert list(out.iterdir()) == []
+
+
+_SWEEP_RUN = {"name": "a", "overrides": {"sim": {"t_end": 0.5}, "checks": ["sector"]}}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"output_dir": None}, "sweep output_dir must be a nonempty string, got None"),
+    ({"output_dir": ""}, "sweep output_dir must be a nonempty string, got ''"),
+    ({"jobs": [2]}, "sweep jobs must be a positive integer, got [2]"),
+    ({"jobs": 0}, "sweep jobs must be a positive integer, got 0"),
+    ({"jobs": True}, "sweep jobs must be a positive integer, got True"),
+    ({"base": [1]}, "sweep base must be a scenario object or file name, got [1]"),
+    ({"runs": [1]}, "sweep runs must be objects, got 1"),
+    ({"runs": [{"name": ["a"]}]}, "sweep run name must be a string, got ['a']"),
+    ({"runs": [{"name": "a", "overrides": [1]}]},
+     "overrides of sweep run 'a' must be an object, got [1]"),
+    ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "sector", "rtol": None}]}}]},
+     "check 'sector': rtol must be a number, got None"),
+], ids=["output_dir_null", "output_dir_empty", "jobs_list", "jobs_zero", "jobs_bool", "base_list",
+        "run_not_object", "name_not_string", "overrides_list", "run_check_option"])
+def test_sweep_rejects_malformed_config_before_running(config_dir, tmp_path, monkeypatch, capsys,
+                                                      fields, message):
+    monkeypatch.chdir(tmp_path)
+    sweep = {"base": str(config_dir / "mass_spring_irc_k20.json"), "output_dir": "out",
+             "runs": [_SWEEP_RUN]}
+    sweep.update(fields)
+    cfg = _write(tmp_path, "sweep.json", sweep)
+    assert cli.main(["sweep", cfg]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+    # no run wrote anything
+    assert not list(tmp_path.glob("**/*.csv"))
 
 
 def test_sweep_missing_base_exit_config(tmp_path):

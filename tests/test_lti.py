@@ -16,10 +16,10 @@ from higsni import (
     search_ni_certificate,
     tf_to_ss,
 )
+from higsni import lti
 from higsni.lti import (
     DimensionMismatch,
     NICertificate,
-    default_grid,
     freq_response,
     is_minimal,
     sni_frequency_test,
@@ -188,23 +188,26 @@ def test_search_returns_none_for_stable_non_ni_plant():
 # frequency-domain tests
 
 
-def test_ni_frequency_test_oscillator(plant):
+def test_ni_frequency_test_oscillator(plant, monkeypatch):
     # G(jw) is real, so m(w) = j(G - conj G) vanishes identically.
-    rep = ni_frequency_test(plant, grid=[0.5, 2.0, 10.0])
+    monkeypatch.setattr(lti, "FREQ_GRID", np.array([0.5, 2.0, 10.0]))
+    rep = ni_frequency_test(plant)
     assert rep.passed
     assert abs(rep.min_value) <= 1e-12
     assert not rep.has_unstable_pole
 
 
-def test_ni_frequency_test_flags_pole_adjacent_points(plant):
-    rep = ni_frequency_test(plant, grid=[0.5, 1.0, 2.0])
+def test_ni_frequency_test_flags_pole_adjacent_points(plant, monkeypatch):
+    monkeypatch.setattr(lti, "FREQ_GRID", np.array([0.5, 1.0, 2.0]))
+    rep = ni_frequency_test(plant)
     assert rep.passed
     assert rep.flagged_omegas == (1.0,)
 
 
-def test_ni_frequency_test_single_pole_value():
+def test_ni_frequency_test_single_pole_value(monkeypatch):
     k = RationalTF((1.0,), (1.0, 1.0))     # 1/(s+1)
-    rep = ni_frequency_test(k, grid=[1.0])
+    monkeypatch.setattr(lti, "FREQ_GRID", np.array([1.0]))
+    rep = ni_frequency_test(k)
     assert rep.passed
     assert rep.min_value == pytest.approx(1.0, abs=1e-12)
 
@@ -212,13 +215,6 @@ def test_ni_frequency_test_single_pole_value():
 def test_ni_frequency_test_rejects_rhp_pole():
     rep = ni_frequency_test(RationalTF((1.0,), (1.0, -1.0)))
     assert not rep.passed and rep.has_unstable_pole
-
-
-def test_frequency_grid_validation(plant):
-    with pytest.raises(ValueError):
-        ni_frequency_test(plant, grid=[1.0, -2.0])
-    with pytest.raises(ValueError):
-        ni_frequency_test(plant, grid=[])
 
 
 def test_sni_frequency_test_verdicts(plant):
@@ -236,7 +232,7 @@ def test_sni_minimum_is_positive():
 
 
 def test_default_grid_spans_decades():
-    g = default_grid()
+    g = lti.FREQ_GRID
     assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e3)
     assert np.all(np.diff(g) > 0.0)
 

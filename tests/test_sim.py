@@ -33,12 +33,17 @@ from higsni import (
     simulate_higs_pii2_loop,
     simulate_linear_loop,
 )
-from higsni import cli, sim
+from higsni import cli, controllers, lti, sim
 from higsni.controllers import ModeTriple, higs_pii2_mode_update, resolve_pii2_error_signal
-from higsni.higs import HigsMode, determine_mode_base, determine_mode_irc, project_to_sector
+from higsni.higs import (
+    MODE_BOUNDARY_RTOL,
+    HigsMode,
+    determine_mode_base,
+    determine_mode_irc,
+    project_to_sector,
+)
 from higsni.sim import (
     CertificateNotPD,
-    Tolerances,
     _CSV_BLOCK_ROWS,
     _gain_mode_rows,
     _pii2_gain_rows,
@@ -67,9 +72,18 @@ def test_sim_config_validation():
 
 
 def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.mode_boundary == 1e-9
-    assert tol.divergence == 1e9
+    assert MODE_BOUNDARY_RTOL == 1e-9
+    assert sim.SECTOR_CLAMP_TOL == 1e-12
+    assert sim.DIVERGENCE_LIMIT == 1e9
+    assert controllers.GAIN_SUM_TOL == 1e-9
+    assert controllers.ALGEBRAIC_LOOP_TOL == 1e-12
+    assert lti.RANK_RTOL == 1e-8
+    assert lti.POLE_EXCLUSION == 1e-6
+    assert lti.NI_TOL == 1e-8
+    assert lti.SNI_TOL == 1e-12
+    assert lti.CERT_MARGIN == 1e-6
+    assert lti.CERT_MAX_DIM == 10
+    assert np.array_equal(lti.FREQ_GRID, np.logspace(np.log10(1e-3), np.log10(1e3), 121))
 
 
 def test_trajectory_rejects_ragged_series():
@@ -343,12 +357,12 @@ def test_irc_loop_validates_initial_state(plant):
         simulate_higs_irc_loop(plant, HIGS20, SimConfig(dt=1e-3, t_end=1.0, x0=[1.0]))
 
 
-def test_irc_loop_divergence_guard(plant):
+def test_irc_loop_divergence_guard(plant, monkeypatch):
     # kappa_tilde G(0) = 28.6 violates the DC condition; both frozen-mode
     # loops are unstable and the state escapes the (lowered) guard.
+    monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", 1e6)
     wild = HigsIrcParams(10.0, 40.0, -0.01)
-    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0],
-                    tolerances=Tolerances(divergence=1e6))
+    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0])
     with pytest.raises(NonFiniteState):
         simulate_higs_irc_loop(plant, wild, cfg)
 
@@ -385,11 +399,11 @@ def test_loop_guard_rejects_non_finite_state(plant, loop):
         LOOPS[loop](plant, SimConfig(dt=1e-3, t_end=0.1, x0=[np.nan, 0.0]))
 
 
-def test_linear_loop_divergence_guard(plant):
+def test_linear_loop_divergence_guard(plant, monkeypatch):
     # K(0) G(0) = 10 > 1 breaks the DC condition (D = -0.1 > -G(0)); the
     # loop grows like exp(1.66 t) and escapes the (lowered) guard.
-    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0],
-                    tolerances=Tolerances(divergence=1e6))
+    monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", 1e6)
+    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0])
     with pytest.raises(NonFiniteState):
         simulate_linear_loop(plant, irc_tf(IrcParams(10.0, -0.1)), cfg)
 
@@ -473,7 +487,7 @@ def _per_step_irc_loop(plant, p, cfg):
     stepping: propagate, mode logic, guard and sample after every step.
     Kept as the oracle for the blocked core; returns (T, Z, M)."""
     n, A, B, C = plant.n, plant.A, plant.B, plant.C
-    kt, r, tols, dt = p.kappa_tilde, cfg.r, cfg.tolerances, cfg.dt
+    kt, r, dt, limit = p.kappa_tilde, cfg.r, cfg.dt, sim.DIVERGENCE_LIMIT
     CA, CB = C @ A, float(C @ B)
     J_int = np.zeros((n + 1, n + 1))
     J_int[:n, :n], J_int[:n, n], J_int[n, :n], J_int[n, n] = A, B, p.omega_h * C, p.omega_h * p.D
@@ -489,8 +503,8 @@ def _per_step_irc_loop(plant, p, cfg):
     def pick_mode(z):
         e = r + float(C @ z[:n])
         e_dot = float(CA @ z[:n]) + CB * z[n]
-        z[n] = project_to_sector(e, z[n], kt, tols.sector)
-        mode = determine_mode_irc(e, e_dot, z[n], p, tols.mode_boundary)
+        z[n] = project_to_sector(e, z[n], kt, sim.SECTOR_CLAMP_TOL)
+        mode = determine_mode_irc(e, e_dot, z[n], p, MODE_BOUNDARY_RTOL)
         if mode == HigsMode.GAIN:
             z[n] = kt * e
         return mode
@@ -505,8 +519,8 @@ def _per_step_irc_loop(plant, p, cfg):
             z[n] = kt * (r + float(C @ z[:n]))
         mode = pick_mode(z)
         t = k * dt
-        if not np.abs(z).max() <= tols.divergence:
-            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {tols.divergence:g} or non-finite)")
+        if not np.abs(z).max() <= limit:
+            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             T.append(t)
             Z.append(z.copy())
@@ -550,11 +564,12 @@ def test_blocked_irc_loop_matches_per_step_reference(run):
 
 
 @pytest.mark.parametrize("limit", [1e6, 1e9])
-def test_irc_divergence_in_block_names_the_per_step_time(plant, limit):
+def test_irc_divergence_in_block_names_the_per_step_time(plant, limit, monkeypatch):
     # The rows of the block after the guard trips are discarded; the error
     # names the step a step-at-a-time loop stops at.
+    monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", limit)
     wild = HigsIrcParams(10.0, 40.0, -0.01)
-    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0], tolerances=Tolerances(divergence=limit))
+    cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0])
     with pytest.raises(NonFiniteState) as ref:
         _per_step_irc_loop(plant, wild, cfg)
     with pytest.raises(NonFiniteState, match=re.escape(str(ref.value))):
