@@ -3,7 +3,7 @@
 Subcommands: simulate (run a scenario file, write CSV and a JSON report),
 check (ni / sni / certificate / stability against a scenario), design
 (admissible parameter regions for a verified NI plant) and sweep (fan a
-base scenario out over parameter overrides on a process pool).
+base scenario out over parameter overrides in forked worker processes).
 
 Scenario files are JSON; see the README for the schema.  Exit codes:
 0 success, 1 configuration or usage errors, 2 runtime or numerical
@@ -14,10 +14,12 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -157,6 +159,13 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _reject_unknown_keys(d: dict, known: tuple, where: str) -> None:
+    # A misspelled key would otherwise fall back to its default without a word.
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where} (known: {', '.join(known)})")
+
+
 def _build_plant(d: dict):
     if not isinstance(d, dict):
         raise ConfigError("plant must be an object")
@@ -223,6 +232,7 @@ def _normalize_checks(raw, ctype: str) -> list:
                 f"check {name!r} not available for controller type {ctype!r} "
                 f"(available: {sorted(allowed)})")
         key, default = _CHECK_OPTIONS[name]
+        _reject_unknown_keys(given, ("name", key), f"check {name!r}")
         value = given.get(key, default)
         try:
             checks.append((name, {key: float(value)}))
@@ -556,15 +566,96 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
     return out
 
 
-def _sweep_worker(args) -> tuple:
-    name, config_dict, out_dir = args
-    return name, _guarded(lambda: _simulate_scenario(_scenario_from_dict(config_dict, name), out_dir))
+def _check_jobs(jobs) -> None:
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ConfigError(f"sweep jobs must be a positive integer, got {jobs!r}")
+
+
+def _sweep_worker(task: tuple) -> int:
+    name, config_dict, out_dir = task
+    return _guarded(lambda: _simulate_scenario(_scenario_from_dict(config_dict, name), out_dir))
+
+
+def _sweep_child(tasks: list, first: int, step: int, cpu: Optional[int], write_fd: int):
+    """Body of one forked sweep worker; never returns.
+
+    Runs tasks first, first + step, ... and writes "<task index> <exit code>"
+    per run to write_fd.  An exception prints its traceback and ends the
+    worker with exit status 1, leaving its remaining runs unreported.
+    """
+    status = 1
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        for k in range(first, len(tasks), step):
+            os.write(write_fd, f"{k} {_sweep_worker(tasks[k])}\n".encode())
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        # Never return into the caller: the rest of its stack, its atexit
+        # handlers and its buffers belong to the parent.
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _fan_out(tasks: list, jobs: Optional[int]) -> list:
+    """Run every task in forked workers; return their exit codes in task order.
+
+    Worker i runs tasks i, i + n, ... of the n = min(jobs, len(tasks))
+    workers, pinned to the (i mod m)-th of the m CPUs this process may use.
+    jobs defaults to m.  Two unpinned workers often share one CPU for much
+    of a run, and a fork copies the loaded modules instead of importing
+    them again.  Raises RuntimeError naming the first run no worker
+    reported, once every worker has been reaped.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+    else:  # no CPU affinity (macOS): the workers run unpinned
+        cpus = [None] * (os.cpu_count() or 1)
+    n = min(jobs or len(cpus), len(tasks))
+    # the children inherit unwritten buffers and would write them again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # Frozen, the inherited heap is skipped by the children's collections,
+    # which would otherwise copy its pages, and by this process's last ones
+    # at exit, about 30 ms.  Its cycles are never collected after this:
+    # a sweep is the last thing a CLI process does.
+    gc.freeze()
+    # One pipe for all workers: a report line is shorter than PIPE_BUF, so
+    # each os.write lands whole, and reading it never leaves a worker
+    # waiting on a full pipe that is not being read.
+    read_fd, write_fd = os.pipe()
+    pids = []
+    try:
+        for i in range(n):
+            pid = os.fork()
+            if pid == 0:
+                _sweep_child(tasks, i, n, cpus[i % len(cpus)], write_fd)
+            pids.append(pid)
+    finally:
+        # the workers now hold the only write ends: EOF once all have exited
+        os.close(write_fd)
+        with open(read_fd, "rb") as reports:
+            received = reports.read()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    codes = dict(map(int, line.split()) for line in received.splitlines())
+    for k, (name, _, _) in enumerate(tasks):
+        if k not in codes:
+            raise RuntimeError(f"sweep run {name!r} did not finish: its worker "
+                               f"exited with status {statuses[k % n]}")
+    return [codes[k] for k in range(len(tasks))]
 
 
 def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
+    _check_jobs(jobs)
     raw = _read_json(config_path, "sweep config")
     if not isinstance(raw, dict):
         raise ConfigError("sweep config must contain a JSON object")
+    _reject_unknown_keys(raw, ("base", "runs", "output_dir", "jobs"), "sweep config")
     base = _require(raw, "base", "sweep config")
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(config_path), base)
@@ -577,10 +668,8 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
     out_dir = raw.get("output_dir", "sweep_out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"sweep output_dir must be a nonempty string, got {out_dir!r}")
-    raw_jobs = raw.get("jobs")
-    if raw_jobs is not None and (type(raw_jobs) is not int or raw_jobs < 1):
-        raise ConfigError(f"sweep jobs must be a positive integer, got {raw_jobs!r}")
-    jobs = jobs or raw_jobs or min(len(runs), os.cpu_count() or 1)
+    _check_jobs(raw.get("jobs"))
+    jobs = jobs or raw.get("jobs")
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = []
@@ -591,12 +680,13 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
         name = _require(run, "name", "sweep run")
         if not isinstance(name, str):
             raise ConfigError(f"sweep run name must be a string, got {name!r}")
+        _reject_unknown_keys(run, ("name", "overrides"), f"sweep run {name!r}")
         overrides = run.get("overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError(f"overrides of sweep run {name!r} must be an object, got {overrides!r}")
         merged = _deep_merge(base, overrides)
         merged["name"] = name
-        # fail fast on a malformed scenario before spawning workers
+        # fail fast on a malformed scenario before forking workers
         _scenario_from_dict(merged, name)
         # copy before mutating: non-overridden sections are shared with base
         merged["output"] = dict(merged.get("output") or {})
@@ -612,22 +702,16 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
         writers[csv_path] = name
         tasks.append((name, merged, out_dir))
 
-    # imported here: only sweep uses the pool, and every command pays the import
-    from concurrent.futures import ProcessPoolExecutor
-
-    results = []
-    # no more workers than runs: under fork the pool starts them all up front
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        for name, code in pool.map(_sweep_worker, tasks):
-            results.append((name, code))
-            log.info("sweep run %-20s exit %d", name, code)
+    codes = _fan_out(tasks, jobs)
+    for (name, _, _), code in zip(tasks, codes):
+        log.info("sweep run %-20s exit %d", name, code)
     summary = {
-        "runs": {name: code for name, code in results},
+        "runs": {name: code for (name, _, _), code in zip(tasks, codes)},
         "output_dir": out_dir,
-        "passed": all(code == EXIT_OK for _, code in results),
+        "passed": all(code == EXIT_OK for code in codes),
     }
     sys.stdout.write(_dump_json(summary))
-    return EXIT_OK if summary["passed"] else max(code for _, code in results)
+    return EXIT_OK if summary["passed"] else max(codes)
 
 
 def _guarded(fn, *args, **kwargs) -> int:

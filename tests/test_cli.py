@@ -5,6 +5,8 @@ subprocess test covers the module entry point.
 """
 
 import json
+import logging
+import os
 import subprocess
 import sys
 
@@ -177,7 +179,12 @@ def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
      "check 'convergence': threshold must be a number, got [1]"),
     ({"name": "dissipation", "budget_coeff": "x"},
      "check 'dissipation': budget_coeff must be a number, got 'x'"),
-], ids=["sector_rtol_null", "convergence_threshold_list", "dissipation_coeff_text"])
+    ({"name": "convergence", "treshold": 1e-9},
+     "unknown key 'treshold' in check 'convergence' (known: name, threshold)"),
+    ({"name": "sector", "rtol": 1e-9, "budget": 1e-6},
+     "unknown key 'budget' in check 'sector' (known: name, rtol)"),
+], ids=["sector_rtol_null", "convergence_threshold_list", "dissipation_coeff_text",
+        "convergence_misspelled_option", "sector_other_checks_option"])
 def test_simulate_bad_check_option_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                              check, message):
     monkeypatch.chdir(tmp_path)
@@ -395,8 +402,14 @@ _SWEEP_RUN = {"name": "a", "overrides": {"sim": {"t_end": 0.5}, "checks": ["sect
      "overrides of sweep run 'a' must be an object, got [1]"),
     ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "sector", "rtol": None}]}}]},
      "check 'sector': rtol must be a number, got None"),
+    ({"job": 1}, "unknown key 'job' in sweep config (known: base, runs, output_dir, jobs)"),
+    ({"runs": [{"name": "a", "overides": {"sim": {"t_end": 0.2}}}]},
+     "unknown key 'overides' in sweep run 'a' (known: name, overrides)"),
+    ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "sector", "rtl": 1}]}}]},
+     "unknown key 'rtl' in check 'sector' (known: name, rtol)"),
 ], ids=["output_dir_null", "output_dir_empty", "jobs_list", "jobs_zero", "jobs_bool", "base_list",
-        "run_not_object", "name_not_string", "overrides_list", "run_check_option"])
+        "run_not_object", "name_not_string", "overrides_list", "run_check_option",
+        "unknown_sweep_key", "unknown_run_key", "unknown_run_check_key"])
 def test_sweep_rejects_malformed_config_before_running(config_dir, tmp_path, monkeypatch, capsys,
                                                       fields, message):
     monkeypatch.chdir(tmp_path)
@@ -409,6 +422,93 @@ def test_sweep_rejects_malformed_config_before_running(config_dir, tmp_path, mon
     assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     # no run wrote anything
     assert not list(tmp_path.glob("**/*.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_jobs_flag_before_running(config_dir, tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "sweep.json", {"base": str(config_dir / "mass_spring_irc_k20.json"),
+                                          "output_dir": "out", "runs": [_SWEEP_RUN]})
+    assert cli.main(["sweep", cfg, "--jobs", jobs]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"config error: sweep jobs must be a positive integer, got {jobs}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_outputs_do_not_depend_on_jobs(config_dir, tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="higsni")
+    # Names out of sorted order, so that config order shows in the log.
+    gains = {"e": 20.0, "d": 5.0, "c": 1.0, "b": 10.0, "a": 2.0}
+    runs = [{"name": name, "overrides": {"controller": {"k_h": k_h}, "sim": {"t_end": 0.5},
+                                         "checks": ["sector", "lyapunov_monotone"]}}
+            for name, k_h in gains.items()]
+    outputs = {}
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"out{jobs}"
+        cfg = _write(tmp_path, f"sweep{jobs}.json", {
+            "base": str(config_dir / "mass_spring_irc_k20.json"), "output_dir": str(out),
+            "runs": runs})
+        caplog.clear()
+        assert cli.main(["sweep", cfg, "--jobs", jobs]) == 0
+        stdout = capsys.readouterr().out
+        logged = [r.getMessage().split()[2] for r in caplog.records
+                  if r.getMessage().startswith("sweep run")]
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs[jobs] = (stdout.replace(str(out), "OUT"), logged, files)
+    assert outputs["1"][1] == ["e", "d", "c", "b", "a"]
+    assert len(outputs["1"][2]) == 10
+    assert outputs["2"] == outputs["1"]
+    assert outputs["3"] == outputs["1"]
+
+
+def test_sweep_keeps_a_diverging_runs_exit_code(config_dir, tmp_path, capsys):
+    unstable = json.loads((config_dir / "mass_spring_irc_unstable.json").read_text())
+    sweep = {"base": str(config_dir / "mass_spring_irc_k20.json"),
+             "output_dir": str(tmp_path / "out"),
+             "runs": [{"name": "stable", "overrides": {"sim": {"t_end": 0.5}, "checks": ["sector"]}},
+                      {"name": "diverges", "overrides": {"controller": unstable["controller"],
+                                                         "checks": []}}]}
+    cfg = _write(tmp_path, "sweep.json", sweep)
+    assert cli.main(["sweep", cfg, "--jobs", "2"]) == cli.EXIT_RUNTIME
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["runs"] == {"stable": 0, "diverges": cli.EXIT_RUNTIME}
+    assert summary["passed"] is False
+
+
+def test_sweep_names_a_run_whose_worker_died(config_dir, tmp_path, monkeypatch, capfd):
+    # Worker 0 of two runs a then c; c raises an error no exit code maps.
+    simulate = cli._simulate_scenario
+
+    def fail_on_c(cfg, out_dir):
+        if cfg.name == "c":
+            raise TypeError("injected")
+        return simulate(cfg, out_dir)
+
+    monkeypatch.setattr(cli, "_simulate_scenario", fail_on_c)
+    out = tmp_path / "out"
+    sweep = {"base": str(config_dir / "mass_spring_irc_k20.json"), "output_dir": str(out),
+             "runs": [{"name": n, "overrides": {"sim": {"t_end": 0.2}, "checks": ["sector"]}}
+                      for n in "abc"]}
+    cfg = _write(tmp_path, "sweep.json", sweep)
+    with pytest.raises(RuntimeError, match="sweep run 'c' did not finish: its worker "
+                                           "exited with status 1"):
+        cli.main(["sweep", cfg, "--jobs", "2"])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a.csv", "a.report.json", "b.csv", "b.report.json"]
+    assert "TypeError: injected" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_fan_out_returns_every_code_in_task_order(monkeypatch, jobs):
+    # 20 000 report lines fill the workers' pipe several times over.
+    monkeypatch.setattr(cli, "_sweep_worker", lambda task: int(task[0]) % 4)
+    tasks = [(str(k), None, None) for k in range(20_000)]
+    assert cli._fan_out(tasks, jobs) == [k % 4 for k in range(20_000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_missing_base_exit_config(tmp_path):
@@ -446,12 +546,38 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, snippet):
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # Only sweep starts a process pool; every other command would pay the
-    # import of concurrent.futures.process and multiprocessing.
-    code = ("import sys, higsni.cli; print([m for m in sys.modules "
-            "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'])")
+def test_cli_import_leaves_process_pool_unloaded(config_dir, tmp_path):
+    # Sweep forks its workers itself: no command pays the import of
+    # concurrent.futures.process and multiprocessing, not even sweep.
+    cfg = _write(tmp_path, "sweep.json", {
+        "base": str(config_dir / "mass_spring_irc_k20.json"), "output_dir": str(tmp_path / "out"),
+        "runs": [{"name": n, "overrides": {"sim": {"t_end": 0.2}, "checks": []}} for n in "ab"]})
+    pool = ("[m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process']")
+    code = (f"import sys, higsni.cli; print({pool}, file=sys.stderr); "
+            f"assert higsni.cli.main(['sweep', {cfg!r}, '--jobs', '2']) == 0; "
+            f"print({pool}, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, cwd=str(REPO_ROOT))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stderr.splitlines() == ["[]", "[]"]
+    assert json.loads(proc.stdout)["runs"] == {"a": 0, "b": 0}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO_ROOT / "configs").glob("*.json")))
+def test_shipped_configs_load(config_dir, tmp_path, monkeypatch, capsys, name):
+    # Unknown keys are config errors; no shipped config may carry one.
+    path = str(config_dir / name)
+    if "base" not in json.loads((config_dir / name).read_text()):
+        cli.load_scenario(path)
+        return
+    monkeypatch.chdir(tmp_path)
+    loaded = []
+
+    def fan_out(tasks, jobs):
+        loaded.extend(tasks)
+        return [0] * len(tasks)
+
+    monkeypatch.setattr(cli, "_fan_out", fan_out)
+    assert cli.cmd_sweep(path) == 0
+    assert [task[0] for task in loaded] == ["k20", "k5"]
