@@ -169,6 +169,10 @@ def _reject_unknown_keys(d: dict, known: tuple, where: str) -> None:
 def _build_plant(d: dict):
     if not isinstance(d, dict):
         raise ConfigError("plant must be an object")
+    if "A" in d:
+        _reject_unknown_keys(d, ("A", "B", "C", "D_ff"), "plant")
+    elif "num" in d:
+        _reject_unknown_keys(d, ("num", "den"), "plant")
     try:
         if "A" in d:
             return StateSpace(d["A"], _require(d, "B", "plant"), _require(d, "C", "plant"),
@@ -187,13 +191,16 @@ def _build_controller(d: dict):
     row = CONTROLLERS.get(ctype) if isinstance(ctype, str) else None
     if row is None:
         raise ConfigError(f"unknown controller type {ctype!r}")
+    _reject_unknown_keys(d, ("type",) + row.keys, "controller")
     try:
         args = []
         for key in row.keys:
             value = _require(d, key, "controller")
             if key in _ELEMENT_KEYS:
-                value = HigsParams(_require(value, "omega_h", key), _require(value, "k_h", key))
-            args.append(value)
+                args.append(HigsParams(_require(value, "omega_h", key), _require(value, "k_h", key)))
+                _reject_unknown_keys(value, ("omega_h", "k_h"), key)
+            else:
+                args.append(value)
         return ctype, row.params(*args)
     except ConfigError:
         raise
@@ -204,6 +211,7 @@ def _build_controller(d: dict):
 def _build_sim(d: dict) -> SimConfig:
     if not isinstance(d, dict):
         raise ConfigError("sim must be an object")
+    _reject_unknown_keys(d, ("dt", "t_end", "x0", "controller_x0", "r", "record_every"), "sim")
     try:
         return SimConfig(
             dt=float(d.get("dt", 1e-3)),
@@ -227,6 +235,8 @@ def _normalize_checks(raw, ctype: str) -> list:
             name, given = entry["name"], entry
         else:
             raise ConfigError(f"check entries must be names or objects with 'name', got {entry!r}")
+        if not isinstance(name, str):
+            raise ConfigError(f"check name must be a string, got {name!r}")
         if name not in allowed:
             raise ConfigError(
                 f"check {name!r} not available for controller type {ctype!r} "
@@ -259,6 +269,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 def _scenario_from_dict(raw, default_name: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must contain a JSON object")
+    _reject_unknown_keys(raw, ("name", "plant", "controller", "sim", "checks", "output"), "scenario")
     plant = _build_plant(_require(raw, "plant", "scenario"))
     ctype, controller = _build_controller(_require(raw, "controller", "scenario"))
     sim = _build_sim(_require(raw, "sim", "scenario"))
@@ -266,6 +277,7 @@ def _scenario_from_dict(raw, default_name: str) -> ScenarioConfig:
     output = raw.get("output", {}) or {}
     if not isinstance(output, dict):
         raise ConfigError("output must be an object")
+    _reject_unknown_keys(output, ("csv", "report"), "output")
     return ScenarioConfig(
         name=str(raw.get("name", default_name)),
         plant=plant,
@@ -620,11 +632,6 @@ def _fan_out(tasks: list, jobs: Optional[int]) -> list:
     # the children inherit unwritten buffers and would write them again
     sys.stdout.flush()
     sys.stderr.flush()
-    # Frozen, the inherited heap is skipped by the children's collections,
-    # which would otherwise copy its pages, and by this process's last ones
-    # at exit, about 30 ms.  Its cycles are never collected after this:
-    # a sweep is the last thing a CLI process does.
-    gc.freeze()
     # One pipe for all workers: a report line is shorter than PIPE_BUF, so
     # each os.write lands whole, and reading it never leaves a worker
     # waiting on a full pipe that is not being read.
@@ -733,6 +740,11 @@ def _guarded(fn, *args, **kwargs) -> int:
 
 
 def main(argv=None) -> int:
+    # Frozen, the imported heap is skipped by every later collection: this
+    # process's last ones at exit, about 30 ms, and a forked sweep worker's,
+    # which would otherwise copy its pages.  Its cycles are never collected
+    # after this: one command is all a CLI process runs.
+    gc.freeze()
     level = os.environ.get("HIGSNI_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")

@@ -209,77 +209,85 @@ def pii2_effective_states(
     return x1e, x2e, x3e
 
 
-def resolve_pii2_error_signal(
-    y: float,
-    x_h1: float,
-    x_h2: float,
-    x_h3: float,
-    modes: ModeTriple,
-    p: HigsPii2Params,
-) -> Tuple[float, float]:
-    """Solve the algebraic loop e = gamma*y + gamma*D*(x_h1 + x_h3) for e.
+class Pii2ModeSystem(NamedTuple):
+    """The PII^2 loop with its three modes frozen, on z = [x; x_h1; x_h2; x_h3].
 
-    Gain-mode elements are substituted (x_h1 -> k_h1 e, x_h2 -> k_h2 e,
-    x_h3 -> k_h3 * input of H3), making the equation linear in e with a
-    denominator 1 - gamma*D*(...) >= 1 for D < 0.  Returns (e, u) with
-    u = x_h1 + x_h3 + k_p e evaluated on the substituted values.
+    dz/dt = J z + c, and the loop signals are affine rows of z: the error
+    e = w_e . z + c_e, the plant input u = w_u . z + c_u and the error rate
+    de/dt = w_de . z + c_de.  Gain-mode slots have zero rows in J and zero
+    weights in every row: their outputs are substituted algebraically.
     """
-    g1, g2, g3 = modes.h1 == HigsMode.GAIN, modes.h2 == HigsMode.GAIN, modes.h3 == HigsMode.GAIN
-    a = 0.0
-    b = 0.0
+
+    J: np.ndarray
+    c: np.ndarray
+    w_e: np.ndarray
+    c_e: float
+    w_u: np.ndarray
+    c_u: float
+    w_de: np.ndarray
+    c_de: float
+
+
+def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
+                     modes: ModeTriple) -> Pii2ModeSystem:
+    """Solve the algebraic loop e = gamma (r + y) + gamma D (x_h1 + x_h3).
+
+    Gain-mode outputs are substituted (x_h1 -> k_h1 e, x_h2 -> k_h2 e,
+    x_h3 -> k_h3 * input of H3), which leaves an equation linear in e with
+    the denominator 1 - gamma D (k_h1 [H1 gain] + k_h3 k_h2 [H2, H3 gain]),
+    at least 1 for D < 0.  Then u = x_h1 + x_h3 + k_p e on the substituted
+    outputs, and de/dt = w_e . dz/dt.
+    """
+    A, B, C = plant.A, plant.B, plant.C
+    n = plant.n
+    k1, k2, k3 = p.h1.k_h, p.h2.k_h, p.h3.k_h
+    g1, g2, g3 = (m == HigsMode.GAIN for m in modes)
+    gD = p.gamma * p.D
+    den = 1.0 - gD * ((k1 if g1 else 0.0) + (k3 * k2 if g3 and g2 else 0.0))
+    if abs(den) <= ALGEBRAIC_LOOP_TOL:
+        raise UnsolvableLoop(f"degenerate error equation, denominator {den}")
+    w_e = np.zeros(n + 3)
+    w_e[:n] = (p.gamma / den) * C
+    if not g1:
+        w_e[n] = gD / den
+    if g3 and not g2:
+        w_e[n + 1] = gD * k3 / den
+    if not g3:
+        w_e[n + 2] = gD / den
+    c_e = p.gamma * r / den
+    w_u = p.k_p * w_e
+    c_u = p.k_p * c_e
     if g1:
-        a += p.h1.k_h
+        w_u += k1 * w_e
+        c_u += k1 * c_e
     else:
-        b += x_h1
+        w_u[n] += 1.0
     if g3:
         if g2:
-            a += p.h3.k_h * p.h2.k_h
+            w_u += k3 * k2 * w_e
+            c_u += k3 * k2 * c_e
         else:
-            b += p.h3.k_h * x_h2
+            w_u[n + 1] += k3
     else:
-        b += x_h3
-    denom = 1.0 - p.gamma * p.D * a
-    if abs(denom) <= ALGEBRAIC_LOOP_TOL:
-        raise UnsolvableLoop(f"degenerate error equation, denominator {denom}")
-    e = p.gamma * (y + p.D * b) / denom
-    x1e, _, x3e = pii2_effective_states(e, (x_h1, x_h2, x_h3), modes, p)
-    u = x1e + x3e + p.k_p * e
-    return e, u
-
-
-def resolve_pii2_error_rate(
-    y_dot: float,
-    e: float,
-    states: Tuple[float, float, float],
-    modes: ModeTriple,
-    p: HigsPii2Params,
-) -> float:
-    """de/dt consistent with the active modes.
-
-    Differentiating the error equation couples de/dt back through gain-mode
-    elements (their rates are k_h * de/dt), so the rate solves a linear
-    equation of the same shape as the error itself.  Integrator-mode rates
-    contribute omega_h terms evaluated at the current e.
-    """
-    g1, g2, g3 = modes.h1 == HigsMode.GAIN, modes.h2 == HigsMode.GAIN, modes.h3 == HigsMode.GAIN
-    _, x2e, _ = pii2_effective_states(e, states, modes, p)
-    a = 0.0
-    beta = 0.0
-    if g1:
-        a += p.h1.k_h
-    else:
-        beta += p.h1.omega_h * e
-    if g3:
+        w_u[n + 2] += 1.0
+    J = np.zeros((n + 3, n + 3))
+    c = np.zeros(n + 3)
+    J[:n, :n] = A
+    J[:n, :] += np.outer(B, w_u)
+    c[:n] = B * c_u
+    if not g1:
+        J[n, :] = p.h1.omega_h * w_e
+        c[n] = p.h1.omega_h * c_e
+    if not g2:
+        J[n + 1, :] = p.h2.omega_h * w_e
+        c[n + 1] = p.h2.omega_h * c_e
+    if not g3:
         if g2:
-            a += p.h3.k_h * p.h2.k_h
+            J[n + 2, :] = p.h3.omega_h * k2 * w_e
+            c[n + 2] = p.h3.omega_h * k2 * c_e
         else:
-            beta += p.h3.k_h * p.h2.omega_h * e
-    else:
-        beta += p.h3.omega_h * x2e
-    denom = 1.0 - p.gamma * p.D * a
-    if abs(denom) <= ALGEBRAIC_LOOP_TOL:
-        raise UnsolvableLoop(f"degenerate error-rate equation, denominator {denom}")
-    return p.gamma * (y_dot + p.D * beta) / denom
+            J[n + 2, n + 1] = p.h3.omega_h
+    return Pii2ModeSystem(J, c, w_e, c_e, w_u, c_u, w_e @ J, float(w_e @ c))
 
 
 def higs_pii2_mode_update(

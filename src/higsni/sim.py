@@ -16,6 +16,12 @@ afterwards, and an integrator slot changes only where a clamp fires, which
 ends the block.  Signals, storage and the Lyapunov value are derived from
 the recorded rows afterwards.
 
+In the three-element loop gain-mode elements feed through, so its error is
+an algebraic equation.  controllers.pii2_mode_system solves it once per mode
+triple: besides the affine dynamics it returns the error, its rate and the
+plant input as affine rows of the joint state.  The block logic, the
+bisecting step and the recorded e and u all read those rows.
+
 Mode switches are handled where the loop algebra demands it: the
 single-element loop switches on the grid (its sector boundary does not
 depend on the element state), so its block logic settles a switching row
@@ -32,6 +38,7 @@ they are rejected.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -48,8 +55,7 @@ from .controllers import (
     gain_sum_admissible,
     higs_pii2_mode_update,
     pii2_effective_states,
-    resolve_pii2_error_rate,
-    resolve_pii2_error_signal,
+    pii2_mode_system,
 )
 from .higs import (
     HigsIrcParams,
@@ -60,7 +66,7 @@ from .higs import (
     storage_V2_cascade,
     storage_V_h,
 )
-from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, tf_to_ss
+from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, dc_gain, tf_to_ss
 
 
 # Rows per block of Trajectory._write_csv.  Formatting column by column,
@@ -695,8 +701,6 @@ def simulate_higs_pii2_loop(
     """
     if not _smallest_sv_ok(plant.A):
         raise SingularA("plant A must be invertible")
-    from .lti import dc_gain  # local import to keep module load light
-
     if not gain_sum_admissible(p, dc_gain(plant)):
         raise InvalidParameters(
             "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
@@ -706,138 +710,61 @@ def simulate_higs_pii2_loop(
     n = plant.n
     if cfg.x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
-    A, B, C = plant.A, plant.B, plant.C
-    CA = C @ A
-    CB = float(C @ B)
     r = cfg.r
     dt = cfg.dt
     ks = (p.h1.k_h, p.h2.k_h, p.h3.k_h)
-    gam = p.gamma
-    D = p.D
-    nz = n + 3
 
     xh0 = _controller_x0(cfg, 3)
 
-    def mode_matrices(modes: ModeTriple):
-        """Affine dz/dt = J z + c for one frozen mode combination.
+    @functools.cache
+    def system(modes: ModeTriple):
+        return pii2_mode_system(plant, p, r, modes)
 
-        Gain-mode element states are carried as frozen slots (zero rows)
-        and substituted algebraically wherever their outputs appear."""
-        g1 = modes.h1 == HigsMode.GAIN
-        g2 = modes.h2 == HigsMode.GAIN
-        g3 = modes.h3 == HigsMode.GAIN
-        a = (ks[0] if g1 else 0.0) + (ks[2] * ks[1] if (g3 and g2) else 0.0)
-        den = 1.0 - gam * D * a
-        if abs(den) <= ALGEBRAIC_LOOP_TOL:
-            raise UnsolvableLoop(f"degenerate error equation, denominator {den}")
-        w_e = np.zeros(nz)
-        w_e[:n] = (gam / den) * C
-        if not g1:
-            w_e[n] = gam * D / den
-        if g3 and not g2:
-            w_e[n + 1] = gam * D * ks[2] / den
-        if not g3:
-            w_e[n + 2] = gam * D / den
-        c_e = gam * r / den
-        w_u = p.k_p * w_e
-        c_u = p.k_p * c_e
-        if g1:
-            w_u += ks[0] * w_e
-            c_u += ks[0] * c_e
-        else:
-            w_u[n] += 1.0
-        if g3:
-            if g2:
-                w_u += ks[2] * ks[1] * w_e
-                c_u += ks[2] * ks[1] * c_e
-            else:
-                w_u[n + 1] += ks[2]
-        else:
-            w_u[n + 2] += 1.0
-        J = np.zeros((nz, nz))
-        c = np.zeros(nz)
-        J[:n, :n] = A
-        J[:n, :] += np.outer(B, w_u)
-        c[:n] = B * c_u
-        if not g1:
-            J[n, :] = p.h1.omega_h * w_e
-            c[n] = p.h1.omega_h * c_e
-        if not g2:
-            J[n + 1, :] = p.h2.omega_h * w_e
-            c[n + 1] = p.h2.omega_h * c_e
-        if not g3:
-            if g2:
-                J[n + 2, :] = p.h3.omega_h * ks[1] * w_e
-                c[n + 2] = p.h3.omega_h * ks[1] * c_e
-            else:
-                J[n + 2, n + 1] = p.h3.omega_h
-        return J, c
-
-    map_cache: dict = {}
-
-    def step_maps(modes: ModeTriple):
-        got = map_cache.get(modes)
-        if got is None:
-            J, c = mode_matrices(modes)
-            R, d = _rk4_affine_map(J, c, dt)
-            got = (J, c, R, d)
-            map_cache[modes] = got
-        return got
+    @functools.cache
+    def step_map(modes: ModeTriple):
+        s = system(modes)
+        return _rk4_affine_map(s.J, s.c, dt)
 
     def advance(z, modes, h):
-        J, c, R, d = step_maps(modes)
-        if h != dt:
-            R, d = _rk4_affine_map(J, c, h)
+        s = system(modes)
+        R, d = step_map(modes) if h == dt else _rk4_affine_map(s.J, s.c, h)
         return R @ z + d
 
-    def resolve_z(z, modes):
-        return resolve_pii2_error_signal(r + float(C @ z[:n]), z[n], z[n + 1], z[n + 2], modes, p)
+    def inputs(z, modes):
+        """The element inputs (e, e, H3's input) and the substituted element
+        outputs at a state."""
+        s = system(modes)
+        e = float(s.w_e @ z) + s.c_e
+        eff = pii2_effective_states(e, (z[n], z[n + 1], z[n + 2]), modes, p)
+        return (e, e, eff[1]), eff
 
     def mode_update(z, modes):
-        """Modes the update rule picks at a state, with the error and H3's input."""
-        e, u = resolve_z(z, modes)
-        slots = (z[n], z[n + 1], z[n + 2])
-        x1e, x2e, x3e = pii2_effective_states(e, slots, modes, p)
-        y_dot = float(CA @ z[:n]) + CB * u
-        e_dot = resolve_pii2_error_rate(y_dot, e, slots, modes, p)
-        return higs_pii2_mode_update(e, e_dot, (x1e, x2e, x3e), p, _EVENT_RTOL), e, x2e
+        """Modes the update rule picks at a state, with the element inputs."""
+        ins, eff = inputs(z, modes)
+        s = system(modes)
+        return higs_pii2_mode_update(ins[0], float(s.w_de @ z) + s.c_de, eff, p, _EVENT_RTOL), ins
 
     def probe(z, modes):
         """Settled-once modes and worst scaled sector exit at a state.
 
         The exit is measured as the projection distance in state units over
         max(1, |x_h|), the same scaling the boundary-eligibility test uses."""
-        new, e, x2e = mode_update(z, modes)
+        new, ins = mode_update(z, modes)
         viol = 0.0
-        pairs = []
-        if modes.h1 == HigsMode.INTEGRATOR:
-            pairs.append((e, z[n], ks[0]))
-        if modes.h2 == HigsMode.INTEGRATOR:
-            pairs.append((e, z[n + 1], ks[1]))
-        if modes.h3 == HigsMode.INTEGRATOR:
-            pairs.append((x2e, z[n + 2], ks[2]))
-        for ei, xi, ki in pairs:
-            gap = abs(project_to_sector(ei, xi, ki) - xi) / max(1.0, abs(xi))
-            if gap > viol:
-                viol = gap
+        for i, (mode, ei, ki) in enumerate(zip(modes, ins, ks)):
+            if mode == HigsMode.INTEGRATOR:
+                xi = z[n + i]
+                viol = max(viol, abs(project_to_sector(ei, xi, ki) - xi) / max(1.0, abs(xi)))
         return new, viol
 
     def finalize(z, modes):
         """Refresh gain slots and clamp rounding dust off the sectors."""
-        e, _ = resolve_z(z, modes)
-        x1e, x2e, x3e = pii2_effective_states(e, (z[n], z[n + 1], z[n + 2]), modes, p)
-        if modes.h1 == HigsMode.GAIN:
-            z[n] = x1e
-        else:
-            z[n] = project_to_sector(e, z[n], ks[0], SECTOR_CLAMP_TOL)
-        if modes.h2 == HigsMode.GAIN:
-            z[n + 1] = x2e
-        else:
-            z[n + 1] = project_to_sector(e, z[n + 1], ks[1], SECTOR_CLAMP_TOL)
-        if modes.h3 == HigsMode.GAIN:
-            z[n + 2] = x3e
-        else:
-            z[n + 2] = project_to_sector(x2e, z[n + 2], ks[2], SECTOR_CLAMP_TOL)
+        ins, eff = inputs(z, modes)
+        for i, (mode, ei, ki) in enumerate(zip(modes, ins, ks)):
+            if mode == HigsMode.GAIN:
+                z[n + i] = eff[i]
+            else:
+                z[n + i] = project_to_sector(ei, z[n + i], ki, SECTOR_CLAMP_TOL)
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
@@ -906,12 +833,11 @@ def simulate_higs_pii2_loop(
         """probe and finalize of one step on rows stepped in `modes`.  Keeps
         the rows before the first mode change or sector exit (the bisecting
         step takes that row) and up to the first row the clamp moved."""
-        X = Zb[:, :n]
+        s = system(modes)
         slots = tuple(Zb[:, n:].T.copy())
-        e, u = resolve_pii2_error_signal(r + np.vecdot(X, C), *slots, modes, p)
+        e = np.vecdot(Zb, s.w_e) + s.c_e
         eff = pii2_effective_states(e, slots, modes, p)
-        e_dot = resolve_pii2_error_rate(np.vecdot(X, CA) + CB * u, e, slots, modes, p)
-        gains = _pii2_gain_rows(e, e_dot, eff, p, _EVENT_RTOL)
+        gains = _pii2_gain_rows(e, np.vecdot(Zb, s.w_de) + s.c_de, eff, p, _EVENT_RTOL)
         event = np.zeros(len(Zb), dtype=bool)
         moved = np.zeros(len(Zb), dtype=bool)
         for i, (mode, g, x, ei, ki) in enumerate(zip(modes, gains, slots, (e, e, eff[1]), ks)):
@@ -927,21 +853,21 @@ def simulate_higs_pii2_loop(
         fired = np.flatnonzero(event | moved)
         if not len(fired):
             return len(Zb), modes
-        s = int(fired[0])
-        return (s if event[s] else s + 1), modes
+        first = int(fired[0])
+        return (first if event[first] else first + 1), modes
 
-    T, Z, M = _march(cfg, z, modes, lambda modes: step_maps(modes)[2:], pii2_rows, step)
+    T, Z, M = _march(cfg, z, modes, step_map, pii2_rows, step)
     X, XH = Z[:, :n], Z[:, n:]
-    y = _row_dots(X, C)
+    y = _row_dots(X, plant.C)
     e, u = np.empty(len(Z)), np.empty(len(Z))
-    # The error equation is elementwise once the modes are fixed: one
-    # resolve per recorded mode triple.
+    # The signals are rows of the state once the modes are fixed: one pair
+    # of row dots per recorded mode triple.
     codes = M @ (4, 2, 1)
     for c in np.unique(codes):
         rows = codes == c
-        triple = ModeTriple(*(HigsMode(int(c) >> b & 1) for b in (2, 1, 0)))
-        e[rows], u[rows] = resolve_pii2_error_signal(
-            r + y[rows], XH[rows, 0], XH[rows, 1], XH[rows, 2], triple, p)
+        s = system(ModeTriple(*(HigsMode(int(c) >> b & 1) for b in (2, 1, 0))))
+        e[rows] = _row_dots(Z[rows], s.w_e) + s.c_e
+        u[rows] = _row_dots(Z[rows], s.w_u) + s.c_u
     V1 = storage_V1(XH[:, 0], p.h1)
     V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
 

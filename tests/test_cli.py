@@ -134,6 +134,37 @@ def test_simulate_malformed_controller_exit_config(tmp_path, capsys, controller,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _with_keys(section, **extra):
+    return {section: {**_quick_scenario()[section], **extra}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"check": ["sector"]},
+     "unknown key 'check' in scenario (known: name, plant, controller, sim, checks, output)"),
+    (_with_keys("plant", D=0.0), "unknown key 'D' in plant (known: A, B, C, D_ff)"),
+    ({"plant": {"num": [1.0], "den": [1.0, 0.0, 1.0], "D_ff": 0.0}},
+     "unknown key 'D_ff' in plant (known: num, den)"),
+    (_with_keys("controller", kh=3.0),
+     "unknown key 'kh' in controller (known: type, omega_h, k_h, D)"),
+    ({"controller": dict(_PII2_CONTROLLER, h2={"omega_h": 0.2, "k_h": 1.0, "k": 1.0}),
+      "checks": []}, "unknown key 'k' in h2 (known: omega_h, k_h)"),
+    (_with_keys("sim", Dt=0.5),
+     "unknown key 'Dt' in sim (known: dt, t_end, x0, controller_x0, r, record_every)"),
+    (_with_keys("output", CSV="x.csv"), "unknown key 'CSV' in output (known: csv, report)"),
+], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output"])
+def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, capsys,
+                                                         overrides, message):
+    # A misspelled key would otherwise run on the default it was meant to change.
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "bad.json", _quick_scenario(**overrides))
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run.csv").exists()
+    # design reads only the plant section of a scenario file
+    assert cli.main(["design", cfg, "higs_irc"]) == (cli.EXIT_CONFIG if "plant" in overrides
+                                                     else cli.EXIT_OK)
+
+
 @pytest.mark.parametrize("controller_x0, message", [
     ([], "controller_x0 must be a scalar or 1 entries"),
     ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries"),
@@ -183,8 +214,9 @@ def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
      "unknown key 'treshold' in check 'convergence' (known: name, threshold)"),
     ({"name": "sector", "rtol": 1e-9, "budget": 1e-6},
      "unknown key 'budget' in check 'sector' (known: name, rtol)"),
+    ({"name": ["sector"]}, "check name must be a string, got ['sector']"),
 ], ids=["sector_rtol_null", "convergence_threshold_list", "dissipation_coeff_text",
-        "convergence_misspelled_option", "sector_other_checks_option"])
+        "convergence_misspelled_option", "sector_other_checks_option", "name_not_string"])
 def test_simulate_bad_check_option_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                              check, message):
     monkeypatch.chdir(tmp_path)
@@ -544,6 +576,18 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, snippet):
                           capture_output=True, text=True, cwd=str(REPO_ROOT))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_main_freezes_the_imported_heap(tmp_path):
+    # Frozen objects are skipped by every collection, the final ones at exit too.
+    cfg = _write(tmp_path, "quick.json", _quick_scenario(checks=[]))
+    code = ("import gc, higsni.cli; assert gc.get_freeze_count() == 0; "
+            f"assert higsni.cli.main(['simulate', {cfg!r}, '--out-dir', {str(tmp_path)!r}]) == 0; "
+            "print(gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, cwd=str(REPO_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 def test_cli_import_leaves_process_pool_unloaded(config_dir, tmp_path):

@@ -23,9 +23,8 @@ from higsni.controllers import (
     gain_sum_admissible,
     higs_pii2_mode_update,
     pii2_effective_states,
+    pii2_mode_system,
     pii2rc_sni_value,
-    resolve_pii2_error_rate,
-    resolve_pii2_error_signal,
 )
 from higsni.higs import HigsMode
 from higsni.lti import freq_response, sni_frequency_test
@@ -217,32 +216,43 @@ def test_gain_sum_exclusion():
 # algebraic loop
 
 
-def test_resolve_all_integrator_hand_value():
+def _signals(plant, y, y_dot, states, modes, p, r=0.0):
+    """(e, u, de/dt) read off the frozen-mode rows at [y, y_dot, *states].
+
+    On the mass-spring plant y = x1 and dy/dt = x2 (C B = 0), so that joint
+    state sets the plant output and its rate directly."""
+    s = pii2_mode_system(plant, p, r, modes)
+    z = np.array([y, y_dot, *states])
+    return (float(s.w_e @ z) + s.c_e, float(s.w_u @ z) + s.c_u,
+            float(s.w_de @ z) + s.c_de)
+
+
+def test_resolve_all_integrator_hand_value(plant):
     p = _bank(k_p=1.0, D=-1.0, k1=1.0)
-    modes = ModeTriple(INT, INT, INT)
-    e, u = resolve_pii2_error_signal(1.0, 0.0, 0.0, 0.0, modes, p)
-    assert e == pytest.approx(0.5)
-    assert u == pytest.approx(0.5)
+    for r, y in ((1.0, 0.0), (0.0, 1.0)):    # the reference and the output enter alike
+        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), ModeTriple(INT, INT, INT), p, r)
+        assert e == pytest.approx(0.5)
+        assert u == pytest.approx(0.5)
 
 
-def test_resolve_equilibrium_is_zero():
-    e, u = resolve_pii2_error_signal(0.0, 0.0, 0.0, 0.0, ModeTriple(INT, INT, INT), _bank())
-    assert e == 0.0 and u == 0.0
+def test_resolve_equilibrium_is_zero(plant):
+    for modes in MODE_COMBOS:
+        assert _signals(plant, 0.0, 0.0, (0.0, 0.0, 0.0), modes, _bank()) == (0.0, 0.0, 0.0)
 
 
-def test_resolve_first_element_gain_hand_value():
+def test_resolve_first_element_gain_hand_value(plant):
     p = _bank(k_p=1.0, D=-1.0, k1=1.0)
-    modes = ModeTriple(GAIN, INT, INT)
-    e, u = resolve_pii2_error_signal(1.0, 0.0, 0.0, 0.0, modes, p)
-    assert e == pytest.approx(1.0 / 3.0)
-    assert u == pytest.approx(2.0 / 3.0)
+    for r, y in ((1.0, 0.0), (0.0, 1.0)):    # the reference and the output enter alike
+        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), ModeTriple(GAIN, INT, INT), p, r)
+        assert e == pytest.approx(1.0 / 3.0)
+        assert u == pytest.approx(2.0 / 3.0)
 
 
 @given(signal, signal, signal, signal, gains, neg_d, gains, gains)
-def test_resolve_reproduces_the_output_in_every_mode(y, x1, x2, x3, k_p, D, k1, k23):
+def test_resolve_reproduces_the_output_in_every_mode(plant, y, x1, x2, x3, k_p, D, k1, k23):
     p = _bank(k_p=k_p, D=D, k1=k1, k23=k23)
     for modes in MODE_COMBOS:
-        e, u = resolve_pii2_error_signal(y, x1, x2, x3, modes, p)
+        e, u, _ = _signals(plant, y, 0.0, (x1, x2, x3), modes, p)
         x1e, x2e, x3e = pii2_effective_states(e, (x1, x2, x3), modes, p)
         y_rec = e / p.gamma - p.D * (x1e + x3e)
         scale = max(1.0, abs(y), abs(e) / p.gamma, abs(p.D) * (abs(x1e) + abs(x3e)))
@@ -251,12 +261,11 @@ def test_resolve_reproduces_the_output_in_every_mode(y, x1, x2, x3, k_p, D, k1, 
 
 
 @given(signal, signal, signal, signal, signal, gains, neg_d, gains, gains)
-def test_error_rate_satisfies_the_differentiated_loop(y, y_dot, x1, x2, x3,
+def test_error_rate_satisfies_the_differentiated_loop(plant, y, y_dot, x1, x2, x3,
                                                       k_p, D, k1, k23):
     p = _bank(k_p=k_p, D=D, k1=k1, k23=k23)
     for modes in MODE_COMBOS:
-        e, _ = resolve_pii2_error_signal(y, x1, x2, x3, modes, p)
-        e_dot = resolve_pii2_error_rate(y_dot, e, (x1, x2, x3), modes, p)
+        e, _, e_dot = _signals(plant, y, y_dot, (x1, x2, x3), modes, p)
         _, x2e, _ = pii2_effective_states(e, (x1, x2, x3), modes, p)
         x1_dot = p.h1.k_h * e_dot if modes.h1 == GAIN else p.h1.omega_h * e
         x2_dot = p.h2.k_h * e_dot if modes.h2 == GAIN else p.h2.omega_h * e

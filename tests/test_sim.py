@@ -34,7 +34,7 @@ from higsni import (
     simulate_linear_loop,
 )
 from higsni import cli, controllers, lti, sim
-from higsni.controllers import ModeTriple, higs_pii2_mode_update, resolve_pii2_error_signal
+from higsni.controllers import ModeTriple, higs_pii2_mode_update, pii2_mode_system
 from higsni.higs import (
     MODE_BOUNDARY_RTOL,
     HigsMode,
@@ -620,16 +620,18 @@ def test_pii2_loop_signal_identities(pii2_traj):
     assert np.abs(res_u).max() <= 1e-9
 
 
-def test_pii2_loop_error_matches_per_row_resolve(plant, pii2_traj):
-    # e and u are resolved once per recorded mode triple; that must equal
-    # resolving every row on its own, bit for bit.
+def test_pii2_loop_signals_match_per_row_mode_system(plant, pii2_traj):
+    # e and u are row dots taken once per recorded mode triple; that must
+    # equal reading each row off its triple's rows on its own, bit for bit.
     assert len(np.unique(pii2_traj.modes, axis=0)) >= 2
-    xh = pii2_traj.controller_states
-    for i, m in enumerate(pii2_traj.modes):
-        y = 0.0 + float(plant.C @ pii2_traj.plant_states[i])   # r = 0
-        e, u = resolve_pii2_error_signal(y, xh[i, 0], xh[i, 1], xh[i, 2],
-                                         ModeTriple(*map(HigsMode, m)), PII2)
-        assert (e, u) == (pii2_traj.e[i], pii2_traj.u[i])
+    Z = np.hstack([pii2_traj.plant_states, pii2_traj.controller_states])
+    modes = list(map(tuple, pii2_traj.modes.tolist()))
+    systems = {m: pii2_mode_system(plant, PII2, 0.0, ModeTriple(*map(HigsMode, m)))   # r = 0
+               for m in set(modes)}
+    for i, m in enumerate(modes):
+        s = systems[m]
+        assert float(s.w_e @ Z[i]) + s.c_e == pii2_traj.e[i]
+        assert float(s.w_u @ Z[i]) + s.c_u == pii2_traj.u[i]
 
 
 def test_pii2_loop_storage_series_match_states(pii2_traj):
