@@ -89,13 +89,9 @@ class _Controller(NamedTuple):
 
 _ELEMENT_KEYS = ("h1", "h2", "h3")
 
-# The numeric option each trajectory check takes from a scenario, with its default.
-_CHECK_OPTIONS = {
-    "sector": ("rtol", 1e-9),
-    "lyapunov_monotone": ("budget", 1e-6),
-    "dissipation": ("budget_coeff", 100.0),
-    "convergence": ("threshold", 0.2),
-}
+# The numeric options a trajectory check takes from a scenario, with their
+# defaults; the other checks' tolerances are constants of sim.
+_CHECK_OPTIONS = {"convergence": {"threshold": 0.2}}
 
 
 def _linear_loop(tf: Callable) -> Callable:
@@ -135,9 +131,6 @@ class CheckReport:
     passed: bool
     condition: str
     evidence: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -212,16 +205,22 @@ def _build_sim(d: dict) -> SimConfig:
     if not isinstance(d, dict):
         raise ConfigError("sim must be an object")
     _reject_unknown_keys(d, ("dt", "t_end", "x0", "controller_x0", "r", "record_every"), "sim")
+    # JSON numbers only: float() and int() would also take "3", true and 2.5.
+    for key in ("dt", "t_end", "r"):
+        if key in d and type(d[key]) not in (int, float):
+            raise ConfigError(f"sim {key} must be a number, got {d[key]!r}")
+    if type(d.get("record_every", 1)) is not int:
+        raise ConfigError(f"sim record_every must be an integer, got {d['record_every']!r}")
     try:
         return SimConfig(
-            dt=float(d.get("dt", 1e-3)),
-            t_end=float(_require(d, "t_end", "sim")),
+            dt=d.get("dt", 1e-3),
+            t_end=_require(d, "t_end", "sim"),
             x0=_require(d, "x0", "sim"),
             controller_x0=d.get("controller_x0", 0.0),
-            r=float(d.get("r", 0.0)),
-            record_every=int(d.get("record_every", 1)),
+            r=d.get("r", 0.0),
+            record_every=d.get("record_every", 1),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid sim section: {exc}") from exc
 
 
@@ -241,13 +240,16 @@ def _normalize_checks(raw, ctype: str) -> list:
             raise ConfigError(
                 f"check {name!r} not available for controller type {ctype!r} "
                 f"(available: {sorted(allowed)})")
-        key, default = _CHECK_OPTIONS[name]
-        _reject_unknown_keys(given, ("name", key), f"check {name!r}")
-        value = given.get(key, default)
-        try:
-            checks.append((name, {key: float(value)}))
-        except (TypeError, ValueError):
-            raise ConfigError(f"check {name!r}: {key} must be a number, got {value!r}") from None
+        defaults = _CHECK_OPTIONS.get(name, {})
+        _reject_unknown_keys(given, ("name", *defaults), f"check {name!r}")
+        options = {}
+        for key, default in defaults.items():
+            value = given.get(key, default)
+            try:
+                options[key] = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"check {name!r}: {key} must be a number, got {value!r}") from None
+        checks.append((name, options))
     return checks
 
 
@@ -295,24 +297,9 @@ def _plant_ss(plant) -> StateSpace:
     return plant if isinstance(plant, StateSpace) else tf_to_ss(plant)
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_json_ready(obj), sort_keys=True, indent=2) + "\n"
+    # numpy arrays and the numpy scalars json cannot take become lists and numbers
+    return json.dumps(obj, default=lambda o: o.tolist(), sort_keys=True, indent=2) + "\n"
 
 
 def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
@@ -345,7 +332,7 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
     reports = {}
     for name, opts in cfg.checks:
         if name == "sector":
-            reports[name] = asdict(check_sector(traj, **opts))
+            reports[name] = asdict(check_sector(traj))
         elif name == "lyapunov_monotone":
             if traj.W is None:
                 reports[name] = {
@@ -353,9 +340,9 @@ def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
                     "reason": (cert_info or {}).get("reason", "no Lyapunov certificate available"),
                 }
             else:
-                reports[name] = asdict(check_monotone(traj, **opts))
+                reports[name] = asdict(check_monotone(traj))
         elif name == "dissipation":
-            reports[name] = asdict(check_dissipation(traj, **opts))
+            reports[name] = asdict(check_dissipation(traj))
         elif name == "convergence":
             threshold = opts["threshold"]
             final = np.concatenate([traj.plant_states[-1], traj.controller_states[-1]])
@@ -504,7 +491,7 @@ def cmd_check(config_path: str, which: str) -> int:
         report = _stability_report(cfg, plant)
     else:
         raise ConfigError(f"unknown check {which!r}")
-    sys.stdout.write(_dump_json(report.to_dict()))
+    sys.stdout.write(_dump_json(asdict(report)))
     return EXIT_OK if report.passed else EXIT_CHECK
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .higs import HigsMode, HigsParams, determine_mode_base, MODE_BOUNDARY_RTOL
+from .higs import HigsMode, HigsParams, _where, gain_mode
 from .lti import RationalTF, StateSpace, dc_gain
 
 # |1/(G(0) + D) - gain sum| must exceed this times max(1, |1/(G(0) + D)|);
@@ -290,25 +290,16 @@ def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
     return Pii2ModeSystem(J, c, w_e, c_e, w_u, c_u, w_e @ J, float(w_e @ c))
 
 
-def higs_pii2_mode_update(
-    e: float,
-    e_dot: float,
-    states: Tuple[float, float, float],
-    p: HigsPii2Params,
-    tol: float = MODE_BOUNDARY_RTOL,
-) -> ModeTriple:
-    """Per-element mode decisions with H3 driven by H2's output.
+def higs_pii2_mode_update(e, e_dot, states, p: HigsPii2Params, tol: float):
+    """Gain-mode flags of H1, H2 and H3, on floats or elementwise on arrays.
 
     H1 and H2 see (e, de/dt).  H3's input is x_h2, whose rate depends on
     H2's mode decided in this same call: omega_h2 * e when integrating,
-    k_h2 * de/dt in gain mode.
+    k_h2 * de/dt in gain mode, where x_h2 is k_h2 e.
     """
     x1, x2, x3 = states
-    m1 = determine_mode_base(e, e_dot, x1, p.h1, tol)
-    m2 = determine_mode_base(e, e_dot, x2, p.h2, tol)
-    if m2 == HigsMode.GAIN:
-        e3, e3_dot = p.h2.k_h * e, p.h2.k_h * e_dot
-    else:
-        e3, e3_dot = x2, p.h2.omega_h * e
-    m3 = determine_mode_base(e3, e3_dot, x3, p.h3, tol)
-    return ModeTriple(m1, m2, m3)
+    g1 = gain_mode(e, e_dot, x1, p.h1.k_h, p.h1, tol)
+    g2 = gain_mode(e, e_dot, x2, p.h2.k_h, p.h2, tol)
+    e3 = _where(g2, p.h2.k_h * e, x2)
+    e3_dot = _where(g2, p.h2.k_h * e_dot, p.h2.omega_h * e)
+    return g1, g2, gain_mode(e3, e3_dot, x3, p.h3.k_h, p.h3, tol)

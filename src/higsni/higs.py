@@ -20,6 +20,11 @@ obeys
 with D < 0, sector bound kappa_tilde, and the same switching inequality
 still written with k_h.  Storage functions for both variants are quadratic
 in x_h and certify e * dx_h/dt dissipation along trajectories.
+
+The element law, project_to_sector and gain_mode, is written once for
+floats and arrays alike: on arrays it acts elementwise, and every element
+equals the float result bit for bit.  The simulators' block scans call it
+on arrays, the three-element loop's bisecting step on floats.
 """
 
 from __future__ import annotations
@@ -79,59 +84,44 @@ class HigsIrcParams:
         object.__setattr__(self, "kappa_tilde", self.k_h / (1.0 - self.k_h * self.D))
 
 
-def sector_contains(e: float, u: float, k: float, tol: float = 0.0) -> bool:
-    """e*u >= u^2/k - tol, the sector of admissible (input, output) pairs."""
-    return e * u >= u * u / k - tol
+def _where(cond, a, b):
+    """np.where(cond, a, b) when cond is an array, the plain conditional on a
+    scalar, where np.where would cost several times the arithmetic it picks
+    from."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
-def project_to_sector(e: float, x_h: float, k_bound: float, tol: float = 0.0) -> float:
-    """Clamp x_h into the sector for input e.
+def project_to_sector(e, x_h, k_bound: float, tol: float):
+    """Clamp x_h into the sector e*x_h >= x_h^2/k_bound - tol for input e.
 
-    Inside the sector the value is returned unchanged; outside, the nearest
-    boundary point is returned (the sector at fixed e is the interval
-    between 0 and k_bound*e).  The result always satisfies sector_contains.
+    Inside the sector x_h is returned unchanged; outside, the nearest
+    boundary point (the sector at fixed e is the interval between 0 and
+    k_bound*e).  The clamp picks with comparisons, not np.maximum/np.minimum,
+    so arrays and floats give the same bits, NaN and signed zeros included.
     """
-    if sector_contains(e, x_h, k_bound, tol):
-        return x_h
     edge = k_bound * e
-    lo, hi = (0.0, edge) if edge >= 0.0 else (edge, 0.0)
-    return min(max(x_h, lo), hi)
+    up = edge >= 0.0
+    lo = _where(up, 0.0, edge)
+    hi = _where(up, edge, 0.0)
+    v = _where(lo > x_h, lo, x_h)
+    v = _where(hi < v, hi, v)
+    return _where(e * x_h >= x_h * x_h / k_bound - tol, x_h, v)
 
 
-def determine_mode_base(
-    e: float,
-    e_dot: float,
-    x_h: float,
-    p: HigsParams,
-    tol: float = MODE_BOUNDARY_RTOL,
-) -> HigsMode:
-    """Gain mode iff x_h sits on u = k_h e and omega_h e^2 > k_h e e_dot.
+def gain_mode(e, e_dot, x_h, k_bound: float, p, tol: float):
+    """True where the element is in gain mode: x_h sits on u = k_bound e and
+    omega_h e^2 > k_h e e_dot.
 
-    The boundary test is relative: |x_h - k_h e| <= tol * max(1, |x_h|).
-    Exact equality in the switching inequality resolves to integrator mode.
+    k_bound is p.k_h for a base element and p.kappa_tilde for a compensated
+    one, whose switching inequality still uses the raw gain k_h.  The
+    boundary test is relative, |x_h - k_bound e| <= tol * max(1, |x_h|);
+    equality in the switching inequality resolves to integrator mode.
     """
-    if abs(x_h - p.k_h * e) <= tol * max(1.0, abs(x_h)):
-        if p.omega_h * e * e > p.k_h * e * e_dot:
-            return HigsMode.GAIN
-    return HigsMode.INTEGRATOR
-
-
-def determine_mode_irc(
-    e_tilde: float,
-    e_tilde_dot: float,
-    x_h: float,
-    p: HigsIrcParams,
-    tol: float = MODE_BOUNDARY_RTOL,
-) -> HigsMode:
-    """Mode for the compensated element.
-
-    The boundary is x_h = kappa_tilde * e_tilde, while the switching
-    inequality keeps the raw gain: omega_h e^2 > k_h e de/dt.
-    """
-    if abs(x_h - p.kappa_tilde * e_tilde) <= tol * max(1.0, abs(x_h)):
-        if p.omega_h * e_tilde * e_tilde > p.k_h * e_tilde * e_tilde_dot:
-            return HigsMode.GAIN
-    return HigsMode.INTEGRATOR
+    a = abs(x_h)
+    on_edge = abs(x_h - k_bound * e) <= tol * _where(a > 1.0, a, 1.0)
+    return on_edge & (p.omega_h * e * e > p.k_h * e * e_dot)
 
 
 def storage_V_h(x_h: float, p: HigsIrcParams) -> float:

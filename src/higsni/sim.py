@@ -27,8 +27,11 @@ single-element loop switches on the grid (its sector boundary does not
 depend on the element state), so its block logic settles a switching row
 itself, while the three-element loop localizes sector exits by bisection
 inside the step and switches on the boundary itself; its block ends before
-such a row, which is then taken by the bisecting step.  Recorded samples
-satisfy the sector inequalities by construction up to rounding.
+such a row, which is then taken by the bisecting step.  The block scans
+and the bisecting step share one element law: higs.project_to_sector,
+higs.gain_mode and controllers.higs_pii2_mode_update, applied to arrays of
+rows in the scans and to floats in the step.  Recorded samples satisfy the
+sector inequalities by construction up to rounding.
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -61,6 +64,7 @@ from .higs import (
     HigsIrcParams,
     HigsMode,
     MODE_BOUNDARY_RTOL,
+    gain_mode,
     project_to_sector,
     storage_V1,
     storage_V2_cascade,
@@ -456,43 +460,6 @@ def _quadratic_rows(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.vecdot(np.vecmat(0.5 * Z, Q), Z)
 
 
-# Elementwise forms of the scalar mode logic, for the block scans of _march.
-# Each applies the scalar function's operations in the same order, so every
-# element equals the scalar result bit for bit (NaN and signed zeros too);
-# np.where, not np.maximum/np.minimum, reproduces Python's max and min.
-
-
-def _sector_clamp_rows(e: np.ndarray, x_h: np.ndarray, k_bound: float, tol: float) -> np.ndarray:
-    """project_to_sector(e, x_h, k_bound, tol) elementwise."""
-    edge = k_bound * e
-    up = edge >= 0.0
-    lo = np.where(up, 0.0, edge)
-    hi = np.where(up, edge, 0.0)
-    v = np.where(lo > x_h, lo, x_h)
-    v = np.where(hi < v, hi, v)
-    return np.where(e * x_h >= x_h * x_h / k_bound - tol, x_h, v)
-
-
-def _gain_mode_rows(e, e_dot, x_h, k_bound: float, p, tol: float) -> np.ndarray:
-    """Gain-mode mask of determine_mode_base (k_bound = p.k_h) or
-    determine_mode_irc (k_bound = p.kappa_tilde), elementwise."""
-    # max(1, |x_h|) is NaN at NaN x_h where Python's max gives 1.0; the
-    # comparison is False either way.
-    on_edge = np.abs(x_h - k_bound * e) <= tol * np.maximum(np.abs(x_h), 1.0)
-    return on_edge & (p.omega_h * e * e > p.k_h * e * e_dot)
-
-
-def _pii2_gain_rows(e, e_dot, states, p: HigsPii2Params, tol: float):
-    """Gain-mode masks of higs_pii2_mode_update elementwise, H3 driven by
-    H2's output (k_h2 e in gain mode, x_h2 integrating)."""
-    x1, x2, x3 = states
-    g1 = _gain_mode_rows(e, e_dot, x1, p.h1.k_h, p.h1, tol)
-    g2 = _gain_mode_rows(e, e_dot, x2, p.h2.k_h, p.h2, tol)
-    e3 = np.where(g2, p.h2.k_h * e, x2)
-    e3_dot = np.where(g2, p.h2.k_h * e_dot, p.h2.omega_h * e)
-    return g1, g2, _gain_mode_rows(e3, e3_dot, x3, p.h3.k_h, p.h3, tol)
-
-
 # ---------------------------------------------------------------------------
 # HIGS-IRC loop
 
@@ -553,8 +520,8 @@ def simulate_higs_irc_loop(
             Zb[:, n] = kt * e
         xh = Zb[:, n].copy()
         e_dot = np.vecdot(X, CA) + CB * xh
-        xc = _sector_clamp_rows(e, xh, kt, SECTOR_CLAMP_TOL)
-        to_gain = _gain_mode_rows(e, e_dot, xc, kt, p, MODE_BOUNDARY_RTOL)
+        xc = project_to_sector(e, xh, kt, SECTOR_CLAMP_TOL)
+        to_gain = gain_mode(e, e_dot, xc, kt, p, MODE_BOUNDARY_RTOL)
         Zb[:, n] = np.where(to_gain, kt * e, xc)
         fired = np.flatnonzero((to_gain != gain) | (xc != xh))
         q = int(fired[0]) + 1 if len(fired) else len(Zb)
@@ -742,7 +709,8 @@ def simulate_higs_pii2_loop(
         """Modes the update rule picks at a state, with the element inputs."""
         ins, eff = inputs(z, modes)
         s = system(modes)
-        return higs_pii2_mode_update(ins[0], float(s.w_de @ z) + s.c_de, eff, p, _EVENT_RTOL), ins
+        gains = higs_pii2_mode_update(ins[0], float(s.w_de @ z) + s.c_de, eff, p, _EVENT_RTOL)
+        return ModeTriple(*(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in gains)), ins
 
     def probe(z, modes):
         """Settled-once modes and worst scaled sector exit at a state.
@@ -754,7 +722,7 @@ def simulate_higs_pii2_loop(
         for i, (mode, ei, ki) in enumerate(zip(modes, ins, ks)):
             if mode == HigsMode.INTEGRATOR:
                 xi = z[n + i]
-                viol = max(viol, abs(project_to_sector(ei, xi, ki) - xi) / max(1.0, abs(xi)))
+                viol = max(viol, abs(project_to_sector(ei, xi, ki, 0.0) - xi) / max(1.0, abs(xi)))
         return new, viol
 
     def finalize(z, modes):
@@ -837,7 +805,7 @@ def simulate_higs_pii2_loop(
         slots = tuple(Zb[:, n:].T.copy())
         e = np.vecdot(Zb, s.w_e) + s.c_e
         eff = pii2_effective_states(e, slots, modes, p)
-        gains = _pii2_gain_rows(e, np.vecdot(Zb, s.w_de) + s.c_de, eff, p, _EVENT_RTOL)
+        gains = higs_pii2_mode_update(e, np.vecdot(Zb, s.w_de) + s.c_de, eff, p, _EVENT_RTOL)
         event = np.zeros(len(Zb), dtype=bool)
         moved = np.zeros(len(Zb), dtype=bool)
         for i, (mode, g, x, ei, ki) in enumerate(zip(modes, gains, slots, (e, e, eff[1]), ks)):
@@ -846,8 +814,8 @@ def simulate_higs_pii2_loop(
                 Zb[:, n + i] = eff[i]
             else:
                 event |= g
-                event |= np.abs(_sector_clamp_rows(ei, x, ki, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
-                xc = _sector_clamp_rows(ei, x, ki, SECTOR_CLAMP_TOL)
+                event |= np.abs(project_to_sector(ei, x, ki, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
+                xc = project_to_sector(ei, x, ki, SECTOR_CLAMP_TOL)
                 moved |= xc != x
                 Zb[:, n + i] = xc
         fired = np.flatnonzero(event | moved)
@@ -893,6 +861,14 @@ def simulate_higs_pii2_loop(
 # ---------------------------------------------------------------------------
 # Trajectory checks
 
+# Each check reports its tolerance beside its verdict.
+# check_sector: a sample may miss the sector by this relative margin.
+SECTOR_CHECK_RTOL = 1e-9
+# check_monotone: W may rise by this times the time between two samples.
+MONOTONE_BUDGET = 1e-6
+# check_dissipation: storage may exceed the supplied energy by this times dt^2.
+DISSIPATION_BUDGET_COEFF = 100.0
+
 
 @dataclass(frozen=True)
 class MonotoneReport:
@@ -902,12 +878,12 @@ class MonotoneReport:
     budget: float
 
 
-def check_monotone(traj: Trajectory, budget: float = 1e-6) -> MonotoneReport:
-    """W(t_{k+1}) <= W(t_k) + budget * (t_{k+1} - t_k) at every sample pair."""
+def check_monotone(traj: Trajectory) -> MonotoneReport:
+    """W(t_{k+1}) <= W(t_k) + MONOTONE_BUDGET * (t_{k+1} - t_k) at every sample pair."""
     if traj.W is None:
         raise ValueError("trajectory has no Lyapunov series; supply a certificate when simulating")
     dW = np.diff(traj.W)
-    allow = budget * np.diff(traj.times)
+    allow = MONOTONE_BUDGET * np.diff(traj.times)
     excess = dW - allow
     worst = int(np.argmax(excess)) if len(excess) else 0
     passed = bool(len(excess) == 0 or excess[worst] <= 0.0)
@@ -916,7 +892,7 @@ def check_monotone(traj: Trajectory, budget: float = 1e-6) -> MonotoneReport:
         passed=passed,
         worst_increase=worst_increase,
         worst_time=float(traj.times[worst + 1]) if len(excess) else float(traj.times[0]),
-        budget=float(budget),
+        budget=MONOTONE_BUDGET,
     )
 
 
@@ -946,8 +922,9 @@ def _sector_pairs(traj: Trajectory):
     raise ValueError(f"no sector constraint for controller kind {kind!r}")
 
 
-def check_sector(traj: Trajectory, rtol: float = 1e-9) -> SectorReport:
-    """Relative sector test e*u >= u^2/k at every recorded sample."""
+def check_sector(traj: Trajectory) -> SectorReport:
+    """Relative sector test e*u >= u^2/k at every recorded sample, within
+    SECTOR_CHECK_RTOL."""
     worst = np.inf
     worst_t = float(traj.times[0])
     worst_el = 0
@@ -962,11 +939,11 @@ def check_sector(traj: Trajectory, rtol: float = 1e-9) -> SectorReport:
             worst_t = float(traj.times[i])
             worst_el = idx
     return SectorReport(
-        passed=bool(worst >= -rtol),
+        passed=bool(worst >= -SECTOR_CHECK_RTOL),
         worst_margin=worst,
         worst_time=worst_t,
         worst_element=worst_el,
-        rtol=float(rtol),
+        rtol=SECTOR_CHECK_RTOL,
     )
 
 
@@ -978,8 +955,8 @@ class DissipationReport:
     budget_coeff: float
 
 
-def check_dissipation(traj: Trajectory, budget_coeff: float = 100.0) -> DissipationReport:
-    """Trapezoid storage inequality dV <= mean(e) * dx_h + coeff * dt^2.
+def check_dissipation(traj: Trajectory) -> DissipationReport:
+    """Trapezoid storage inequality dV <= mean(e) * dx_h + DISSIPATION_BUDGET_COEFF * dt^2.
 
     Applies to the single-element loop (V against the supply e * dx_h/dt).
     The budget absorbs integration error; it shrinks quadratically with the
@@ -992,11 +969,11 @@ def check_dissipation(traj: Trajectory, budget_coeff: float = 100.0) -> Dissipat
     dV = np.diff(traj.V)
     supply = 0.5 * (e[1:] + e[:-1]) * np.diff(xh)
     dts = np.diff(traj.times)
-    excess = dV - supply - budget_coeff * dts * dts
+    excess = dV - supply - DISSIPATION_BUDGET_COEFF * dts * dts
     i = int(np.argmax(excess))
     return DissipationReport(
         passed=bool(excess[i] <= 0.0),
         worst_excess=float((dV - supply)[i]),
         worst_time=float(traj.times[i + 1]),
-        budget_coeff=float(budget_coeff),
+        budget_coeff=DISSIPATION_BUDGET_COEFF,
     )

@@ -111,8 +111,8 @@ def test_criterion_4_sni_closed_form_matches_direct():
 
 
 def test_criterion_5_lyapunov_monotone(irc20_traj, pii2_traj):
-    rep_irc = check_monotone(irc20_traj, budget=1e-6)
-    rep_pii2 = check_monotone(pii2_traj, budget=1e-6)
+    rep_irc = check_monotone(irc20_traj)
+    rep_pii2 = check_monotone(pii2_traj)
     reversed_traj = Trajectory(
         times=pii2_traj.times,
         plant_states=pii2_traj.plant_states,
@@ -120,7 +120,7 @@ def test_criterion_5_lyapunov_monotone(irc20_traj, pii2_traj):
         e=pii2_traj.e, u=pii2_traj.u, y=pii2_traj.y,
         W=pii2_traj.W[::-1].copy(),
     )
-    rep_rev = check_monotone(reversed_traj, budget=1e-6)
+    rep_rev = check_monotone(reversed_traj)
     ok = rep_irc.passed and rep_pii2.passed and not rep_rev.passed
     _verdict(5, ok,
              f"W nonincreasing within budget (worst increases "
@@ -140,7 +140,7 @@ def test_criterion_6_sector_all_scenarios(config_dir):
     results = {}
     for cfg in scenarios:
         traj = _simulate(cfg, _plant_ss(cfg.plant), None)
-        results[cfg.name] = check_sector(traj, rtol=1e-9)
+        results[cfg.name] = check_sector(traj)
     ok = len(results) == 3 and all(rep.passed for rep in results.values())
     margins = {name: f"{rep.worst_margin:.1e}" for name, rep in results.items()}
     _verdict(6, ok,

@@ -151,10 +151,19 @@ def _with_keys(section, **extra):
     (_with_keys("sim", Dt=0.5),
      "unknown key 'Dt' in sim (known: dt, t_end, x0, controller_x0, r, record_every)"),
     (_with_keys("output", CSV="x.csv"), "unknown key 'CSV' in output (known: csv, report)"),
-], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output"])
+    (_with_keys("sim", record_every=2.5), "sim record_every must be an integer, got 2.5"),
+    (_with_keys("sim", record_every=True), "sim record_every must be an integer, got True"),
+    (_with_keys("sim", record_every="3"), "sim record_every must be an integer, got '3'"),
+    (_with_keys("sim", dt="0.001"), "sim dt must be a number, got '0.001'"),
+    (_with_keys("sim", t_end=True), "sim t_end must be a number, got True"),
+    (_with_keys("sim", r=[0.5]), "sim r must be a number, got [0.5]"),
+], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output",
+        "sim_record_every_float", "sim_record_every_bool", "sim_record_every_text",
+        "sim_dt_text", "sim_t_end_bool", "sim_r_list"])
 def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
-    # A misspelled key would otherwise run on the default it was meant to change.
+    # A misspelled key would otherwise run on the default it was meant to
+    # change, and a mistyped value on what int() or float() makes of it.
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "bad.json", _quick_scenario(**overrides))
     assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
@@ -205,15 +214,17 @@ def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
 
 
 @pytest.mark.parametrize("check, message", [
-    ({"name": "sector", "rtol": None}, "check 'sector': rtol must be a number, got None"),
+    # sector, lyapunov_monotone and dissipation take no option: their
+    # tolerances are constants of sim
+    ({"name": "sector", "rtol": None}, "unknown key 'rtol' in check 'sector' (known: name)"),
     ({"name": "convergence", "threshold": [1]},
      "check 'convergence': threshold must be a number, got [1]"),
     ({"name": "dissipation", "budget_coeff": "x"},
-     "check 'dissipation': budget_coeff must be a number, got 'x'"),
+     "unknown key 'budget_coeff' in check 'dissipation' (known: name)"),
     ({"name": "convergence", "treshold": 1e-9},
      "unknown key 'treshold' in check 'convergence' (known: name, threshold)"),
-    ({"name": "sector", "rtol": 1e-9, "budget": 1e-6},
-     "unknown key 'budget' in check 'sector' (known: name, rtol)"),
+    ({"name": "sector", "threshold": 0.2},
+     "unknown key 'threshold' in check 'sector' (known: name)"),
     ({"name": ["sector"]}, "check name must be a string, got ['sector']"),
 ], ids=["sector_rtol_null", "convergence_threshold_list", "dissipation_coeff_text",
         "convergence_misspelled_option", "sector_other_checks_option", "name_not_string"])
@@ -227,10 +238,11 @@ def test_simulate_bad_check_option_exit_config_before_running(tmp_path, monkeypa
 
 
 def test_scenario_check_options_are_numbers_with_defaults(tmp_path):
-    checks = ["sector", {"name": "convergence", "threshold": 1}, {"name": "dissipation"}]
+    checks = ["sector", {"name": "convergence", "threshold": 1}, {"name": "dissipation"},
+              "convergence"]
     cfg = cli.load_scenario(_write(tmp_path, "quick.json", _quick_scenario(checks=checks)))
-    assert cfg.checks == [("sector", {"rtol": 1e-9}), ("convergence", {"threshold": 1.0}),
-                          ("dissipation", {"budget_coeff": 100.0})]
+    assert cfg.checks == [("sector", {}), ("convergence", {"threshold": 1.0}),
+                          ("dissipation", {}), ("convergence", {"threshold": 0.2})]
     assert type(cfg.checks[1][1]["threshold"]) is float
 
 
@@ -432,16 +444,19 @@ _SWEEP_RUN = {"name": "a", "overrides": {"sim": {"t_end": 0.5}, "checks": ["sect
     ({"runs": [{"name": ["a"]}]}, "sweep run name must be a string, got ['a']"),
     ({"runs": [{"name": "a", "overrides": [1]}]},
      "overrides of sweep run 'a' must be an object, got [1]"),
-    ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "sector", "rtol": None}]}}]},
-     "check 'sector': rtol must be a number, got None"),
+    ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "convergence",
+                                                                     "threshold": None}]}}]},
+     "check 'convergence': threshold must be a number, got None"),
     ({"job": 1}, "unknown key 'job' in sweep config (known: base, runs, output_dir, jobs)"),
     ({"runs": [{"name": "a", "overides": {"sim": {"t_end": 0.2}}}]},
      "unknown key 'overides' in sweep run 'a' (known: name, overrides)"),
     ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "sector", "rtl": 1}]}}]},
-     "unknown key 'rtl' in check 'sector' (known: name, rtol)"),
+     "unknown key 'rtl' in check 'sector' (known: name)"),
+    ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"sim": {"record_every": 2.5}}}]},
+     "sim record_every must be an integer, got 2.5"),
 ], ids=["output_dir_null", "output_dir_empty", "jobs_list", "jobs_zero", "jobs_bool", "base_list",
         "run_not_object", "name_not_string", "overrides_list", "run_check_option",
-        "unknown_sweep_key", "unknown_run_key", "unknown_run_check_key"])
+        "unknown_sweep_key", "unknown_run_key", "unknown_run_check_key", "run_sim_record_every"])
 def test_sweep_rejects_malformed_config_before_running(config_dir, tmp_path, monkeypatch, capsys,
                                                       fields, message):
     monkeypatch.chdir(tmp_path)

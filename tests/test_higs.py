@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from higsni import HigsIrcParams, HigsParams, SimConfig, StateSpace, simulate_higs_irc_loop
 from higsni.higs import (
+    MODE_BOUNDARY_RTOL,
     HigsMode,
-    determine_mode_base,
-    determine_mode_irc,
+    gain_mode,
     project_to_sector,
-    sector_contains,
     storage_V1,
     storage_V2_cascade,
     storage_V_h,
@@ -55,27 +54,28 @@ def test_kappa_tilde_identities(k_h, D):
 
 
 def test_sector_contains_examples():
-    assert sector_contains(1.0, 0.5, 1.0)
-    assert sector_contains(0.0, 0.0, 7.0)
-    assert not sector_contains(1.0, 2.0, 1.0)
+    # the projection leaves exactly the points of the sector in place
+    assert project_to_sector(1.0, 0.5, 1.0, 0.0) == 0.5
+    assert project_to_sector(0.0, 0.0, 7.0, 0.0) == 0.0
+    assert project_to_sector(1.0, 2.0, 1.0, 0.0) != 2.0
 
 
 def test_project_to_sector_examples():
-    assert project_to_sector(1.0, 0.5, 1.0) == 0.5
-    assert project_to_sector(1.0, 2.0, 1.0) == 1.0
-    assert project_to_sector(0.0, 0.3, 1.0) == 0.0
-    assert project_to_sector(-1.0, -2.0, 1.0) == -1.0
-    assert project_to_sector(1.0, -0.4, 2.0) == 0.0
+    assert project_to_sector(1.0, 0.5, 1.0, 0.0) == 0.5
+    assert project_to_sector(1.0, 2.0, 1.0, 0.0) == 1.0
+    assert project_to_sector(0.0, 0.3, 1.0, 0.0) == 0.0
+    assert project_to_sector(-1.0, -2.0, 1.0, 0.0) == -1.0
+    assert project_to_sector(1.0, -0.4, 2.0, 0.0) == 0.0
 
 
 @given(finite, finite, gains)
 def test_projection_lands_inside_sector(e, x_h, k):
-    proj = project_to_sector(e, x_h, k)
+    proj = project_to_sector(e, x_h, k, 0.0)
     slack = 1e-12 * (1.0 + abs(e * proj) + proj * proj / k)
-    assert sector_contains(e, proj, k, slack)
+    assert e * proj >= proj * proj / k - slack
     # idempotent, and a no-op on points already inside
-    assert project_to_sector(e, proj, k) == proj
-    if sector_contains(e, x_h, k):
+    assert project_to_sector(e, proj, k, 0.0) == proj
+    if e * x_h >= x_h * x_h / k:
         assert proj == x_h
 
 
@@ -83,37 +83,44 @@ def test_projection_lands_inside_sector(e, x_h, k):
 # mode decisions
 
 
+def _base_mode(e, e_dot, x_h, p, tol=MODE_BOUNDARY_RTOL):
+    return gain_mode(e, e_dot, x_h, p.k_h, p, tol)
+
+
 def test_mode_base_truth_table():
     p = HigsParams(0.5, 2.0)
     # on the boundary with the switching inequality strictly satisfied
-    assert determine_mode_base(1.0, 0.0, 2.0, p) == HigsMode.GAIN
+    assert _base_mode(1.0, 0.0, 2.0, p)
     # interior state stays in integrator mode regardless of rates
-    assert determine_mode_base(1.0, 0.0, 0.0, p) == HigsMode.INTEGRATOR
+    assert not _base_mode(1.0, 0.0, 0.0, p)
     # boundary but the inequality fails: omega e^2 = 0.5 < k e e_dot = 1
-    assert determine_mode_base(1.0, 2.0 * p.omega_h / p.k_h, 2.0, p) == HigsMode.INTEGRATOR
+    assert not _base_mode(1.0, 2.0 * p.omega_h / p.k_h, 2.0, p)
 
 
 def test_mode_base_tie_goes_to_integrator():
     p = HigsParams(0.5, 2.0)
     e_dot = p.omega_h / p.k_h    # omega e^2 == k e e_dot exactly
-    assert determine_mode_base(1.0, e_dot, 2.0, p) == HigsMode.INTEGRATOR
+    assert not _base_mode(1.0, e_dot, 2.0, p)
 
 
 def test_mode_irc_truth_table():
+    # the boundary is kappa_tilde e, the switching inequality keeps k_h
     p = HigsIrcParams(0.5, 20.0, -1.0)
     kt = p.kappa_tilde
-    assert determine_mode_irc(1.0, 0.0, kt, p) == HigsMode.GAIN
-    assert determine_mode_irc(1.0, 0.0, 0.0, p) == HigsMode.INTEGRATOR
+    assert gain_mode(1.0, 0.0, kt, kt, p, MODE_BOUNDARY_RTOL)
+    assert not gain_mode(1.0, 0.0, 0.0, kt, p, MODE_BOUNDARY_RTOL)
     # negative-side boundary: omega*1 > k*(-1)*(-0.5*omega/k) = 0.5*omega
-    assert determine_mode_irc(-1.0, -0.5 * p.omega_h / p.k_h, -kt, p) == HigsMode.GAIN
+    assert gain_mode(-1.0, -0.5 * p.omega_h / p.k_h, -kt, kt, p, MODE_BOUNDARY_RTOL)
+    # omega e^2 = 0.5 < k_h e e_dot = 1, though kappa_tilde e e_dot would be 1/21
+    assert not gain_mode(1.0, 2.0 * p.omega_h / p.k_h, kt, kt, p, MODE_BOUNDARY_RTOL)
 
 
 def test_mode_boundary_tolerance_is_relative():
     p = HigsParams(1.0, 1.0)
     x = 100.0
     off = 0.5e-9 * x    # within tol * max(1, |x_h|)
-    assert determine_mode_base(x + off, 0.0, x, p, tol=1e-9) == HigsMode.GAIN
-    assert determine_mode_base(x + 1e-3, 0.0, x, p, tol=1e-9) == HigsMode.INTEGRATOR
+    assert _base_mode(x + off, 0.0, x, p, tol=1e-9)
+    assert not _base_mode(x + 1e-3, 0.0, x, p, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

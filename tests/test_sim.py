@@ -38,19 +38,15 @@ from higsni.controllers import ModeTriple, higs_pii2_mode_update, pii2_mode_syst
 from higsni.higs import (
     MODE_BOUNDARY_RTOL,
     HigsMode,
-    determine_mode_base,
-    determine_mode_irc,
+    gain_mode,
     project_to_sector,
 )
 from higsni.sim import (
     CertificateNotPD,
     _CSV_BLOCK_ROWS,
-    _gain_mode_rows,
-    _pii2_gain_rows,
     _quadratic_rows,
     _rk4_affine_map,
     _row_dots,
-    _sector_clamp_rows,
     closed_loop_matrices,
 )
 
@@ -347,8 +343,8 @@ def test_irc_loop_gain_samples_sit_on_boundary(irc20_traj):
 
 def test_irc_loop_checks_pass(irc20_traj, irc5_traj):
     for traj in (irc20_traj, irc5_traj):
-        assert check_monotone(traj, budget=1e-6).passed
-        assert check_sector(traj, rtol=1e-9).passed
+        assert check_monotone(traj).passed
+        assert check_sector(traj).passed
         assert check_dissipation(traj).passed
 
 
@@ -409,8 +405,8 @@ def test_linear_loop_divergence_guard(plant, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# block stepping: the array kernels and the blocked core against one step at
-# a time
+# block stepping: the element law on arrays against floats, and the blocked
+# core against one step at a time
 
 
 def _bits(values) -> list:
@@ -435,17 +431,20 @@ def _logic_rows(draw):
 @given(_logic_rows(), st.floats(0.1, 30.0), st.floats(0.0, 5.0), st.floats(-3.0, -0.1),
        st.sampled_from([0.0, 1e-12]))
 def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D, tol):
+    # The block scans call the element law on arrays, the bisecting step on
+    # Python floats; on floats it stays off numpy.
     (e, e_dot, x, _, _), edges = rows
     irc = HigsIrcParams(omega_h, k_h, D)
     base = HigsParams(omega_h, k_h)
-    for k_bound, p, decide in ((irc.kappa_tilde, irc, determine_mode_irc),
-                               (k_h, base, determine_mode_base)):
+    for k_bound, p in ((irc.kappa_tilde, irc), (k_h, base)):
         xs = np.where(edges[:, 0] > 0, k_bound * e, x)
         cells = list(zip(e.tolist(), e_dot.tolist(), xs.tolist()))
-        assert _bits(_sector_clamp_rows(e, xs, k_bound, tol)) == \
-            _bits([project_to_sector(a, c, k_bound, tol) for a, _, c in cells])
-        assert _gain_mode_rows(e, e_dot, xs, k_bound, p, 1e-9).tolist() == \
-            [decide(a, b, c, p, 1e-9) == HigsMode.GAIN for a, b, c in cells]
+        clamped = [project_to_sector(a, c, k_bound, tol) for a, _, c in cells]
+        assert all(type(v) is float for v in clamped)
+        assert _bits(project_to_sector(e, xs, k_bound, tol)) == _bits(clamped)
+        gains = [gain_mode(a, b, c, k_bound, p, 1e-9) for a, b, c in cells]
+        assert all(type(g) is bool for g in gains)
+        assert gain_mode(e, e_dot, xs, k_bound, p, 1e-9).tolist() == gains
 
 
 @given(_logic_rows(), st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
@@ -458,10 +457,11 @@ def test_pii2_mode_kernel_matches_scalar_update(rows, k1, k2, w1, w2, dw):
     x1 = np.where(edges[:, 0] > 0, k1 * e, x1)
     x2 = np.where(edges[:, 1] > 0, k2 * e, x2)
     x3 = np.select([edges[:, 2] == 1, edges[:, 2] == 2], [k2 * x2, k2 * (k2 * e)], x3)
-    got = np.column_stack(_pii2_gain_rows(e, e_dot, (x1, x2, x3), p, 1e-12))
+    got = np.column_stack(higs_pii2_mode_update(e, e_dot, (x1, x2, x3), p, 1e-12))
     want = [list(higs_pii2_mode_update(a, b, (c, d, f), p, 1e-12))
             for a, b, c, d, f in zip(e.tolist(), e_dot.tolist(), x1.tolist(), x2.tolist(), x3.tolist())]
-    assert got.astype(int).tolist() == want
+    assert all(type(g) is bool for flags in want for g in flags)
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
@@ -504,8 +504,9 @@ def _per_step_irc_loop(plant, p, cfg):
         e = r + float(C @ z[:n])
         e_dot = float(CA @ z[:n]) + CB * z[n]
         z[n] = project_to_sector(e, z[n], kt, sim.SECTOR_CLAMP_TOL)
-        mode = determine_mode_irc(e, e_dot, z[n], p, MODE_BOUNDARY_RTOL)
-        if mode == HigsMode.GAIN:
+        gain = gain_mode(e, e_dot, z[n], kt, p, MODE_BOUNDARY_RTOL)
+        mode = HigsMode.GAIN if gain else HigsMode.INTEGRATOR
+        if gain:
             z[n] = kt * e
         return mode
 
@@ -586,8 +587,8 @@ def test_pii2_loop_initial_energy(pii2_traj):
 
 
 def test_pii2_loop_checks_pass(pii2_traj):
-    assert check_monotone(pii2_traj, budget=1e-6).passed
-    assert check_sector(pii2_traj, rtol=1e-9).passed
+    assert check_monotone(pii2_traj).passed
+    assert check_sector(pii2_traj).passed
 
 
 def test_pii2_loop_energy_decreases_overall(pii2_traj):
@@ -716,9 +717,9 @@ def test_monotone_checker_accepts_exact_budget():
         e=np.zeros(4), u=np.zeros(4), y=np.zeros(4),
     )
     flat = Trajectory(W=np.array([1.0, 1.0 + 1e-6, 1.0, 0.5]), **base)
-    assert check_monotone(flat, budget=1e-6).passed
+    assert check_monotone(flat).passed
     rising = Trajectory(W=np.array([1.0, 1.0 + 2e-6, 1.0, 0.5]), **base)
-    rep = check_monotone(rising, budget=1e-6)
+    rep = check_monotone(rising)
     assert not rep.passed and rep.worst_time == 1.0
 
 
@@ -741,7 +742,7 @@ def test_monotone_checker_rejects_time_reversed_energy(pii2_traj):
         e=pii2_traj.e, u=pii2_traj.u, y=pii2_traj.y,
         W=pii2_traj.W[::-1].copy(),
     )
-    assert not check_monotone(reversed_traj, budget=1e-6).passed
+    assert not check_monotone(reversed_traj).passed
 
 
 def test_sector_checker_needs_hybrid_metadata(plant):
