@@ -159,6 +159,18 @@ def _reject_unknown_keys(d: dict, known: tuple, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where} (known: {', '.join(known)})")
 
 
+def _json_numbers(value, where: str, lists: bool = False) -> None:
+    """Raise ConfigError unless value is a JSON number or, with lists, a
+    number or a (nested) list of numbers: float() and numpy would also take
+    "3" and true."""
+    if lists and isinstance(value, list):
+        for v in value:
+            _json_numbers(v, where, lists)
+    elif type(value) not in (int, float):
+        kind = "a number or a list of numbers" if lists else "a number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
 def _build_plant(d: dict):
     if not isinstance(d, dict):
         raise ConfigError("plant must be an object")
@@ -166,10 +178,15 @@ def _build_plant(d: dict):
         _reject_unknown_keys(d, ("A", "B", "C", "D_ff"), "plant")
     elif "num" in d:
         _reject_unknown_keys(d, ("num", "den"), "plant")
+    for key in ("A", "B", "C", "num", "den"):
+        if key in d:
+            _json_numbers(d[key], f"plant {key}", lists=True)
+    if "D_ff" in d:
+        _json_numbers(d["D_ff"], "plant D_ff")
     try:
         if "A" in d:
             return StateSpace(d["A"], _require(d, "B", "plant"), _require(d, "C", "plant"),
-                              float(d.get("D_ff", 0.0)))
+                              d.get("D_ff", 0.0))
         if "num" in d:
             return RationalTF(tuple(d["num"]), tuple(_require(d, "den", "plant")))
     except (ValueError, TypeError) as exc:
@@ -190,9 +207,13 @@ def _build_controller(d: dict):
         for key in row.keys:
             value = _require(d, key, "controller")
             if key in _ELEMENT_KEYS:
-                args.append(HigsParams(_require(value, "omega_h", key), _require(value, "k_h", key)))
+                element = {k: _require(value, k, key) for k in ("omega_h", "k_h")}
+                for k, v in element.items():
+                    _json_numbers(v, f"{key} {k}")
+                args.append(HigsParams(**element))
                 _reject_unknown_keys(value, ("omega_h", "k_h"), key)
             else:
+                _json_numbers(value, f"controller {key}")
                 args.append(value)
         return ctype, row.params(*args)
     except ConfigError:
@@ -205,10 +226,12 @@ def _build_sim(d: dict) -> SimConfig:
     if not isinstance(d, dict):
         raise ConfigError("sim must be an object")
     _reject_unknown_keys(d, ("dt", "t_end", "x0", "controller_x0", "r", "record_every"), "sim")
-    # JSON numbers only: float() and int() would also take "3", true and 2.5.
     for key in ("dt", "t_end", "r"):
-        if key in d and type(d[key]) not in (int, float):
-            raise ConfigError(f"sim {key} must be a number, got {d[key]!r}")
+        if key in d:
+            _json_numbers(d[key], f"sim {key}")
+    for key in ("x0", "controller_x0"):
+        if key in d:
+            _json_numbers(d[key], f"sim {key}", lists=True)
     if type(d.get("record_every", 1)) is not int:
         raise ConfigError(f"sim record_every must be an integer, got {d['record_every']!r}")
     try:
@@ -245,10 +268,8 @@ def _normalize_checks(raw, ctype: str) -> list:
         options = {}
         for key, default in defaults.items():
             value = given.get(key, default)
-            try:
-                options[key] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"check {name!r}: {key} must be a number, got {value!r}") from None
+            _json_numbers(value, f"check {name!r}: {key}")
+            options[key] = float(value)
         checks.append((name, options))
     return checks
 

@@ -2,15 +2,19 @@
 
 Covers the linear integral resonant controller Gamma/(s - Gamma D), its
 PII^2 generalization (k_p + k1/s + k2/s^2 closed around feedthrough D),
-and the hybrid variant that replaces the proportional-integral channels by
-three HIGS elements H1, H2, H3 with H2->H3 in series, all sharing the loop
-error e except H3, whose input is H2's output.
+and their hybrid variants, whose integrators are HIGS elements: one
+compensated element, or three elements H1, H2, H3 with H2->H3 in series,
+all sharing the loop error e except H3, whose input is H2's output.
 
 Both linear controllers arise from C(s)/(1 - C(s) D) and are strictly
 negative imaginary for admissible gains; their DC gain is -1/D.  Stability
 of the positive-feedback interconnection with an NI plant comes down to
 DC conditions: kappa_tilde * G(0) < 1 for the single-element loop and
 D < -G(0) for the PII^2 family.
+
+With its element modes frozen every loop is affine, and ModeSystem is that
+one description, built by irc_mode_system and pii2_mode_system for the
+hybrid loops and by sim.closed_loop_matrices for the linear loop.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .higs import HigsMode, HigsParams, _where, gain_mode
+from .higs import HigsIrcParams, HigsMode, HigsParams, _where, gain_mode
 from .lti import RationalTF, StateSpace, dc_gain
 
 # |1/(G(0) + D) - gain sum| must exceed this times max(1, |1/(G(0) + D)|);
@@ -209,13 +213,14 @@ def pii2_effective_states(
     return x1e, x2e, x3e
 
 
-class Pii2ModeSystem(NamedTuple):
-    """The PII^2 loop with its three modes frozen, on z = [x; x_h1; x_h2; x_h3].
+class ModeSystem(NamedTuple):
+    """A loop with its element modes frozen, on the joint state z = [x; x_c].
 
     dz/dt = J z + c, and the loop signals are affine rows of z: the error
     e = w_e . z + c_e, the plant input u = w_u . z + c_u and the error rate
-    de/dt = w_de . z + c_de.  Gain-mode slots have zero rows in J and zero
-    weights in every row: their outputs are substituted algebraically.
+    de/dt = w_de . z + c_de.  A gain-mode slot is algebraic: it has a zero
+    row and column in J and is refreshed to its gain-mode output after each
+    step, so the rows hold on states that carry that output.
     """
 
     J: np.ndarray
@@ -228,15 +233,39 @@ class Pii2ModeSystem(NamedTuple):
     c_de: float
 
 
-def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
-                     modes: ModeTriple) -> Pii2ModeSystem:
-    """Solve the algebraic loop e = gamma (r + y) + gamma D (x_h1 + x_h3).
+def irc_mode_system(plant: StateSpace, p: HigsIrcParams, r: float, modes) -> ModeSystem:
+    """The single-element loop with its mode frozen, on z = [x; x_h].
 
+    e = r + C x and u = x_h.  Integrating, dx_h/dt = omega_h (D x_h + e);
+    in gain mode x_h = kappa_tilde e is substituted into the plant.  In both
+    modes de/dt = C A x + C B x_h, the plant's output rate at u = x_h.
+    """
+    A, B, C, n = plant.A, plant.B, plant.C, plant.n
+    J, c = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+    if modes[0] == HigsMode.GAIN:
+        J[:n, :n] = A + p.kappa_tilde * np.outer(B, C)
+        c[:n] = p.kappa_tilde * r * B
+    else:
+        J[:n, :n] = A
+        J[:n, n] = B
+        J[n, :n] = p.omega_h * C
+        J[n, n] = p.omega_h * p.D
+        c[n] = p.omega_h * r
+    return ModeSystem(J, c, np.append(C, 0.0), float(r), np.eye(n + 1)[n], 0.0,
+                      np.append(C @ A, C @ B), 0.0)
+
+
+def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
+                     modes: ModeTriple) -> ModeSystem:
+    """The PII^2 loop with its modes frozen, on z = [x; x_h1; x_h2; x_h3].
+
+    Solves the algebraic loop e = gamma (r + y) + gamma D (x_h1 + x_h3).
     Gain-mode outputs are substituted (x_h1 -> k_h1 e, x_h2 -> k_h2 e,
-    x_h3 -> k_h3 * input of H3), which leaves an equation linear in e with
-    the denominator 1 - gamma D (k_h1 [H1 gain] + k_h3 k_h2 [H2, H3 gain]),
-    at least 1 for D < 0.  Then u = x_h1 + x_h3 + k_p e on the substituted
-    outputs, and de/dt = w_e . dz/dt.
+    x_h3 -> k_h3 * input of H3), so their slots get zero weights in every
+    row.  That leaves an equation linear in e with the denominator
+    1 - gamma D (k_h1 [H1 gain] + k_h3 k_h2 [H2, H3 gain]), at least 1 for
+    D < 0.  Then u = x_h1 + x_h3 + k_p e on the substituted outputs, and
+    de/dt = w_e . dz/dt.
     """
     A, B, C = plant.A, plant.B, plant.C
     n = plant.n
@@ -287,7 +316,7 @@ def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
             c[n + 2] = p.h3.omega_h * k2 * c_e
         else:
             J[n + 2, n + 1] = p.h3.omega_h
-    return Pii2ModeSystem(J, c, w_e, c_e, w_u, c_u, w_e @ J, float(w_e @ c))
+    return ModeSystem(J, c, w_e, c_e, w_u, c_u, w_e @ J, float(w_e @ c))
 
 
 def higs_pii2_mode_update(e, e_dot, states, p: HigsPii2Params, tol: float):

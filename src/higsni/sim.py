@@ -1,37 +1,36 @@
 """Closed-loop simulation and Lyapunov bookkeeping.
 
-All loops use positive feedback (e = r + y) against a SISO plant given as a
-StateSpace, and all are piecewise affine: with the element modes frozen, one
-grid step is z+ = R z + d on the joint state z = [x; controller states].
-Each simulator builds one RK4 map (R, d) per frozen mode (the linear loop
-has a single mode) and hands it, with its per-step logic written for a
-block of rows, to a shared core, _march.  The core owns the time grid and
-steps in blocks: it propagates up to _BLOCK_ROWS rows one step at a time
-(z = R z + d, as a lone step would), runs the loop's logic (mode decision,
-sector clamp) and the divergence guard on the whole block, keeps the rows
-up to the first one where something fired and resumes there.  Every kept row is the one a step at a
-time would give, bit for bit: a gain-mode slot has a zero row and column in
-the dynamics, so it never feeds the other states and is refreshed
-afterwards, and an integrator slot changes only where a clamp fires, which
-ends the block.  Signals, storage and the Lyapunov value are derived from
-the recorded rows afterwards.
+All loops use positive feedback against a SISO plant given as a StateSpace,
+and all are piecewise affine: with the element modes frozen, a loop is a
+controllers.ModeSystem, dz/dt = J z + c on the joint state z = [x;
+controller states] with e, u and de/dt as affine rows of z.  A simulator
+supplies system(modes) -> ModeSystem and its per-step logic for a block of
+rows; the rest is shared.  _loop_start validates the plant, certificate
+and initial state, _mode_maps caches the RK4 map z+ = R z + d of one grid
+step per mode, _march owns the time grid and _mode_signals reads the
+recorded e and u off the rows of each sample's mode.
 
-In the three-element loop gain-mode elements feed through, so its error is
-an algebraic equation.  controllers.pii2_mode_system solves it once per mode
-triple: besides the affine dynamics it returns the error, its rate and the
-plant input as affine rows of the joint state.  The block logic, the
-bisecting step and the recorded e and u all read those rows.
+_march steps in blocks: it propagates up to _BLOCK_ROWS rows one step at a
+time (z = R z + d, as a lone step would), runs the loop's logic (mode
+decision, sector clamp) and the divergence guard on the whole block, keeps
+the rows up to the first one where something fired and resumes there.
+Every kept row is the one a step at a time would give, bit for bit: a
+gain-mode slot has a zero row and column in J, so it never feeds the other
+states and is refreshed afterwards, and an integrator slot changes only
+where a clamp fires, which ends the block.
 
 Mode switches are handled where the loop algebra demands it: the
 single-element loop switches on the grid (its sector boundary does not
 depend on the element state), so its block logic settles a switching row
-itself, while the three-element loop localizes sector exits by bisection
-inside the step and switches on the boundary itself; its block ends before
-such a row, which is then taken by the bisecting step.  The block scans
-and the bisecting step share one element law: higs.project_to_sector,
-higs.gain_mode and controllers.higs_pii2_mode_update, applied to arrays of
-rows in the scans and to floats in the step.  Recorded samples satisfy the
-sector inequalities by construction up to rounding.
+itself, while the three-element loop, whose error feeds back through the
+gain-mode elements, localizes sector exits by bisection inside the step and
+switches on the boundary itself; its block ends before such a row, which is
+then taken by the bisecting step.  The block scans and the bisecting step
+share one element law: higs.project_to_sector, higs.gain_mode and
+controllers.higs_pii2_mode_update, applied to arrays of rows in the scans
+and to floats in the step.  Recorded samples satisfy the sector
+inequalities by construction up to rounding.  The hybrid loops need a
+strictly proper plant (D_ff = 0).
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -45,7 +44,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -53,10 +52,12 @@ from .controllers import (
     ALGEBRAIC_LOOP_TOL,
     HigsPii2Params,
     InvalidParameters,
+    ModeSystem,
     ModeTriple,
     UnsolvableLoop,
     gain_sum_admissible,
     higs_pii2_mode_update,
+    irc_mode_system,
     pii2_effective_states,
     pii2_mode_system,
 )
@@ -361,14 +362,40 @@ def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray,
     return R, d
 
 
-def _controller_x0(cfg: SimConfig, m: int) -> np.ndarray:
-    """cfg.controller_x0 as m entries; a scalar or a single entry is broadcast."""
-    x0 = cfg.controller_x0.reshape(-1)
-    if x0.shape == (1,):
-        return np.full(m, x0[0])
-    if x0.shape != (m,):
+def _loop_start(plant: StateSpace, cfg: SimConfig, m: int, hybrid: bool,
+                cert: Optional[LyapunovCertificate] = None) -> np.ndarray:
+    """[x0; controller_x0] for m controller states, a single controller_x0
+    broadcast.  A hybrid loop also needs D_ff = 0 (its mode systems and
+    certificates use A, B and C only), an invertible A and, when given, a
+    positive-definite certificate."""
+    if hybrid:
+        if plant.D_ff != 0.0:
+            raise ValueError(f"hybrid loops need a strictly proper plant, got D_ff = {plant.D_ff}")
+        if not _smallest_sv_ok(plant.A):
+            raise SingularA("plant A must be invertible")
+        if cert is not None:
+            cert.require_positive_definite()
+    if cfg.x0.shape != (plant.n,):
+        raise ValueError(f"x0 must have {plant.n} entries")
+    xc0 = cfg.controller_x0.reshape(-1)
+    if xc0.shape == (1,):
+        xc0 = np.full(m, xc0[0])
+    elif xc0.shape != (m,):
         raise ValueError(f"controller_x0 must be a scalar or {m} entries")
-    return x0
+    return np.concatenate([cfg.x0, xc0])
+
+
+def _mode_maps(system: Callable[[tuple], ModeSystem], dt: float):
+    """system cached per mode, and the cached RK4 map (R, d) of one full
+    step dt per mode, built on its first use."""
+    system = functools.cache(system)
+
+    @functools.cache
+    def maps(modes):
+        s = system(modes)
+        return _rk4_affine_map(s.J, s.c, dt)
+
+    return system, maps
 
 
 def _record_count(n_steps: int, every: int) -> int:
@@ -460,6 +487,22 @@ def _quadratic_rows(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.vecdot(np.vecmat(0.5 * Z, Q), Z)
 
 
+def _mode_signals(Z: np.ndarray, M: np.ndarray, system) -> Tuple[np.ndarray, np.ndarray]:
+    """The recorded e and u: each sample read off the rows of its mode, one
+    pair of row dots per mode code (the modes as the bits of an integer).
+    The codes present come from bincount: np.unique would import numpy.ma,
+    about 25 ms of a fresh process."""
+    q = M.shape[1]
+    codes = M @ (1 << np.arange(q - 1, -1, -1))
+    e, u = np.empty(len(Z)), np.empty(len(Z))
+    for code in np.flatnonzero(np.bincount(codes)):
+        rows = codes == code
+        s = system(tuple(HigsMode(int(code) >> b & 1) for b in range(q - 1, -1, -1)))
+        e[rows] = _row_dots(Z[rows], s.w_e) + s.c_e
+        u[rows] = _row_dots(Z[rows], s.w_u) + s.c_u
+    return e, u
+
+
 # ---------------------------------------------------------------------------
 # HIGS-IRC loop
 
@@ -473,53 +516,26 @@ def simulate_higs_irc_loop(
     """Positive-feedback loop of an NI plant with one compensated element.
 
     Error signal e = r + C x; the element output u = x_h drives the plant.
-    Per-mode dynamics are affine, so each RK4 step is a precomputed linear
-    map.  When a certificate is supplied, W is traced alongside the element
-    storage V.
+    Per-mode dynamics are affine (controllers.irc_mode_system), so each RK4
+    step is a precomputed linear map.  When a certificate is supplied, W is
+    traced alongside the element storage V.
     """
-    if not _smallest_sv_ok(plant.A):
-        raise SingularA("plant A must be invertible")
-    if cert is not None:
-        cert.require_positive_definite()
+    z = _loop_start(plant, cfg, 1, hybrid=True, cert=cert)
     n = plant.n
-    if cfg.x0.shape != (n,):
-        raise ValueError(f"x0 must have {n} entries")
-    A, B, C = plant.A, plant.B, plant.C
     kt = p.kappa_tilde
-    r = cfg.r
-    dt = cfg.dt
-
-    CA = C @ A
-    CB = float(C @ B)
-
-    J_int = np.zeros((n + 1, n + 1))
-    J_int[:n, :n] = A
-    J_int[:n, n] = B
-    J_int[n, :n] = p.omega_h * C
-    J_int[n, n] = p.omega_h * p.D
-    c_int = np.zeros(n + 1)
-    c_int[n] = p.omega_h * r
-    # Gain mode: x_h is an algebraic slot (zero row), refreshed after each step.
-    J_gain = np.zeros((n + 1, n + 1))
-    J_gain[:n, :n] = A + kt * np.outer(B, C)
-    c_gain = np.zeros(n + 1)
-    c_gain[:n] = kt * r * B
-    maps = {
-        (HigsMode.INTEGRATOR,): _rk4_affine_map(J_int, c_int, dt),
-        (HigsMode.GAIN,): _rk4_affine_map(J_gain, c_gain, dt),
-    }
+    system, maps = _mode_maps(lambda modes: irc_mode_system(plant, p, cfg.r, modes), cfg.dt)
 
     def irc_rows(Zb, modes):
         """One step's logic on rows stepped in `modes`: refresh x_h in gain
         mode, clamp it into the sector, pick the mode and pin x_h in gain
         mode.  Keeps the rows up to the first whose mode or clamp fired."""
+        s = system(modes)
         gain = modes[0] == HigsMode.GAIN
-        X = Zb[:, :n]
-        e = r + np.vecdot(X, C)
+        e = _row_dots(Zb, s.w_e) + s.c_e
         if gain:
             Zb[:, n] = kt * e
         xh = Zb[:, n].copy()
-        e_dot = np.vecdot(X, CA) + CB * xh
+        e_dot = _row_dots(Zb, s.w_de) + s.c_de
         xc = project_to_sector(e, xh, kt, SECTOR_CLAMP_TOL)
         to_gain = gain_mode(e, e_dot, xc, kt, p, MODE_BOUNDARY_RTOL)
         Zb[:, n] = np.where(to_gain, kt * e, xc)
@@ -527,22 +543,20 @@ def simulate_higs_irc_loop(
         q = int(fired[0]) + 1 if len(fired) else len(Zb)
         return q, (HigsMode.GAIN if to_gain[q - 1] else HigsMode.INTEGRATOR,)
 
-    z = np.concatenate([cfg.x0, _controller_x0(cfg, 1)])
     with np.errstate(all="ignore"):
         _, modes = irc_rows(z[None], (HigsMode.INTEGRATOR,))
-    T, Z, M = _march(cfg, z, modes, maps.__getitem__, irc_rows)
-    X, xh = Z[:, :n], Z[:, n]
-    y = _row_dots(X, C)
+    T, Z, M = _march(cfg, z, modes, maps, irc_rows)
+    e, u = _mode_signals(Z, M, system)
 
     return Trajectory(
         times=T,
-        plant_states=X,
+        plant_states=Z[:, :n],
         controller_states=Z[:, n:],
-        e=r + y,
-        u=xh,
-        y=y,
+        e=e,
+        u=u,
+        y=_row_dots(Z[:, :n], plant.C),
         modes=M,
-        V=storage_V_h(xh, p),
+        V=storage_V_h(Z[:, n], p),
         W=None if cert is None else _quadratic_rows(Z, cert.P),
         meta={
             "controller": "higs_irc",
@@ -556,26 +570,14 @@ def simulate_higs_irc_loop(
 # Linear loop
 
 
-class _Rows(NamedTuple):
-    """Output rows of the joint linear loop; see closed_loop_matrices."""
+def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, r: float = 0.0) -> ModeSystem:
+    """The positive-feedback loop with a linear controller as a one-mode
+    ModeSystem on the joint state z = [x; x_k], at reference r.
 
-    u_x: np.ndarray
-    u_k: np.ndarray
-    u_r: float
-    y_x: np.ndarray
-    y_k: np.ndarray
-    y_r: float
-    n: int
-    nk: int
-
-
-def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF):
-    """Joint (A_cl, B_cl) for the positive-feedback loop plus output rows.
-
-    Returns (A_cl, B_cl, rows) where rows maps the joint state and the
-    reference to (u, y): u = rows.u_x @ x + rows.u_k @ xk + rows.u_r * r and
-    likewise for y.  Static controllers (order 0) contribute feedthrough
-    only.  Raises IllPosedLoop when |1 - Dk * Dp| <= ALGEBRAIC_LOOP_TOL.
+    e = r + y, with the plant output y = C x + D_ff u, and u is the
+    controller output; both rows solve the feedthrough loop.  Static
+    controllers (order 0) contribute feedthrough only.  Raises IllPosedLoop
+    when |1 - Dk * Dp| <= ALGEBRAIC_LOOP_TOL.
     """
     if ctrl.order >= 1:
         k = tf_to_ss(ctrl)
@@ -590,44 +592,38 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF):
     delta = 1.0 - Dk * Dp
     if abs(delta) <= ALGEBRAIC_LOOP_TOL:
         raise IllPosedLoop(f"feedthrough product gives 1 - Dk*Dp = {delta}")
-    u_x = (Dk / delta) * C
-    u_k = Ck / delta
+    # u = w_u . z + u_r r and y = w_y . z + y_r r
+    w_u = np.concatenate([(Dk / delta) * C, Ck / delta])
     u_r = Dk / delta
-    y_x = C + Dp * u_x
-    y_k = Dp * u_k
+    w_y = Dp * w_u
+    w_y[:n] += C
     y_r = Dp * u_r
-    Acl = np.zeros((n + nk, n + nk))
-    Acl[:n, :n] = A + np.outer(B, u_x)
-    Acl[:n, n:] = np.outer(B, u_k)
-    Acl[n:, :n] = np.outer(Bk, y_x)
-    Acl[n:, n:] = Ak + np.outer(Bk, y_k)
-    Bcl = np.concatenate([B * u_r, Bk * (1.0 + y_r)])
-    return Acl, Bcl, _Rows(u_x, u_k, float(u_r), y_x, y_k, float(y_r), n, nk)
+    J = np.zeros((n + nk, n + nk))
+    J[:n] = np.outer(B, w_u)
+    J[:n, :n] += A
+    J[n:] = np.outer(Bk, w_y)
+    J[n:, n:] += Ak
+    c = np.concatenate([B * u_r, Bk * (1.0 + y_r)]) * r
+    return ModeSystem(J, c, w_y, float(r + y_r * r), w_u, float(u_r * r), w_y @ J, float(w_y @ c))
 
 
 def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) -> Trajectory:
     """The LTI loop on the hybrid loops' RK4 step map (substepped where the
     loop is stiff): it is their all-integrator limit."""
-    n = plant.n
-    if cfg.x0.shape != (n,):
-        raise ValueError(f"x0 must have {n} entries")
-    Acl, Bcl, rows = closed_loop_matrices(plant, ctrl)
-    nk = rows.nk
-    xk0 = _controller_x0(cfg, nk)
-    r = cfg.r
-    E, d = _rk4_affine_map(Acl, Bcl * r, cfg.dt)
-
-    T, Z, _ = _march(cfg, np.concatenate([cfg.x0, xk0]), (), lambda modes: (E, d))
-    X, XK = Z[:, :n], Z[:, n:]
-    y = _row_dots(X, rows.y_x) + _row_dots(XK, rows.y_k) + rows.y_r * r
+    s = closed_loop_matrices(plant, ctrl, cfg.r)
+    nk = s.J.shape[0] - plant.n
+    z = _loop_start(plant, cfg, nk, hybrid=False)
+    system, maps = _mode_maps(lambda modes: s, cfg.dt)
+    T, Z, M = _march(cfg, z, (), maps)
+    e, u = _mode_signals(Z, M, system)
 
     return Trajectory(
         times=T,
-        plant_states=X,
-        controller_states=XK,
-        e=r + y,
-        u=_row_dots(X, rows.u_x) + _row_dots(XK, rows.u_k) + rows.u_r * r,
-        y=y,
+        plant_states=Z[:, :plant.n],
+        controller_states=Z[:, plant.n:],
+        e=e,
+        u=u,
+        y=e - cfg.r,
         meta={"controller": "linear", "controller_state_names": [f"xc{i+1}" for i in range(nk)]},
     )
 
@@ -666,35 +662,18 @@ def simulate_higs_pii2_loop(
     plain project-after-step scheme would chatter against the boundary
     instead of entering gain mode.
     """
-    if not _smallest_sv_ok(plant.A):
-        raise SingularA("plant A must be invertible")
+    z = _loop_start(plant, cfg, 3, hybrid=True, cert=cert)
     if not gain_sum_admissible(p, dc_gain(plant)):
         raise InvalidParameters(
             "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
         )
-    if cert is not None:
-        cert.require_positive_definite()
     n = plant.n
-    if cfg.x0.shape != (n,):
-        raise ValueError(f"x0 must have {n} entries")
-    r = cfg.r
     dt = cfg.dt
     ks = (p.h1.k_h, p.h2.k_h, p.h3.k_h)
-
-    xh0 = _controller_x0(cfg, 3)
-
-    @functools.cache
-    def system(modes: ModeTriple):
-        return pii2_mode_system(plant, p, r, modes)
-
-    @functools.cache
-    def step_map(modes: ModeTriple):
-        s = system(modes)
-        return _rk4_affine_map(s.J, s.c, dt)
+    system, maps = _mode_maps(lambda modes: pii2_mode_system(plant, p, cfg.r, modes), dt)
 
     def advance(z, modes, h):
-        s = system(modes)
-        R, d = step_map(modes) if h == dt else _rk4_affine_map(s.J, s.c, h)
+        R, d = maps(modes) if h == dt else _rk4_affine_map(*system(modes)[:2], h)
         return R @ z + d
 
     def inputs(z, modes):
@@ -747,7 +726,6 @@ def simulate_higs_pii2_loop(
     # Sanitize the initial state: clamp into the sectors against the resolved
     # error (a couple of passes, since clamping moves the error), then settle
     # the starting modes.
-    z = np.concatenate([cfg.x0, xh0])
     modes = ModeTriple(HigsMode.INTEGRATOR, HigsMode.INTEGRATOR, HigsMode.INTEGRATOR)
     for _ in range(3):
         finalize(z, modes)
@@ -824,18 +802,9 @@ def simulate_higs_pii2_loop(
         first = int(fired[0])
         return (first if event[first] else first + 1), modes
 
-    T, Z, M = _march(cfg, z, modes, step_map, pii2_rows, step)
+    T, Z, M = _march(cfg, z, modes, maps, pii2_rows, step)
     X, XH = Z[:, :n], Z[:, n:]
-    y = _row_dots(X, plant.C)
-    e, u = np.empty(len(Z)), np.empty(len(Z))
-    # The signals are rows of the state once the modes are fixed: one pair
-    # of row dots per recorded mode triple.
-    codes = M @ (4, 2, 1)
-    for c in np.unique(codes):
-        rows = codes == c
-        s = system(ModeTriple(*(HigsMode(int(c) >> b & 1) for b in (2, 1, 0))))
-        e[rows] = _row_dots(Z[rows], s.w_e) + s.c_e
-        u[rows] = _row_dots(Z[rows], s.w_u) + s.c_u
+    e, u = _mode_signals(Z, M, system)
     V1 = storage_V1(XH[:, 0], p.h1)
     V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
 
@@ -845,7 +814,7 @@ def simulate_higs_pii2_loop(
         controller_states=XH,
         e=e,
         u=u,
-        y=y,
+        y=_row_dots(X, plant.C),
         modes=M,
         V=V1 + V2,
         W=None if cert is None else _quadratic_rows(Z, cert.P),

@@ -9,6 +9,7 @@ import time
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from higsni import (
     HigsIrcParams,
@@ -149,8 +150,8 @@ def test_criterion_6_sector_all_scenarios(config_dir):
 
 
 def test_criterion_7_linear_stability_and_failure_stage(plant):
-    A_irc, _, _ = closed_loop_matrices(plant, irc_tf(IrcParams(1.0, -1.5)))
-    A_pii2, _, _ = closed_loop_matrices(plant, pii2rc_tf(Pii2Params(1.0, 1.0, 1.0, -2.0)))
+    A_irc = closed_loop_matrices(plant, irc_tf(IrcParams(1.0, -1.5))).J
+    A_pii2 = closed_loop_matrices(plant, pii2rc_tf(Pii2Params(1.0, 1.0, 1.0, -2.0))).J
     re_irc = float(np.linalg.eigvals(A_irc).real.max())
     re_pii2 = float(np.linalg.eigvals(A_pii2).real.max())
     weak = PII2.__class__(k_p=PII2.k_p, D=-0.5, h1=PII2.h1, h2=PII2.h2, h3=PII2.h3)
@@ -175,15 +176,17 @@ def test_criterion_8_step_refinement(plant, irc20_traj):
              f"{sup:.2e} <= 1e-3")
 
 
-def test_criterion_9_deterministic_outputs(config_dir, tmp_path):
-    cfg = str(config_dir / "mass_spring_irc_k20.json")
+@pytest.mark.parametrize("name", ["mass_spring_irc_k20", "mass_spring_pii2",
+                                  "mass_spring_pii2_linear"])
+def test_criterion_9_deterministic_outputs(config_dir, tmp_path, name):
+    cfg = str(config_dir / f"{name}.json")
     codes = [cmd_simulate(cfg, str(tmp_path / sub)) for sub in ("a", "b")]
-    csv_a = (tmp_path / "a" / "mass_spring_irc_k20.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "mass_spring_irc_k20.csv").read_bytes()
-    rep_a = (tmp_path / "a" / "mass_spring_irc_k20.report.json").read_bytes()
-    rep_b = (tmp_path / "b" / "mass_spring_irc_k20.report.json").read_bytes()
+    csv_a = (tmp_path / "a" / f"{name}.csv").read_bytes()
+    csv_b = (tmp_path / "b" / f"{name}.csv").read_bytes()
+    rep_a = (tmp_path / "a" / f"{name}.report.json").read_bytes()
+    rep_b = (tmp_path / "b" / f"{name}.report.json").read_bytes()
     ok = codes == [0, 0] and csv_a == csv_b and rep_a == rep_b
     _verdict(9, ok,
-             f"two runs of the same scenario exited {codes} and produced "
+             f"two runs of {name} exited {codes} and produced "
              f"byte-identical CSV ({len(csv_a)} bytes) and report "
              f"({len(rep_a)} bytes)")

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from higsni import cli
+from higsni import cli, sim
 
 from conftest import REPO_ROOT
 
@@ -157,9 +157,33 @@ def _with_keys(section, **extra):
     (_with_keys("sim", dt="0.001"), "sim dt must be a number, got '0.001'"),
     (_with_keys("sim", t_end=True), "sim t_end must be a number, got True"),
     (_with_keys("sim", r=[0.5]), "sim r must be a number, got [0.5]"),
+    (_with_keys("plant", A=[[0.0, "1"], [-1.0, 0.0]]),
+     "plant A must be a number or a list of numbers, got '1'"),
+    (_with_keys("plant", B=[0.0, True]), "plant B must be a number or a list of numbers, got True"),
+    (_with_keys("plant", C=[[1.0], [None]]),
+     "plant C must be a number or a list of numbers, got None"),
+    (_with_keys("plant", D_ff="0"), "plant D_ff must be a number, got '0'"),
+    ({"plant": {"num": ["1"], "den": [1.0, 0.0, 1.0]}},
+     "plant num must be a number or a list of numbers, got '1'"),
+    ({"plant": {"num": [1.0], "den": [1.0, False, 1.0]}},
+     "plant den must be a number or a list of numbers, got False"),
+    (_with_keys("controller", k_h=True), "controller k_h must be a number, got True"),
+    (_with_keys("controller", D="-1"), "controller D must be a number, got '-1'"),
+    ({"controller": dict(_PII2_CONTROLLER, h1={"omega_h": 0.3, "k_h": "2"}), "checks": []},
+     "h1 k_h must be a number, got '2'"),
+    ({"controller": dict(_PII2_CONTROLLER, h3={"omega_h": [0.4], "k_h": 1.0}), "checks": []},
+     "h3 omega_h must be a number, got [0.4]"),
+    (_with_keys("sim", x0=["3", "1"]), "sim x0 must be a number or a list of numbers, got '3'"),
+    (_with_keys("sim", controller_x0="0.5"),
+     "sim controller_x0 must be a number or a list of numbers, got '0.5'"),
+    (_with_keys("sim", controller_x0=[False]),
+     "sim controller_x0 must be a number or a list of numbers, got False"),
 ], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output",
         "sim_record_every_float", "sim_record_every_bool", "sim_record_every_text",
-        "sim_dt_text", "sim_t_end_bool", "sim_r_list"])
+        "sim_dt_text", "sim_t_end_bool", "sim_r_list", "plant_A_text", "plant_B_bool",
+        "plant_C_null", "plant_D_ff_text", "plant_num_text", "plant_den_bool",
+        "controller_k_h_bool", "controller_D_text", "element_k_h_text", "element_omega_h_list",
+        "sim_x0_text", "sim_controller_x0_text", "sim_controller_x0_bool"])
 def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
     # A misspelled key would otherwise run on the default it was meant to
@@ -177,7 +201,7 @@ def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("controller_x0, message", [
     ([], "controller_x0 must be a scalar or 1 entries"),
     ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries"),
-    ({}, "invalid sim section: float() argument must be a string or a real number, not 'dict'"),
+    ({}, "sim controller_x0 must be a number or a list of numbers, got {}"),
 ], ids=["empty", "two_entries", "object"])
 def test_simulate_malformed_controller_x0_exit_config(tmp_path, capsys, controller_x0, message):
     scenario = _quick_scenario()
@@ -208,6 +232,25 @@ def test_report_controller_block(tmp_path, capsys, controller, summary):
     assert report["controller"] == {"type": controller["type"], **summary}
 
 
+@pytest.mark.parametrize("controller", [_quick_scenario()["controller"], _PII2_CONTROLLER],
+                         ids=["higs_irc", "higs_pii2"])
+@pytest.mark.parametrize("plant, d_ff", [
+    ({"A": [[-1.0]], "B": [1.0], "C": [1.0], "D_ff": 0.5}, 0.5),
+    ({"num": [1.0, 2.0], "den": [1.0, 1.0]}, 1.0),     # (s + 2)/(s + 1) = 1 + 1/(s + 1)
+], ids=["state_space", "biproper_tf"])
+def test_simulate_hybrid_loop_rejects_plant_feedthrough(tmp_path, monkeypatch, capsys,
+                                                        controller, plant, d_ff):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sim, "_march", lambda *args: pytest.fail("the loop took a step"))
+    scenario = _quick_scenario(plant=plant, controller=controller)
+    scenario["sim"]["x0"] = [1.0]
+    cfg = _write(tmp_path, "bad.json", scenario)
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: hybrid loops need a strictly proper plant, got D_ff = {d_ff}\n")
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
     cfg = str(config_dir / "mass_spring_irc_unstable.json")
     assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_RUNTIME
@@ -226,8 +269,11 @@ def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
     ({"name": "sector", "threshold": 0.2},
      "unknown key 'threshold' in check 'sector' (known: name)"),
     ({"name": ["sector"]}, "check name must be a string, got ['sector']"),
+    ({"name": "convergence", "threshold": True},
+     "check 'convergence': threshold must be a number, got True"),
 ], ids=["sector_rtol_null", "convergence_threshold_list", "dissipation_coeff_text",
-        "convergence_misspelled_option", "sector_other_checks_option", "name_not_string"])
+        "convergence_misspelled_option", "sector_other_checks_option", "name_not_string",
+        "convergence_threshold_bool"])
 def test_simulate_bad_check_option_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                              check, message):
     monkeypatch.chdir(tmp_path)

@@ -203,12 +203,16 @@ def test_linear_loop_matches_analytic_decay():
 
 
 def test_closed_loop_rows_with_feedthrough():
+    # Static gain 1 against D_ff = 0.5: u = 2 x + 2 r and y = x + 0.5 u =
+    # 2 x + r, so e = r + y = 2 x + 2 r.
     plant = StateSpace([[-1.0]], [1.0], [1.0], D_ff=0.5)
-    Acl, Bcl, rows = closed_loop_matrices(plant, RationalTF((1.0,), (1.0,)))
-    assert rows.u_x == pytest.approx([2.0])
-    assert rows.y_x == pytest.approx([2.0])
-    assert rows.y_r == pytest.approx(1.0)
-    assert Acl[0, 0] == pytest.approx(1.0)
+    s = closed_loop_matrices(plant, RationalTF((1.0,), (1.0,)), r=1.0)
+    assert s.w_u == pytest.approx([2.0])
+    assert s.c_u == pytest.approx(2.0)
+    assert s.w_e == pytest.approx([2.0])
+    assert s.c_e - 1.0 == pytest.approx(1.0)     # y's reference term, y_r r
+    assert s.J[0, 0] == pytest.approx(1.0)
+    assert s.c == pytest.approx([2.0])
 
 
 def test_closed_loop_rejects_singular_feedthrough_product():
@@ -226,17 +230,17 @@ def test_linear_loop_controller_state_validation(plant):
 
 def _expm_reference(plant, ctrl, cfg):
     """Joint states of the linear loop stepped by the 30-digit mpmath
-    exponential of the augmented matrix [[A_cl, B_cl], [0, 0]] dt."""
-    Acl, Bcl, rows = closed_loop_matrices(plant, ctrl)
-    nz = Acl.shape[0]
+    exponential of the augmented matrix [[J, c], [0, 0]] dt."""
+    s = closed_loop_matrices(plant, ctrl, cfg.r)
+    nz = s.J.shape[0]
     aug = np.zeros((nz + 1, nz + 1))
-    aug[:nz, :nz] = Acl
-    aug[:nz, nz] = Bcl
+    aug[:nz, :nz] = s.J
+    aug[:nz, nz] = s.c
     with mpmath.workdps(30):
         Phi = mpmath.expm(mpmath.matrix(aug.tolist()) * mpmath.mpf(cfg.dt))
         Phi = np.array([[float(Phi[i, j]) for j in range(nz + 1)] for i in range(nz + 1)])
-    E, d = Phi[:nz, :nz], Phi[:nz, nz] * cfg.r
-    z = np.concatenate([cfg.x0, np.broadcast_to(cfg.controller_x0, (rows.nk,))])
+    E, d = Phi[:nz, :nz], Phi[:nz, nz]
+    z = np.concatenate([cfg.x0, np.broadcast_to(cfg.controller_x0, (nz - plant.n,))])
     Z = [z]
     for k in range(1, cfg.n_steps + 1):
         z = E @ z + d
@@ -395,6 +399,16 @@ def test_loop_guard_rejects_non_finite_state(plant, loop):
         LOOPS[loop](plant, SimConfig(dt=1e-3, t_end=0.1, x0=[np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("loop", ["higs_irc", "higs_pii2"])
+def test_hybrid_loops_reject_plant_feedthrough(loop, monkeypatch):
+    # The mode systems and certificates of the hybrid loops use A, B and C
+    # only, so a plant with feedthrough is refused before any step.
+    monkeypatch.setattr(sim, "_march", lambda *args: pytest.fail("the loop took a step"))
+    plant = StateSpace([[-1.0]], [1.0], [1.0], D_ff=0.5)
+    with pytest.raises(ValueError, match="D_ff = 0.5"):
+        LOOPS[loop](plant, SimConfig(dt=1e-3, t_end=1.0, x0=[1.0]))
+
+
 def test_linear_loop_divergence_guard(plant, monkeypatch):
     # K(0) G(0) = 10 > 1 breaks the DC condition (D = -0.1 > -G(0)); the
     # loop grows like exp(1.66 t) and escapes the (lowered) guard.
@@ -529,10 +543,25 @@ def _per_step_irc_loop(plant, p, cfg):
     return np.array(T), np.array(Z), np.array(M, dtype=np.int64)[:, None]
 
 
+def _lag_plant(modes, lag):
+    """The modal plant of `modes` plus, when lag = (a, g) is given, the NI
+    lag g^2/(s + a) in parallel, whose C B = g^2 is nonzero."""
+    A, B, C = modal_plant(modes)
+    if lag is None:
+        return StateSpace(A, B, C)
+    a, g = lag
+    n = len(B)
+    A = np.pad(A, ((0, 1), (0, 1)))
+    A[n, n] = -a
+    return StateSpace(A, np.append(B, g), np.append(C, g))
+
+
 @st.composite
 def _irc_runs(draw):
     modes = draw(st.lists(MODAL_MODE, min_size=1, max_size=3))
-    x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * len(modes), max_size=2 * len(modes)))
+    lag = draw(st.none() | st.tuples(st.floats(0.2, 5.0), st.floats(0.3, 1.5)))
+    plant = _lag_plant(modes, lag)
+    x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=plant.n, max_size=plant.n))
     p = HigsIrcParams(draw(st.floats(0.1, 3.0)), draw(st.floats(1.0, 30.0)), draw(st.floats(-2.0, -0.2)))
     # The coarse grid makes rows where the clamp alone moves x_h, which must
     # end a block; on the fine grids they are rare.
@@ -540,13 +569,16 @@ def _irc_runs(draw):
     cfg = SimConfig(dt=dt, t_end=draw(st.integers(100, 3000)) * dt, x0=x0,
                     controller_x0=draw(st.floats(-1.0, 1.0)), r=draw(st.sampled_from([0.0, 0.3])),
                     record_every=draw(st.sampled_from([1, 7])))
-    return StateSpace(*modal_plant(modes)), p, cfg
+    return plant, p, cfg
 
 
 # e = x1 crosses zero at t = 0.1 s with x_h still on the old side, so the
 # clamp alone moves x_h to 0 on a row inside the first block.
 @example((StateSpace([[0.0, 1.0], [-1.0, 0.0]], [0.0, 1.0], [1.0, 0.0]), HIGS20,
           SimConfig(dt=1e-2, t_end=20.0, x0=[0.1, -1.0])))
+# C B = 0.25 enters de/dt through x_h; the loop switches in both directions.
+@example((_lag_plant([(1.0, 0.0, 1.0)], (0.5, 0.5)), HIGS20,
+          SimConfig(dt=1e-3, t_end=20.0, x0=[3.0, 1.0, -2.0], r=0.3)))
 @settings(deadline=None)
 @given(_irc_runs())
 def test_blocked_irc_loop_matches_per_step_reference(run):
