@@ -63,6 +63,7 @@ from .sim import (
     check_dissipation,
     check_monotone,
     check_sector,
+    require_strictly_proper,
     simulate_higs_irc_loop,
     simulate_higs_pii2_loop,
     simulate_linear_loop,
@@ -318,6 +319,13 @@ def _plant_ss(plant) -> StateSpace:
     return plant if isinstance(plant, StateSpace) else tf_to_ss(plant)
 
 
+def _admit_plant(controller_type: str, plant: StateSpace) -> None:
+    """A hybrid type needs the strictly proper plant its simulator needs:
+    check stability and design refuse any other as simulate does."""
+    if CONTROLLERS[controller_type].certificate is not None:
+        require_strictly_proper(plant)
+
+
 def _dump_json(obj) -> str:
     # numpy arrays and the numpy scalars json cannot take become lists and numbers
     return json.dumps(obj, default=lambda o: o.tolist(), sort_keys=True, indent=2) + "\n"
@@ -435,6 +443,7 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
 
 
 def _stability_report(cfg: ScenarioConfig, plant: StateSpace) -> CheckReport:
+    _admit_plant(cfg.controller_type, plant)
     if cfg.controller_type == "higs_irc":
         v: StabilityVerdict = check_irc_stability(plant, cfg.controller.kappa_tilde)
         evidence = {
@@ -522,6 +531,7 @@ def cmd_design(config_path: str, controller_type: str) -> int:
     raw = _read_json(config_path, "plant config")
     plant = _build_plant(_require(raw, "plant", "design config"))
     ss = _plant_ss(plant)
+    _admit_plant(controller_type, ss)
     assessment = assess_ni(plant)
     if not assessment.verified:
         raise NotNI(

@@ -14,14 +14,17 @@ D < -G(0) for the PII^2 family.
 
 With its element modes frozen every loop is affine, and ModeSystem is that
 one description, built by irc_mode_system and pii2_mode_system for the
-hybrid loops and by sim.closed_loop_matrices for the linear loop.
+hybrid loops and by sim.closed_loop_matrices for the linear loop.  A hybrid
+loop's elements form one chain of Element (sector bound, switching law,
+input): the single element alone, or H1, H2 and H3 fed by H2.
+chain_outputs and chain_gain_flags are the element law over any chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -123,12 +126,6 @@ class HigsPii2Params:
         return self.h1.k_h + self.h2.k_h ** 2 + self.k_p
 
 
-class ModeTriple(NamedTuple):
-    h1: HigsMode
-    h2: HigsMode
-    h3: HigsMode
-
-
 def irc_tf(p: IrcParams) -> RationalTF:
     """K(s) = Gamma / (s - Gamma D)."""
     return RationalTF((p.Gamma,), (1.0, -p.Gamma * p.D))
@@ -199,20 +196,6 @@ def gain_sum_admissible(p: HigsPii2Params, plant_dc: float) -> bool:
     return abs(p.gain_sum() - target) > GAIN_SUM_TOL * max(1.0, abs(target))
 
 
-def pii2_effective_states(
-    e: float,
-    states: Tuple[float, float, float],
-    modes: ModeTriple,
-    p: HigsPii2Params,
-) -> Tuple[float, float, float]:
-    """Element outputs with gain-mode algebraic substitutions applied."""
-    x1, x2, x3 = states
-    x1e = p.h1.k_h * e if modes.h1 == HigsMode.GAIN else x1
-    x2e = p.h2.k_h * e if modes.h2 == HigsMode.GAIN else x2
-    x3e = p.h3.k_h * x2e if modes.h3 == HigsMode.GAIN else x3
-    return x1e, x2e, x3e
-
-
 class ModeSystem(NamedTuple):
     """A loop with its element modes frozen, on the joint state z = [x; x_c].
 
@@ -238,7 +221,9 @@ def irc_mode_system(plant: StateSpace, p: HigsIrcParams, r: float, modes) -> Mod
 
     e = r + C x and u = x_h.  Integrating, dx_h/dt = omega_h (D x_h + e);
     in gain mode x_h = kappa_tilde e is substituted into the plant.  In both
-    modes de/dt = C A x + C B x_h, the plant's output rate at u = x_h.
+    modes de/dt = C dx/dt.  In gain mode the x_h slot has a zero row and
+    column in J and zero weight in e and de/dt, so those hold before the
+    slot is refreshed; only u reads it.
     """
     A, B, C, n = plant.A, plant.B, plant.C, plant.n
     J, c = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
@@ -252,11 +237,10 @@ def irc_mode_system(plant: StateSpace, p: HigsIrcParams, r: float, modes) -> Mod
         J[n, n] = p.omega_h * p.D
         c[n] = p.omega_h * r
     return ModeSystem(J, c, np.append(C, 0.0), float(r), np.eye(n + 1)[n], 0.0,
-                      np.append(C @ A, C @ B), 0.0)
+                      C @ J[:n], float(C @ c[:n]))
 
 
-def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
-                     modes: ModeTriple) -> ModeSystem:
+def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float, modes) -> ModeSystem:
     """The PII^2 loop with its modes frozen, on z = [x; x_h1; x_h2; x_h3].
 
     Solves the algebraic loop e = gamma (r + y) + gamma D (x_h1 + x_h3).
@@ -319,16 +303,57 @@ def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float,
     return ModeSystem(J, c, w_e, c_e, w_u, c_u, w_e @ J, float(w_e @ c))
 
 
-def higs_pii2_mode_update(e, e_dot, states, p: HigsPii2Params, tol: float):
-    """Gain-mode flags of H1, H2 and H3, on floats or elementwise on arrays.
+class Element(NamedTuple):
+    """One HIGS element of a loop's chain.
 
-    H1 and H2 see (e, de/dt).  H3's input is x_h2, whose rate depends on
-    H2's mode decided in this same call: omega_h2 * e when integrating,
-    k_h2 * de/dt in gain mode, where x_h2 is k_h2 e.
+    bound is its sector bound (k_h, or kappa_tilde for a compensated
+    element) and law carries its switching law (omega_h, k_h).  source
+    names its input: None for the loop error e, else the index of an
+    earlier base element whose output it takes.
     """
-    x1, x2, x3 = states
-    g1 = gain_mode(e, e_dot, x1, p.h1.k_h, p.h1, tol)
-    g2 = gain_mode(e, e_dot, x2, p.h2.k_h, p.h2, tol)
-    e3 = _where(g2, p.h2.k_h * e, x2)
-    e3_dot = _where(g2, p.h2.k_h * e_dot, p.h2.omega_h * e)
-    return g1, g2, gain_mode(e3, e3_dot, x3, p.h3.k_h, p.h3, tol)
+
+    bound: float
+    law: object
+    source: Optional[int] = None
+
+
+def pii2_chain(p: HigsPii2Params) -> tuple:
+    """H1 and H2 on the loop error, H3 on H2's output."""
+    return (Element(p.h1.k_h, p.h1), Element(p.h2.k_h, p.h2), Element(p.h3.k_h, p.h3, 1))
+
+
+def chain_outputs(e, states, modes, chain):
+    """Each element's input and output with the modes frozen, on floats or
+    elementwise on arrays: a gain-mode element outputs bound * input in
+    place of its state, and a chained element's input is its source's
+    output."""
+    ins, outs = [], []
+    for el, x, mode in zip(chain, states, modes):
+        a = e if el.source is None else outs[el.source]
+        ins.append(a)
+        outs.append(el.bound * a if mode == HigsMode.GAIN else x)
+    return ins, outs
+
+
+def chain_gain_flags(e, e_dot, outputs, chain, tol):
+    """Gain-mode flags of the elements at their outputs, on floats or
+    elementwise on arrays.
+
+    An element on the loop error sees (e, de/dt).  A chained element's
+    input and input rate follow its source's mode decided in this same
+    call: bound times the source's input and rate in gain mode; the
+    source's output and omega_h times the source's input when the source
+    (a base element) integrates.
+    """
+    flags, ins, rates = [], [], []
+    for el, x in zip(chain, outputs):
+        if el.source is None:
+            a, a_dot = e, e_dot
+        else:
+            j, src = el.source, chain[el.source]
+            a = _where(flags[j], src.bound * ins[j], outputs[j])
+            a_dot = _where(flags[j], src.bound * rates[j], src.law.omega_h * ins[j])
+        ins.append(a)
+        rates.append(a_dot)
+        flags.append(gain_mode(a, a_dot, x, el.bound, el.law, tol))
+    return tuple(flags)

@@ -23,8 +23,9 @@ in x_h and certify e * dx_h/dt dissipation along trajectories.
 
 The element law, project_to_sector and gain_mode, is written once for
 floats and arrays alike: on arrays it acts elementwise, and every element
-equals the float result bit for bit.  The simulators' block scans call it
-on arrays, the three-element loop's bisecting step on floats.
+equals the float result bit for bit.  Both hybrid loops run one event
+mechanism over their element chain: its block scan calls the law on
+arrays of rows, its bisecting event step on floats.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-
-MODE_BOUNDARY_RTOL = 1e-9   # scaled by max(1, |x_h|) in boundary detection
 
 
 class HigsMode(IntEnum):

@@ -4,33 +4,31 @@ All loops use positive feedback against a SISO plant given as a StateSpace,
 and all are piecewise affine: with the element modes frozen, a loop is a
 controllers.ModeSystem, dz/dt = J z + c on the joint state z = [x;
 controller states] with e, u and de/dt as affine rows of z.  A simulator
-supplies system(modes) -> ModeSystem and its per-step logic for a block of
-rows; the rest is shared.  _loop_start validates the plant, certificate
-and initial state, _mode_maps caches the RK4 map z+ = R z + d of one grid
-step per mode, _march owns the time grid and _mode_signals reads the
-recorded e and u off the rows of each sample's mode.
+supplies system(modes) -> ModeSystem; the rest is shared.  _loop_start
+validates the plant, certificate and initial state, _mode_maps caches the
+RK4 map z+ = R z + d of one grid step per mode, _march owns the time grid
+and _mode_signals reads the recorded e and u off the rows of each sample's
+mode.
 
 _march steps in blocks: it propagates up to _BLOCK_ROWS rows one step at a
-time (z = R z + d, as a lone step would), runs the loop's logic (mode
+time (z = R z + d, as a lone step would), runs the loop's scan (mode
 decision, sector clamp) and the divergence guard on the whole block, keeps
 the rows up to the first one where something fired and resumes there.
 Every kept row is the one a step at a time would give, bit for bit: a
-gain-mode slot has a zero row and column in J, so it never feeds the other
-states and is refreshed afterwards, and an integrator slot changes only
-where a clamp fires, which ends the block.
+gain-mode slot has a zero row and column in J and zero weight in e and
+de/dt, so it never feeds the other states and is refreshed afterwards, and
+an integrator slot changes only where a clamp fires, which ends the block.
 
-Mode switches are handled where the loop algebra demands it: the
-single-element loop switches on the grid (its sector boundary does not
-depend on the element state), so its block logic settles a switching row
-itself, while the three-element loop, whose error feeds back through the
-gain-mode elements, localizes sector exits by bisection inside the step and
-switches on the boundary itself; its block ends before such a row, which is
-then taken by the bisecting step.  The block scans and the bisecting step
-share one element law: higs.project_to_sector, higs.gain_mode and
-controllers.higs_pii2_mode_update, applied to arrays of rows in the scans
-and to floats in the step.  Recorded samples satisfy the sector
-inequalities by construction up to rounding.  The hybrid loops need a
-strictly proper plant (D_ff = 0).
+Both hybrid loops run one event mechanism, _hybrid_loop, over a chain of
+HIGS elements (controllers.Element): the single-element loop is the
+one-element chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a
+block before a row where a mode changes or a sector is left, and its
+bisecting step locates that event inside the step and switches on the
+boundary itself.  The scan and the step share one element law:
+higs.project_to_sector and controllers.chain_outputs / chain_gain_flags,
+applied to arrays of rows in the scan and to floats in the step.
+Recorded samples satisfy the sector inequalities by construction up to
+rounding.  The hybrid loops need a strictly proper plant (D_ff = 0).
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -50,22 +48,21 @@ import numpy as np
 
 from .controllers import (
     ALGEBRAIC_LOOP_TOL,
+    Element,
     HigsPii2Params,
     InvalidParameters,
     ModeSystem,
-    ModeTriple,
     UnsolvableLoop,
+    chain_gain_flags,
+    chain_outputs,
     gain_sum_admissible,
-    higs_pii2_mode_update,
     irc_mode_system,
-    pii2_effective_states,
+    pii2_chain,
     pii2_mode_system,
 )
 from .higs import (
     HigsIrcParams,
     HigsMode,
-    MODE_BOUNDARY_RTOL,
-    gain_mode,
     project_to_sector,
     storage_V1,
     storage_V2_cascade,
@@ -362,15 +359,21 @@ def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray,
     return R, d
 
 
+def require_strictly_proper(plant: StateSpace) -> None:
+    """The hybrid loops' mode systems and certificates use A, B and C only,
+    so they need D_ff = 0; simulate, check stability and design all ask
+    here."""
+    if plant.D_ff != 0.0:
+        raise ValueError(f"hybrid loops need a strictly proper plant, got D_ff = {plant.D_ff}")
+
+
 def _loop_start(plant: StateSpace, cfg: SimConfig, m: int, hybrid: bool,
                 cert: Optional[LyapunovCertificate] = None) -> np.ndarray:
     """[x0; controller_x0] for m controller states, a single controller_x0
-    broadcast.  A hybrid loop also needs D_ff = 0 (its mode systems and
-    certificates use A, B and C only), an invertible A and, when given, a
-    positive-definite certificate."""
+    broadcast.  A hybrid loop also needs a strictly proper plant, an
+    invertible A and, when given, a positive-definite certificate."""
     if hybrid:
-        if plant.D_ff != 0.0:
-            raise ValueError(f"hybrid loops need a strictly proper plant, got D_ff = {plant.D_ff}")
+        require_strictly_proper(plant)
         if not _smallest_sv_ok(plant.A):
             raise SingularA("plant A must be invertible")
         if cert is not None:
@@ -411,18 +414,15 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
 
     maps(modes) -> (R, d) is the frozen-mode map of one step.  A block
     propagates up to _BLOCK_ROWS rows one step at a time, z = R z + d; then
-    scan(rows, modes) -> (q, modes) applies the loop's per-step logic to
-    every row in place and keeps the first q rows: the rows before the first
-    one where the logic fired, plus that row when the scan settled it (it
-    then carries the returned modes).  The next block starts from the last
-    kept row.  When step is given, the row after a block cut short is taken
-    by step(k, z, modes) -> (z, modes), the step from t = (k-1) dt to k dt;
-    such a loop's scan stops before any row it cannot settle.  Without a
-    scan the loop has no events.  The divergence guard (|z| <=
-    DIVERGENCE_LIMIT, which also catches NaN) runs on every kept row;
-    samples are taken at t = 0, every record_every steps and at the final
-    step.  Returns the sample times, the joint states (one row per sample)
-    and the integer mode codes.
+    scan(rows, modes) -> q applies the loop's per-step logic to every row in
+    place and keeps the first q rows.  The next block starts from the last
+    kept row; after a block cut short, step(k, z, modes) -> (z, modes), the
+    step from t = (k-1) dt to k dt, takes the next row.  Without a scan the
+    loop has no events.  The divergence guard (|z| <= DIVERGENCE_LIMIT,
+    which also catches NaN) runs on every kept row; samples are taken at
+    t = 0, every record_every steps and at the final step.  Returns the
+    sample times, the joint states (one row per sample) and the integer
+    mode codes.
     """
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
     N = _record_count(n_steps, every)
@@ -440,11 +440,8 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     with np.errstate(all="ignore"):
         while k < n_steps:
             if bisect:
-                z, after = step(k + 1, z, modes)
-                blk = buf[:1]
-                blk[0] = z
-                q = 1
-                bisect = False
+                z, modes = step(k + 1, z, modes)
+                blk, q, bisect = z[None], 1, False
             else:
                 R, d = maps(modes)
                 blk = buf[:min(_BLOCK_ROWS, n_steps - k)]
@@ -454,8 +451,8 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
                     np.dot(R, prev, out=row)
                     np.add(row, d, out=row)
                     prev = row
-                q, after = (len(blk), modes) if scan is None else scan(blk, modes)
-                bisect = step is not None and q < len(blk)
+                q = len(blk) if scan is None else scan(blk, modes)
+                bisect = q < len(blk)
             ok = np.abs(blk[:q]).max(axis=1) <= DIVERGENCE_LIMIT
             if not ok.all():
                 t = (k + 1 + int(np.argmin(ok))) * dt
@@ -465,11 +462,8 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
             kept = blk[a:q:every]
             Z[i:i + len(kept)], M[i:i + len(kept)] = kept, modes
             k += q
-            modes = after
             if q:
                 z = blk[q - 1].copy()
-                if k % every == 0:
-                    M[k // every] = modes
     Z[-1], M[-1] = z, modes
     return T, Z, M
 
@@ -501,69 +495,6 @@ def _mode_signals(Z: np.ndarray, M: np.ndarray, system) -> Tuple[np.ndarray, np.
         e[rows] = _row_dots(Z[rows], s.w_e) + s.c_e
         u[rows] = _row_dots(Z[rows], s.w_u) + s.c_u
     return e, u
-
-
-# ---------------------------------------------------------------------------
-# HIGS-IRC loop
-
-
-def simulate_higs_irc_loop(
-    plant: StateSpace,
-    p: HigsIrcParams,
-    cfg: SimConfig,
-    cert: Optional[LyapunovCertificate] = None,
-) -> Trajectory:
-    """Positive-feedback loop of an NI plant with one compensated element.
-
-    Error signal e = r + C x; the element output u = x_h drives the plant.
-    Per-mode dynamics are affine (controllers.irc_mode_system), so each RK4
-    step is a precomputed linear map.  When a certificate is supplied, W is
-    traced alongside the element storage V.
-    """
-    z = _loop_start(plant, cfg, 1, hybrid=True, cert=cert)
-    n = plant.n
-    kt = p.kappa_tilde
-    system, maps = _mode_maps(lambda modes: irc_mode_system(plant, p, cfg.r, modes), cfg.dt)
-
-    def irc_rows(Zb, modes):
-        """One step's logic on rows stepped in `modes`: refresh x_h in gain
-        mode, clamp it into the sector, pick the mode and pin x_h in gain
-        mode.  Keeps the rows up to the first whose mode or clamp fired."""
-        s = system(modes)
-        gain = modes[0] == HigsMode.GAIN
-        e = _row_dots(Zb, s.w_e) + s.c_e
-        if gain:
-            Zb[:, n] = kt * e
-        xh = Zb[:, n].copy()
-        e_dot = _row_dots(Zb, s.w_de) + s.c_de
-        xc = project_to_sector(e, xh, kt, SECTOR_CLAMP_TOL)
-        to_gain = gain_mode(e, e_dot, xc, kt, p, MODE_BOUNDARY_RTOL)
-        Zb[:, n] = np.where(to_gain, kt * e, xc)
-        fired = np.flatnonzero((to_gain != gain) | (xc != xh))
-        q = int(fired[0]) + 1 if len(fired) else len(Zb)
-        return q, (HigsMode.GAIN if to_gain[q - 1] else HigsMode.INTEGRATOR,)
-
-    with np.errstate(all="ignore"):
-        _, modes = irc_rows(z[None], (HigsMode.INTEGRATOR,))
-    T, Z, M = _march(cfg, z, modes, maps, irc_rows)
-    e, u = _mode_signals(Z, M, system)
-
-    return Trajectory(
-        times=T,
-        plant_states=Z[:, :n],
-        controller_states=Z[:, n:],
-        e=e,
-        u=u,
-        y=_row_dots(Z[:, :n], plant.C),
-        modes=M,
-        V=storage_V_h(Z[:, n], p),
-        W=None if cert is None else _quadratic_rows(Z, cert.P),
-        meta={
-            "controller": "higs_irc",
-            "controller_state_names": ["xh"],
-            "kappa_tilde": kt,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +560,7 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
 
 
 # ---------------------------------------------------------------------------
-# HIGS-PII^2 loop
+# Hybrid loops
 
 # Event localization inside one step: boundary eligibility and the sector-exit
 # threshold during bisection, plus the smallest chunk worth resolving.  Much
@@ -643,53 +574,42 @@ _EVENT_GAP = 1e-13
 _EVENT_MIN_FRAC = 1e-12
 
 
-def simulate_higs_pii2_loop(
-    plant: StateSpace,
-    p: HigsPii2Params,
-    cfg: SimConfig,
-    cert: Optional[LyapunovCertificate] = None,
-) -> Trajectory:
-    """Hybrid PII^2 loop: H1 and the H2->H3 chain in parallel with k_p.
+def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
+                 cert: Optional[LyapunovCertificate], chain: tuple,
+                 system: Callable[[tuple], ModeSystem]) -> dict:
+    """Run a loop from z, whose last len(chain) states are the chain's
+    elements.
 
-    The loop error solves a per-sample algebraic equation (gain-mode
-    elements feed through), so with the three modes frozen the joint
-    dynamics are affine and every chunk advances by a precomputed RK4 map.
-    Sector exits and mode switches are localized inside the step by
-    bisection before the modes change: switching happens on the boundary
-    itself, so element states stay continuous and the Lyapunov trace is
-    free of projection jumps.  The error couples back through the element
-    states (e = gamma*(r + y) + gamma*D*(x_h1 + x_h3)), which is why a
-    plain project-after-step scheme would chatter against the boundary
-    instead of entering gain mode.
+    With the modes frozen every chunk advances by an RK4 map of
+    system(modes).  Sector exits and mode switches are located inside the
+    step by bisection before the modes change: switching happens on the
+    boundary itself, so element states stay continuous and the Lyapunov
+    trace is free of projection jumps.  Where the error couples back
+    through the element states, a project-after-step scheme would chatter
+    against the boundary instead of entering gain mode.  Returns the
+    Trajectory fields both hybrid loops share.
     """
-    z = _loop_start(plant, cfg, 3, hybrid=True, cert=cert)
-    if not gain_sum_admissible(p, dc_gain(plant)):
-        raise InvalidParameters(
-            "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
-        )
     n = plant.n
     dt = cfg.dt
-    ks = (p.h1.k_h, p.h2.k_h, p.h3.k_h)
-    system, maps = _mode_maps(lambda modes: pii2_mode_system(plant, p, cfg.r, modes), dt)
+    system, maps = _mode_maps(system, dt)
 
     def advance(z, modes, h):
         R, d = maps(modes) if h == dt else _rk4_affine_map(*system(modes)[:2], h)
         return R @ z + d
 
     def inputs(z, modes):
-        """The element inputs (e, e, H3's input) and the substituted element
-        outputs at a state."""
+        """The loop error, and the element inputs and substituted outputs,
+        at a state."""
         s = system(modes)
         e = float(s.w_e @ z) + s.c_e
-        eff = pii2_effective_states(e, (z[n], z[n + 1], z[n + 2]), modes, p)
-        return (e, e, eff[1]), eff
+        return (e, *chain_outputs(e, z[n:].tolist(), modes, chain))
 
     def mode_update(z, modes):
         """Modes the update rule picks at a state, with the element inputs."""
-        ins, eff = inputs(z, modes)
+        e, ins, outs = inputs(z, modes)
         s = system(modes)
-        gains = higs_pii2_mode_update(ins[0], float(s.w_de @ z) + s.c_de, eff, p, _EVENT_RTOL)
-        return ModeTriple(*(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in gains)), ins
+        gains = chain_gain_flags(e, float(s.w_de @ z) + s.c_de, outs, chain, _EVENT_RTOL)
+        return tuple(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in gains), ins
 
     def probe(z, modes):
         """Settled-once modes and worst scaled sector exit at a state.
@@ -698,20 +618,20 @@ def simulate_higs_pii2_loop(
         max(1, |x_h|), the same scaling the boundary-eligibility test uses."""
         new, ins = mode_update(z, modes)
         viol = 0.0
-        for i, (mode, ei, ki) in enumerate(zip(modes, ins, ks)):
+        for i, (mode, a, el) in enumerate(zip(modes, ins, chain)):
             if mode == HigsMode.INTEGRATOR:
-                xi = z[n + i]
-                viol = max(viol, abs(project_to_sector(ei, xi, ki, 0.0) - xi) / max(1.0, abs(xi)))
+                x = z[n + i]
+                viol = max(viol, abs(project_to_sector(a, x, el.bound, 0.0) - x) / max(1.0, abs(x)))
         return new, viol
 
     def finalize(z, modes):
         """Refresh gain slots and clamp rounding dust off the sectors."""
-        ins, eff = inputs(z, modes)
-        for i, (mode, ei, ki) in enumerate(zip(modes, ins, ks)):
+        _, ins, outs = inputs(z, modes)
+        for i, (mode, a, el) in enumerate(zip(modes, ins, chain)):
             if mode == HigsMode.GAIN:
-                z[n + i] = eff[i]
+                z[n + i] = outs[i]
             else:
-                z[n + i] = project_to_sector(ei, z[n + i], ki, SECTOR_CLAMP_TOL)
+                z[n + i] = project_to_sector(a, z[n + i], el.bound, SECTOR_CLAMP_TOL)
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
@@ -726,7 +646,7 @@ def simulate_higs_pii2_loop(
     # Sanitize the initial state: clamp into the sectors against the resolved
     # error (a couple of passes, since clamping moves the error), then settle
     # the starting modes.
-    modes = ModeTriple(HigsMode.INTEGRATOR, HigsMode.INTEGRATOR, HigsMode.INTEGRATOR)
+    modes = (HigsMode.INTEGRATOR,) * len(chain)
     for _ in range(3):
         finalize(z, modes)
     modes = settle(z, modes)
@@ -775,56 +695,87 @@ def simulate_higs_pii2_loop(
                 )
         return z, modes
 
-    def pii2_rows(Zb, modes):
+    def scan(Zb, modes):
         """probe and finalize of one step on rows stepped in `modes`.  Keeps
         the rows before the first mode change or sector exit (the bisecting
         step takes that row) and up to the first row the clamp moved."""
         s = system(modes)
         slots = tuple(Zb[:, n:].T.copy())
         e = np.vecdot(Zb, s.w_e) + s.c_e
-        eff = pii2_effective_states(e, slots, modes, p)
-        gains = higs_pii2_mode_update(e, np.vecdot(Zb, s.w_de) + s.c_de, eff, p, _EVENT_RTOL)
+        ins, outs = chain_outputs(e, slots, modes, chain)
+        gains = chain_gain_flags(e, np.vecdot(Zb, s.w_de) + s.c_de, outs, chain, _EVENT_RTOL)
         event = np.zeros(len(Zb), dtype=bool)
         moved = np.zeros(len(Zb), dtype=bool)
-        for i, (mode, g, x, ei, ki) in enumerate(zip(modes, gains, slots, (e, e, eff[1]), ks)):
+        for i, (mode, g, x, a, el) in enumerate(zip(modes, gains, slots, ins, chain)):
             if mode == HigsMode.GAIN:
                 event |= ~g
-                Zb[:, n + i] = eff[i]
+                Zb[:, n + i] = outs[i]
             else:
                 event |= g
-                event |= np.abs(project_to_sector(ei, x, ki, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
-                xc = project_to_sector(ei, x, ki, SECTOR_CLAMP_TOL)
+                event |= np.abs(project_to_sector(a, x, el.bound, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
+                xc = project_to_sector(a, x, el.bound, SECTOR_CLAMP_TOL)
                 moved |= xc != x
                 Zb[:, n + i] = xc
         fired = np.flatnonzero(event | moved)
         if not len(fired):
-            return len(Zb), modes
+            return len(Zb)
         first = int(fired[0])
-        return (first if event[first] else first + 1), modes
+        return first if event[first] else first + 1
 
-    T, Z, M = _march(cfg, z, modes, maps, pii2_rows, step)
-    X, XH = Z[:, :n], Z[:, n:]
+    T, Z, M = _march(cfg, z, modes, maps, scan, step)
     e, u = _mode_signals(Z, M, system)
+    return dict(times=T, plant_states=Z[:, :n], controller_states=Z[:, n:], e=e, u=u,
+                y=_row_dots(Z[:, :n], plant.C), modes=M,
+                W=None if cert is None else _quadratic_rows(Z, cert.P))
+
+
+def simulate_higs_irc_loop(
+    plant: StateSpace,
+    p: HigsIrcParams,
+    cfg: SimConfig,
+    cert: Optional[LyapunovCertificate] = None,
+) -> Trajectory:
+    """Positive-feedback loop of an NI plant with one compensated element.
+
+    Error signal e = r + C x; the element output u = x_h drives the plant.
+    The loop is the one-element chain (sector bound kappa_tilde) of
+    _hybrid_loop on controllers.irc_mode_system.  When a certificate is
+    supplied, W is traced alongside the element storage V.
+    """
+    z = _loop_start(plant, cfg, 1, hybrid=True, cert=cert)
+    chain = (Element(p.kappa_tilde, p),)
+    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: irc_mode_system(plant, p, cfg.r, modes))
+    return Trajectory(**run, V=storage_V_h(run["controller_states"][:, 0], p),
+                      meta={"controller": "higs_irc", "controller_state_names": ["xh"], "chain": chain})
+
+
+def simulate_higs_pii2_loop(
+    plant: StateSpace,
+    p: HigsPii2Params,
+    cfg: SimConfig,
+    cert: Optional[LyapunovCertificate] = None,
+) -> Trajectory:
+    """Hybrid PII^2 loop: H1 and the H2->H3 chain in parallel with k_p.
+
+    The loop error solves a per-sample algebraic equation (gain-mode
+    elements feed through, e = gamma*(r + y) + gamma*D*(x_h1 + x_h3)), so
+    with the three modes frozen the joint dynamics are affine
+    (controllers.pii2_mode_system); _hybrid_loop runs the three-element
+    chain on them.
+    """
+    z = _loop_start(plant, cfg, 3, hybrid=True, cert=cert)
+    if not gain_sum_admissible(p, dc_gain(plant)):
+        raise InvalidParameters(
+            "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
+        )
+    chain = pii2_chain(p)
+    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: pii2_mode_system(plant, p, cfg.r, modes))
+    XH = run["controller_states"]
     V1 = storage_V1(XH[:, 0], p.h1)
     V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
-
-    return Trajectory(
-        times=T,
-        plant_states=X,
-        controller_states=XH,
-        e=e,
-        u=u,
-        y=_row_dots(X, plant.C),
-        modes=M,
-        V=V1 + V2,
-        W=None if cert is None else _quadratic_rows(Z, cert.P),
-        aux={"V1": V1, "V2": V2},
-        meta={
-            "controller": "higs_pii2",
-            "controller_state_names": ["xh1", "xh2", "xh3"],
-            "sector_gains": [ks[0], ks[1], ks[2]],
-        },
-    )
+    return Trajectory(**run, V=V1 + V2, aux={"V1": V1, "V2": V2},
+                      meta={"controller": "higs_pii2", "controller_state_names": ["xh1", "xh2", "xh3"],
+                            "chain": chain})
 
 
 # ---------------------------------------------------------------------------
@@ -875,20 +826,13 @@ class SectorReport:
 
 
 def _sector_pairs(traj: Trajectory):
-    kind = traj.meta.get("controller")
-    if kind == "higs_irc":
-        kt = traj.meta["kappa_tilde"]
-        return [(traj.e, traj.controller_states[:, 0], kt)]
-    if kind == "higs_pii2":
-        ks = traj.meta.get("sector_gains")
-        if ks is None:
-            raise ValueError("trajectory metadata lacks sector_gains")
-        return [
-            (traj.e, traj.controller_states[:, 0], ks[0]),
-            (traj.e, traj.controller_states[:, 1], ks[1]),
-            (traj.controller_states[:, 1], traj.controller_states[:, 2], ks[2]),
-        ]
-    raise ValueError(f"no sector constraint for controller kind {kind!r}")
+    """(input, output, bound) per element of the trajectory's chain."""
+    chain = traj.meta.get("chain")
+    if chain is None:
+        raise ValueError(f"no sector constraint for controller kind {traj.meta.get('controller')!r}")
+    X = traj.controller_states
+    return [(traj.e if el.source is None else X[:, el.source], X[:, i], el.bound)
+            for i, el in enumerate(chain)]
 
 
 def check_sector(traj: Trajectory) -> SectorReport:

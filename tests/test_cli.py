@@ -232,22 +232,27 @@ def test_report_controller_block(tmp_path, capsys, controller, summary):
     assert report["controller"] == {"type": controller["type"], **summary}
 
 
-@pytest.mark.parametrize("controller", [_quick_scenario()["controller"], _PII2_CONTROLLER],
-                         ids=["higs_irc", "higs_pii2"])
+@pytest.mark.parametrize("controller, command", [
+    pytest.param(c, command, id=c["type"] + suffix)
+    for command, suffix in (("simulate", ""), ("check", "-check_stability"), ("design", "-design"))
+    for c in (_quick_scenario()["controller"], _PII2_CONTROLLER)])
 @pytest.mark.parametrize("plant, d_ff", [
     ({"A": [[-1.0]], "B": [1.0], "C": [1.0], "D_ff": 0.5}, 0.5),
     ({"num": [1.0, 2.0], "den": [1.0, 1.0]}, 1.0),     # (s + 2)/(s + 1) = 1 + 1/(s + 1)
 ], ids=["state_space", "biproper_tf"])
 def test_simulate_hybrid_loop_rejects_plant_feedthrough(tmp_path, monkeypatch, capsys,
-                                                        controller, plant, d_ff):
+                                                        controller, command, plant, d_ff):
+    # check stability and design refuse the plant a hybrid loop cannot run
+    # on, with simulate's message and exit code.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sim, "_march", lambda *args: pytest.fail("the loop took a step"))
     scenario = _quick_scenario(plant=plant, controller=controller)
     scenario["sim"]["x0"] = [1.0]
     cfg = _write(tmp_path, "bad.json", scenario)
-    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: hybrid loops need a strictly proper plant, got D_ff = {d_ff}\n")
+    argv = {"simulate": [cfg], "check": [cfg, "stability"], "design": [cfg, controller["type"]]}
+    assert cli.main([command, *argv[command]]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: hybrid loops need a strictly proper plant, got D_ff = {d_ff}\n")
     assert not (tmp_path / "run.csv").exists()
 
 

@@ -17,16 +17,16 @@ from higsni import (
     pii2rc_tf,
 )
 from higsni.controllers import (
-    ModeTriple,
+    chain_gain_flags,
+    chain_outputs,
     check_irc_stability,
     check_pii2_stability,
     gain_sum_admissible,
-    higs_pii2_mode_update,
-    pii2_effective_states,
+    pii2_chain,
     pii2_mode_system,
     pii2rc_sni_value,
 )
-from higsni.higs import MODE_BOUNDARY_RTOL, HigsMode
+from higsni.higs import HigsMode
 from higsni.lti import freq_response, sni_frequency_test
 
 gains = st.floats(1e-2, 1e2)
@@ -34,7 +34,7 @@ neg_d = st.floats(-1e2, -1e-2)
 signal = st.floats(-1e2, 1e2)
 
 MODE_COMBOS = [
-    ModeTriple(HigsMode(a), HigsMode(b), HigsMode(c))
+    (HigsMode(a), HigsMode(b), HigsMode(c))
     for a in (0, 1) for b in (0, 1) for c in (0, 1)
 ]
 
@@ -230,7 +230,7 @@ def _signals(plant, y, y_dot, states, modes, p, r=0.0):
 def test_resolve_all_integrator_hand_value(plant):
     p = _bank(k_p=1.0, D=-1.0, k1=1.0)
     for r, y in ((1.0, 0.0), (0.0, 1.0)):    # the reference and the output enter alike
-        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), ModeTriple(INT, INT, INT), p, r)
+        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), (INT, INT, INT), p, r)
         assert e == pytest.approx(0.5)
         assert u == pytest.approx(0.5)
 
@@ -243,7 +243,7 @@ def test_resolve_equilibrium_is_zero(plant):
 def test_resolve_first_element_gain_hand_value(plant):
     p = _bank(k_p=1.0, D=-1.0, k1=1.0)
     for r, y in ((1.0, 0.0), (0.0, 1.0)):    # the reference and the output enter alike
-        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), ModeTriple(GAIN, INT, INT), p, r)
+        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), (GAIN, INT, INT), p, r)
         assert e == pytest.approx(1.0 / 3.0)
         assert u == pytest.approx(2.0 / 3.0)
 
@@ -253,7 +253,7 @@ def test_resolve_reproduces_the_output_in_every_mode(plant, y, x1, x2, x3, k_p, 
     p = _bank(k_p=k_p, D=D, k1=k1, k23=k23)
     for modes in MODE_COMBOS:
         e, u, _ = _signals(plant, y, 0.0, (x1, x2, x3), modes, p)
-        x1e, x2e, x3e = pii2_effective_states(e, (x1, x2, x3), modes, p)
+        x1e, x2e, x3e = chain_outputs(e, (x1, x2, x3), modes, pii2_chain(p))[1]
         y_rec = e / p.gamma - p.D * (x1e + x3e)
         scale = max(1.0, abs(y), abs(e) / p.gamma, abs(p.D) * (abs(x1e) + abs(x3e)))
         assert abs(y_rec - y) <= 1e-12 * scale
@@ -266,10 +266,10 @@ def test_error_rate_satisfies_the_differentiated_loop(plant, y, y_dot, x1, x2, x
     p = _bank(k_p=k_p, D=D, k1=k1, k23=k23)
     for modes in MODE_COMBOS:
         e, _, e_dot = _signals(plant, y, y_dot, (x1, x2, x3), modes, p)
-        _, x2e, _ = pii2_effective_states(e, (x1, x2, x3), modes, p)
-        x1_dot = p.h1.k_h * e_dot if modes.h1 == GAIN else p.h1.omega_h * e
-        x2_dot = p.h2.k_h * e_dot if modes.h2 == GAIN else p.h2.omega_h * e
-        x3_dot = p.h3.k_h * x2_dot if modes.h3 == GAIN else p.h3.omega_h * x2e
+        _, x2e, _ = chain_outputs(e, (x1, x2, x3), modes, pii2_chain(p))[1]
+        x1_dot = p.h1.k_h * e_dot if modes[0] == GAIN else p.h1.omega_h * e
+        x2_dot = p.h2.k_h * e_dot if modes[1] == GAIN else p.h2.omega_h * e
+        x3_dot = p.h3.k_h * x2_dot if modes[2] == GAIN else p.h3.omega_h * x2e
         want = p.gamma * (y_dot + p.D * (x1_dot + x3_dot))
         scale = max(1.0, abs(e_dot), abs(y_dot), abs(p.D) * (abs(x1_dot) + abs(x3_dot)))
         assert abs(e_dot - want) <= 1e-12 * scale
@@ -280,7 +280,7 @@ def test_error_rate_satisfies_the_differentiated_loop(plant, y, y_dot, x1, x2, x
 
 
 def test_mode_update_zero_states_all_integrator():
-    assert higs_pii2_mode_update(1.0, 0.0, (0.0, 0.0, 0.0), _bank(), MODE_BOUNDARY_RTOL) == \
+    assert chain_gain_flags(1.0, 0.0, (0.0, 0.0, 0.0), pii2_chain(_bank()), 1e-9) == \
         (False, False, False)
 
 
@@ -288,7 +288,7 @@ def test_mode_update_all_on_boundary_all_gain():
     p = _bank()
     e = 1.0
     states = (p.h1.k_h * e, p.h2.k_h * e, p.h3.k_h * p.h2.k_h * e)
-    assert higs_pii2_mode_update(e, 0.0, states, p, MODE_BOUNDARY_RTOL) == (True, True, True)
+    assert chain_gain_flags(e, 0.0, states, pii2_chain(p), 1e-9) == (True, True, True)
 
 
 def test_mode_update_tie_keeps_second_element_integrating():
@@ -296,7 +296,7 @@ def test_mode_update_tie_keeps_second_element_integrating():
     e = 1.0
     e_dot = p.h2.omega_h / p.h2.k_h     # omega2 e^2 == k2 e e_dot exactly
     states = (0.0, p.h2.k_h * e, p.h3.k_h * p.h2.k_h * e)
-    _, g2, g3 = higs_pii2_mode_update(e, e_dot, states, p, MODE_BOUNDARY_RTOL)
+    _, g2, g3 = chain_gain_flags(e, e_dot, states, pii2_chain(p), 1e-9)
     assert not g2
     # H3 then sees e3 = x_h2 with rate omega2*e: 0.4*1 > 1*1*0.2 holds
     assert g3
@@ -307,8 +307,8 @@ def test_mode_update_third_element_follows_second_elements_output():
     e = 2.0
     # H2 in gain mode: H3's input is k2*e with rate k2*e_dot = 0
     states = (0.0, p.h2.k_h * e, p.h3.k_h * p.h2.k_h * e)
-    assert higs_pii2_mode_update(e, 0.0, states, p, MODE_BOUNDARY_RTOL) == (False, True, True)
+    assert chain_gain_flags(e, 0.0, states, pii2_chain(p), 1e-9) == (False, True, True)
     # move x_h2 off its boundary: H3's boundary no longer matches k2*e
     states = (0.0, 0.5 * p.h2.k_h * e, p.h3.k_h * p.h2.k_h * e)
-    _, g2, g3 = higs_pii2_mode_update(e, 0.0, states, p, MODE_BOUNDARY_RTOL)
+    _, g2, g3 = chain_gain_flags(e, 0.0, states, pii2_chain(p), 1e-9)
     assert not g2 and not g3

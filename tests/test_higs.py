@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from higsni import HigsIrcParams, HigsParams, SimConfig, StateSpace, simulate_higs_irc_loop
 from higsni.higs import (
-    MODE_BOUNDARY_RTOL,
     HigsMode,
     gain_mode,
     project_to_sector,
@@ -83,7 +82,7 @@ def test_projection_lands_inside_sector(e, x_h, k):
 # mode decisions
 
 
-def _base_mode(e, e_dot, x_h, p, tol=MODE_BOUNDARY_RTOL):
+def _base_mode(e, e_dot, x_h, p, tol=1e-9):
     return gain_mode(e, e_dot, x_h, p.k_h, p, tol)
 
 
@@ -107,12 +106,12 @@ def test_mode_irc_truth_table():
     # the boundary is kappa_tilde e, the switching inequality keeps k_h
     p = HigsIrcParams(0.5, 20.0, -1.0)
     kt = p.kappa_tilde
-    assert gain_mode(1.0, 0.0, kt, kt, p, MODE_BOUNDARY_RTOL)
-    assert not gain_mode(1.0, 0.0, 0.0, kt, p, MODE_BOUNDARY_RTOL)
+    assert gain_mode(1.0, 0.0, kt, kt, p, 1e-9)
+    assert not gain_mode(1.0, 0.0, 0.0, kt, p, 1e-9)
     # negative-side boundary: omega*1 > k*(-1)*(-0.5*omega/k) = 0.5*omega
-    assert gain_mode(-1.0, -0.5 * p.omega_h / p.k_h, -kt, kt, p, MODE_BOUNDARY_RTOL)
+    assert gain_mode(-1.0, -0.5 * p.omega_h / p.k_h, -kt, kt, p, 1e-9)
     # omega e^2 = 0.5 < k_h e e_dot = 1, though kappa_tilde e e_dot would be 1/21
-    assert not gain_mode(1.0, 2.0 * p.omega_h / p.k_h, kt, kt, p, MODE_BOUNDARY_RTOL)
+    assert not gain_mode(1.0, 2.0 * p.omega_h / p.k_h, kt, kt, p, 1e-9)
 
 
 def test_mode_boundary_tolerance_is_relative():

@@ -34,9 +34,8 @@ from higsni import (
     simulate_linear_loop,
 )
 from higsni import cli, controllers, lti, sim
-from higsni.controllers import ModeTriple, higs_pii2_mode_update, pii2_mode_system
+from higsni.controllers import UnsolvableLoop, chain_gain_flags, pii2_chain, pii2_mode_system
 from higsni.higs import (
-    MODE_BOUNDARY_RTOL,
     HigsMode,
     gain_mode,
     project_to_sector,
@@ -68,7 +67,6 @@ def test_sim_config_validation():
 
 
 def test_tolerances_defaults():
-    assert MODE_BOUNDARY_RTOL == 1e-9
     assert sim.SECTOR_CLAMP_TOL == 1e-12
     assert sim.DIVERGENCE_LIMIT == 1e9
     assert controllers.GAIN_SUM_TOL == 1e-9
@@ -471,8 +469,9 @@ def test_pii2_mode_kernel_matches_scalar_update(rows, k1, k2, w1, w2, dw):
     x1 = np.where(edges[:, 0] > 0, k1 * e, x1)
     x2 = np.where(edges[:, 1] > 0, k2 * e, x2)
     x3 = np.select([edges[:, 2] == 1, edges[:, 2] == 2], [k2 * x2, k2 * (k2 * e)], x3)
-    got = np.column_stack(higs_pii2_mode_update(e, e_dot, (x1, x2, x3), p, 1e-12))
-    want = [list(higs_pii2_mode_update(a, b, (c, d, f), p, 1e-12))
+    chain = pii2_chain(p)
+    got = np.column_stack(chain_gain_flags(e, e_dot, (x1, x2, x3), chain, 1e-12))
+    want = [list(chain_gain_flags(a, b, (c, d, f), chain, 1e-12))
             for a, b, c, d, f in zip(e.tolist(), e_dot.tolist(), x1.tolist(), x2.tolist(), x3.tolist())]
     assert all(type(g) is bool for flags in want for g in flags)
     assert got.tolist() == want
@@ -494,53 +493,6 @@ def test_loop_block_size_invariance(plant, loop, monkeypatch):
         assert np.array_equal(traj.controller_states, runs[0].controller_states)
         assert (traj.modes is None) == (runs[0].modes is None)
         assert traj.modes is None or np.array_equal(traj.modes, runs[0].modes)
-
-
-def _per_step_irc_loop(plant, p, cfg):
-    """The single-element loop one step at a time, as it ran before block
-    stepping: propagate, mode logic, guard and sample after every step.
-    Kept as the oracle for the blocked core; returns (T, Z, M)."""
-    n, A, B, C = plant.n, plant.A, plant.B, plant.C
-    kt, r, dt, limit = p.kappa_tilde, cfg.r, cfg.dt, sim.DIVERGENCE_LIMIT
-    CA, CB = C @ A, float(C @ B)
-    J_int = np.zeros((n + 1, n + 1))
-    J_int[:n, :n], J_int[:n, n], J_int[n, :n], J_int[n, n] = A, B, p.omega_h * C, p.omega_h * p.D
-    c_int = np.zeros(n + 1)
-    c_int[n] = p.omega_h * r
-    J_gain = np.zeros((n + 1, n + 1))
-    J_gain[:n, :n] = A + kt * np.outer(B, C)
-    c_gain = np.zeros(n + 1)
-    c_gain[:n] = kt * r * B
-    maps = {HigsMode.INTEGRATOR: _rk4_affine_map(J_int, c_int, dt),
-            HigsMode.GAIN: _rk4_affine_map(J_gain, c_gain, dt)}
-
-    def pick_mode(z):
-        e = r + float(C @ z[:n])
-        e_dot = float(CA @ z[:n]) + CB * z[n]
-        z[n] = project_to_sector(e, z[n], kt, sim.SECTOR_CLAMP_TOL)
-        gain = gain_mode(e, e_dot, z[n], kt, p, MODE_BOUNDARY_RTOL)
-        mode = HigsMode.GAIN if gain else HigsMode.INTEGRATOR
-        if gain:
-            z[n] = kt * e
-        return mode
-
-    z = np.append(cfg.x0, float(cfg.controller_x0))
-    mode = pick_mode(z)
-    T, Z, M = [0.0], [z.copy()], [mode]
-    for k in range(1, cfg.n_steps + 1):
-        R, d = maps[mode]
-        z = R @ z + d
-        if mode == HigsMode.GAIN:
-            z[n] = kt * (r + float(C @ z[:n]))
-        mode = pick_mode(z)
-        t = k * dt
-        if not np.abs(z).max() <= limit:
-            raise NonFiniteState(f"state escaped at t = {t:.6g} (|state| > {limit:g} or non-finite)")
-        if k % cfg.record_every == 0 or k == cfg.n_steps:
-            T.append(t)
-            Z.append(z.copy())
-            M.append(mode)
-    return np.array(T), np.array(Z), np.array(M, dtype=np.int64)[:, None]
 
 
 def _lag_plant(modes, lag):
@@ -572,8 +524,19 @@ def _irc_runs(draw):
     return plant, p, cfg
 
 
-# e = x1 crosses zero at t = 0.1 s with x_h still on the old side, so the
-# clamp alone moves x_h to 0 on a row inside the first block.
+def _irc_loop_or_error(plant, p, cfg, block_rows):
+    """The single-element loop at _BLOCK_ROWS = block_rows: its trajectory,
+    or the type and message of the error it stopped with."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_BLOCK_ROWS", block_rows)
+        try:
+            return simulate_higs_irc_loop(plant, p, cfg)
+        except (NonFiniteState, UnsolvableLoop) as exc:
+            return type(exc), str(exc)
+
+
+# e = x1 falls to zero at t = 0.1 s: a row inside the first block leaves the
+# sector without a mode change, and the bisecting step takes it.
 @example((StateSpace([[0.0, 1.0], [-1.0, 0.0]], [0.0, 1.0], [1.0, 0.0]), HIGS20,
           SimConfig(dt=1e-2, t_end=20.0, x0=[0.1, -1.0])))
 # C B = 0.25 enters de/dt through x_h; the loop switches in both directions.
@@ -582,31 +545,93 @@ def _irc_runs(draw):
 @settings(deadline=None)
 @given(_irc_runs())
 def test_blocked_irc_loop_matches_per_step_reference(run):
+    # One step per block is the per-step reference: the blocked core must
+    # give its samples bit for bit, or stop with the same error.
     plant, p, cfg = run
-    try:
-        T, Z, M = _per_step_irc_loop(plant, p, cfg)
-    except NonFiniteState as exc:
-        with pytest.raises(NonFiniteState, match=re.escape(str(exc))):
-            simulate_higs_irc_loop(plant, p, cfg)
+    ref = _irc_loop_or_error(plant, p, cfg, 1)
+    traj = _irc_loop_or_error(plant, p, cfg, sim._BLOCK_ROWS)
+    if isinstance(ref, tuple):
+        assert traj == ref
         return
-    traj = simulate_higs_irc_loop(plant, p, cfg)
-    assert np.array_equal(traj.times, T)
-    assert _bits(traj.plant_states) == _bits(Z[:, :-1])
-    assert _bits(traj.controller_states) == _bits(Z[:, -1:])
-    assert np.array_equal(traj.modes, M)
+    assert np.array_equal(traj.times, ref.times)
+    assert _bits(traj.plant_states) == _bits(ref.plant_states)
+    assert _bits(traj.controller_states) == _bits(ref.controller_states)
+    assert np.array_equal(traj.modes, ref.modes)
 
 
 @pytest.mark.parametrize("limit", [1e6, 1e9])
 def test_irc_divergence_in_block_names_the_per_step_time(plant, limit, monkeypatch):
     # The rows of the block after the guard trips are discarded; the error
-    # names the step a step-at-a-time loop stops at.
+    # names the step a loop of one-step blocks stops at.
     monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", limit)
     wild = HigsIrcParams(10.0, 40.0, -0.01)
     cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0])
-    with pytest.raises(NonFiniteState) as ref:
-        _per_step_irc_loop(plant, wild, cfg)
-    with pytest.raises(NonFiniteState, match=re.escape(str(ref.value))):
+    ref = _irc_loop_or_error(plant, wild, cfg, 1)
+    assert ref[0] is NonFiniteState
+    with pytest.raises(NonFiniteState, match=re.escape(ref[1])):
         simulate_higs_irc_loop(plant, wild, cfg)
+
+
+def _irc_piecewise_reference(p, x0, dt, n_steps):
+    """Samples at k dt of the mass-spring single-element loop (r = 0,
+    x_h(0) = 0), flowed exactly per mode in 30 digits.
+
+    Integrator mode ends where x_h - kappa_tilde e crosses 0, gain mode
+    where e (omega_h e - k_h de/dt) does (de/dt = x2 on the mass-spring).
+    A scan in steps of 0.01 brackets each switch, mpmath.findroot solves
+    it.  The gain-mode flow carries x_h = kappa_tilde e along (its x_h row
+    is kappa_tilde times the x1 row), so x_h leaves gain mode there.
+    Returns the joint states, the mode codes and the switch times."""
+    with mpmath.workdps(30):
+        w, k, D, kt = (mpmath.mpf(v) for v in (p.omega_h, p.k_h, p.D, p.kappa_tilde))
+        flows = (mpmath.matrix([[0, 1, 0], [-1, 0, 1], [w, 0, w * D]]),
+                 mpmath.matrix([[0, 1, 0], [kt - 1, 0, 0], [0, kt, 0]]))
+        switch = (lambda z: z[2] - kt * z[0],
+                  lambda z: z[0] * (w * z[0] - k * z[1]))
+        h, t_end = mpmath.mpf(1) / 100, n_steps * mpmath.mpf(dt)
+        z, mode, t0 = mpmath.matrix([x0[0], x0[1], 0]), 0, mpmath.mpf(0)
+        pieces = []
+        while True:
+            J, g = flows[mode], switch[mode]
+            coarse = mpmath.expm(J * h)
+            # From t0 + h on: a piece after a switch to integrator mode
+            # starts on its switching surface.
+            zs, t = coarse * z, t0 + h
+            sign, bracket = g(zs), None
+            while t < t_end and bracket is None:
+                zs, t = coarse * zs, t + h
+                if g(zs) * sign < 0:
+                    bracket = (t - h, t)
+            pieces.append((t0, mode, z))
+            if bracket is None:
+                break
+            ts = mpmath.findroot(lambda t: g(mpmath.expm(J * (t - t0)) * z), bracket,
+                                 solver="anderson")
+            z, mode, t0 = mpmath.expm(J * (ts - t0)) * z, 1 - mode, ts
+        Z, M = [], []
+        for j, (ta, mode, za) in enumerate(pieces):
+            tb = pieces[j + 1][0] if j + 1 < len(pieces) else t_end + h
+            i = int(mpmath.ceil(ta / dt))
+            zi = mpmath.expm(flows[mode] * (i * mpmath.mpf(dt) - ta)) * za
+            step = mpmath.expm(flows[mode] * mpmath.mpf(dt))
+            while i <= n_steps and i * mpmath.mpf(dt) < tb:
+                Z.append([float(v) for v in zi])
+                M.append(mode)
+                zi, i = step * zi, i + 1
+        return np.array(Z), np.array(M), [float(piece[0]) for piece in pieces[1:]]
+
+
+def test_irc_loop_matches_piecewise_exact_flow(plant):
+    # The first 6 s of the k_h = 20 loop switch to gain, back to integrator
+    # and to gain again; switching inside the step keeps every sample on
+    # the exact piecewise flow, far below the step's RK4 error at a switch.
+    cfg = oscillator_config(t_end=6.0)
+    Z_ref, M_ref, switches = _irc_piecewise_reference(HIGS20, cfg.x0, cfg.dt, cfg.n_steps)
+    assert np.round(switches, 3).tolist() == [1.673, 2.467, 5.632]
+    traj = simulate_higs_irc_loop(plant, HIGS20, cfg)
+    assert np.array_equal(traj.modes[:, 0], M_ref)
+    Z = np.column_stack([traj.plant_states, traj.controller_states])
+    assert np.abs(Z - Z_ref).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +684,7 @@ def test_pii2_loop_signals_match_per_row_mode_system(plant, pii2_traj):
     assert len(np.unique(pii2_traj.modes, axis=0)) >= 2
     Z = np.hstack([pii2_traj.plant_states, pii2_traj.controller_states])
     modes = list(map(tuple, pii2_traj.modes.tolist()))
-    systems = {m: pii2_mode_system(plant, PII2, 0.0, ModeTriple(*map(HigsMode, m)))   # r = 0
+    systems = {m: pii2_mode_system(plant, PII2, 0.0, tuple(map(HigsMode, m)))   # r = 0
                for m in set(modes)}
     for i, m in enumerate(modes):
         s = systems[m]
@@ -696,13 +721,13 @@ def test_pii2_loop_validates_controller_state_shape(plant):
 # refinement and energy bookkeeping
 
 
-def test_refinement_sup_norm_single_element(plant):
-    coarse = simulate_higs_irc_loop(plant, HIGS5, oscillator_config(dt=2e-3, t_end=8.0))
-    fine = simulate_higs_irc_loop(plant, HIGS5,
-                                  oscillator_config(dt=1e-3, t_end=8.0, record_every=2))
+@pytest.mark.parametrize("p", [HIGS5, HIGS20], ids=["HIGS5", "HIGS20"])
+def test_refinement_sup_norm_single_element(plant, p):
+    coarse = simulate_higs_irc_loop(plant, p, oscillator_config(dt=2e-3, t_end=8.0))
+    fine = simulate_higs_irc_loop(plant, p, oscillator_config(dt=1e-3, t_end=8.0, record_every=2))
     dev = max(np.abs(coarse.plant_states - fine.plant_states).max(),
               np.abs(coarse.controller_states - fine.controller_states).max())
-    assert dev <= 1e-4
+    assert dev <= 1e-8
 
 
 def test_refinement_sup_norm_three_element(plant):
