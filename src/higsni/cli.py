@@ -208,6 +208,8 @@ def _build_controller(d: dict):
         for key in row.keys:
             value = _require(d, key, "controller")
             if key in _ELEMENT_KEYS:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key} must be an object")
                 element = {k: _require(value, k, key) for k in ("omega_h", "k_h")}
                 for k, v in element.items():
                     _json_numbers(v, f"{key} {k}")
@@ -249,9 +251,11 @@ def _build_sim(d: dict) -> SimConfig:
 
 
 def _normalize_checks(raw, ctype: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"checks must be a list, got {raw!r}")
     checks = []
     allowed = CONTROLLERS[ctype].checks
-    for entry in raw or []:
+    for entry in raw:
         if isinstance(entry, str):
             name, given = entry, {}
         elif isinstance(entry, dict) and "name" in entry:
@@ -275,14 +279,17 @@ def _normalize_checks(raw, ctype: str) -> list:
     return checks
 
 
-def _read_json(path: str, what: str):
+def _read_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must contain a JSON object")
+    return raw
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -290,20 +297,25 @@ def load_scenario(path: str) -> ScenarioConfig:
                                os.path.splitext(os.path.basename(path))[0])
 
 
-def _scenario_from_dict(raw, default_name: str) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario file must contain a JSON object")
+def _scenario_from_dict(raw: dict, default_name: str) -> ScenarioConfig:
     _reject_unknown_keys(raw, ("name", "plant", "controller", "sim", "checks", "output"), "scenario")
     plant = _build_plant(_require(raw, "plant", "scenario"))
     ctype, controller = _build_controller(_require(raw, "controller", "scenario"))
     sim = _build_sim(_require(raw, "sim", "scenario"))
-    checks = _normalize_checks(raw.get("checks"), ctype)
-    output = raw.get("output", {}) or {}
+    checks = _normalize_checks(raw.get("checks", []), ctype)
+    output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output must be an object")
     _reject_unknown_keys(output, ("csv", "report"), "output")
+    # open() would take a number as a file descriptor and a bool as 0 or 1
+    for key in ("csv", "report"):
+        if key in output and not (isinstance(output[key], str) and output[key]):
+            raise ConfigError(f"output {key} must be a nonempty string, got {output[key]!r}")
+    name = raw.get("name", default_name)
+    if not isinstance(name, str):
+        raise ConfigError(f"scenario name must be a string, got {name!r}")
     return ScenarioConfig(
-        name=str(raw.get("name", default_name)),
+        name=name,
         plant=plant,
         controller_type=ctype,
         controller=controller,
@@ -678,8 +690,6 @@ def _fan_out(tasks: list, jobs: Optional[int]) -> list:
 def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
     _check_jobs(jobs)
     raw = _read_json(config_path, "sweep config")
-    if not isinstance(raw, dict):
-        raise ConfigError("sweep config must contain a JSON object")
     _reject_unknown_keys(raw, ("base", "runs", "output_dir", "jobs"), "sweep config")
     base = _require(raw, "base", "sweep config")
     if isinstance(base, str):

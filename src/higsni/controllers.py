@@ -17,7 +17,7 @@ one description, built by irc_mode_system and pii2_mode_system for the
 hybrid loops and by sim.closed_loop_matrices for the linear loop.  A hybrid
 loop's elements form one chain of Element (sector bound, switching law,
 input): the single element alone, or H1, H2 and H3 fed by H2.
-chain_outputs and chain_gain_flags are the element law over any chain.
+chain_outputs and chain_gain_flags give its outputs and gain flags.
 """
 
 from __future__ import annotations
@@ -323,10 +323,10 @@ def pii2_chain(p: HigsPii2Params) -> tuple:
 
 
 def chain_outputs(e, states, modes, chain):
-    """Each element's input and output with the modes frozen, on floats or
-    elementwise on arrays: a gain-mode element outputs bound * input in
-    place of its state, and a chained element's input is its source's
-    output."""
+    """Each element's input and output with the modes frozen: a gain-mode
+    element outputs bound * input in place of its state, and a chained
+    element's input is its source's output.  On the floats of one state or
+    elementwise on a block's arrays, with equal bits."""
     ins, outs = [], []
     for el, x, mode in zip(chain, states, modes):
         a = e if el.source is None else outs[el.source]
@@ -336,8 +336,8 @@ def chain_outputs(e, states, modes, chain):
 
 
 def chain_gain_flags(e, e_dot, outputs, chain, tol):
-    """Gain-mode flags of the elements at their outputs, on floats or
-    elementwise on arrays.
+    """Gain-mode flags of the elements at their outputs, on the floats of
+    one state or elementwise on a block's arrays, with equal bits.
 
     An element on the loop error sees (e, de/dt).  A chained element's
     input and input rate follow its source's mode decided in this same

@@ -21,11 +21,11 @@ with D < 0, sector bound kappa_tilde, and the same switching inequality
 still written with k_h.  Storage functions for both variants are quadratic
 in x_h and certify e * dx_h/dt dissipation along trajectories.
 
-The element law, project_to_sector and gain_mode, is written once for
-floats and arrays alike: on arrays it acts elementwise, and every element
-equals the float result bit for bit.  Both hybrid loops run one event
-mechanism over their element chain: its block scan calls the law on
-arrays of rows, its bisecting event step on floats.
+project_to_sector and gain_mode are written once for floats and arrays
+alike: on arrays they act elementwise, and every element equals the float
+result bit for bit.  So is the element law of the hybrid loops built on
+them (sim._element_law), which the block scan calls on a block of rows and
+the bisecting event step on the floats of one state.
 """
 
 from __future__ import annotations

@@ -24,11 +24,11 @@ HIGS elements (controllers.Element): the single-element loop is the
 one-element chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a
 block before a row where a mode changes or a sector is left, and its
 bisecting step locates that event inside the step and switches on the
-boundary itself.  The scan and the step share one element law:
-higs.project_to_sector and controllers.chain_outputs / chain_gain_flags,
-applied to arrays of rows in the scan and to floats in the step.
-Recorded samples satisfy the sector inequalities by construction up to
-rounding.  The hybrid loops need a strictly proper plant (D_ff = 0).
+boundary itself.  One function, _element_law, gives the gain flags, that
+event, the sector clamp and the new element states: the scan calls it on a
+block of rows, the step on the floats of one state.  Recorded samples
+satisfy the sector inequalities by construction up to rounding.  The
+hybrid loops need a strictly proper plant (D_ff = 0).
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -63,6 +63,7 @@ from .controllers import (
 from .higs import (
     HigsIrcParams,
     HigsMode,
+    _where,
     project_to_sector,
     storage_V1,
     storage_V2_cascade,
@@ -401,13 +402,6 @@ def _mode_maps(system: Callable[[tuple], ModeSystem], dt: float):
     return system, maps
 
 
-def _record_count(n_steps: int, every: int) -> int:
-    count = n_steps // every + 1
-    if n_steps % every:
-        count += 1
-    return count
-
-
 def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
            step=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a joint state over the grid in blocks and sample it.
@@ -425,7 +419,7 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     mode codes.
     """
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
-    N = _record_count(n_steps, every)
+    N = -(-n_steps // every) + 1    # samples at 0, every `every` steps and at the end
     # Multiples of every are exact in floating point, so T[i] = (i every) dt
     # as a step counter gives it.
     T = np.arange(0.0, N * every, every) * dt
@@ -574,6 +568,35 @@ _EVENT_GAP = 1e-13
 _EVENT_MIN_FRAC = 1e-12
 
 
+def _element_law(e, e_dot, states, modes, chain):
+    """The chain's element law at the loop error e, its rate e_dot and the
+    element states, read at the frozen modes: on the floats of one state or
+    elementwise on a block's arrays, bit for bit alike.
+
+    Returns the gain flags the update rule picks; the event flag (a mode
+    changes, or an integrating state lies outside its sector by more than
+    _EVENT_GAP over max(1, |x_h|)); the clamp flag (the SECTOR_CLAMP_TOL
+    clamp moved a state); and the new states, gain slots refreshed to their
+    outputs and integrator slots clamped."""
+    ins, outs = chain_outputs(e, states, modes, chain)
+    gains = chain_gain_flags(e, e_dot, outs, chain, _EVENT_RTOL)
+    event = clamp = False
+    new = []
+    for mode, g, x, a, out, el in zip(modes, gains, states, ins, outs, chain):
+        gain = mode == HigsMode.GAIN
+        event = event | (g != gain)
+        if gain:
+            new.append(out)
+            continue
+        scale = abs(x)
+        exit_ = abs(project_to_sector(a, x, el.bound, 0.0) - x) / _where(scale > 1.0, scale, 1.0)
+        event = event | (exit_ > _EVENT_GAP)
+        xc = project_to_sector(a, x, el.bound, SECTOR_CLAMP_TOL)
+        clamp = clamp | (xc != x)
+        new.append(xc)
+    return gains, event, clamp, new
+
+
 def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
                  cert: Optional[LyapunovCertificate], chain: tuple,
                  system: Callable[[tuple], ModeSystem]) -> dict:
@@ -597,46 +620,25 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         R, d = maps(modes) if h == dt else _rk4_affine_map(*system(modes)[:2], h)
         return R @ z + d
 
-    def inputs(z, modes):
-        """The loop error, and the element inputs and substituted outputs,
-        at a state."""
+    def law(z, modes):
+        """_element_law at one state, read off with float dots and tolist():
+        a probe stays off numpy's elementwise calls."""
         s = system(modes)
-        e = float(s.w_e @ z) + s.c_e
-        return (e, *chain_outputs(e, z[n:].tolist(), modes, chain))
-
-    def mode_update(z, modes):
-        """Modes the update rule picks at a state, with the element inputs."""
-        e, ins, outs = inputs(z, modes)
-        s = system(modes)
-        gains = chain_gain_flags(e, float(s.w_de @ z) + s.c_de, outs, chain, _EVENT_RTOL)
-        return tuple(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in gains), ins
+        return _element_law(float(s.w_e @ z) + s.c_e, float(s.w_de @ z) + s.c_de,
+                            z[n:].tolist(), modes, chain)
 
     def probe(z, modes):
-        """Settled-once modes and worst scaled sector exit at a state.
-
-        The exit is measured as the projection distance in state units over
-        max(1, |x_h|), the same scaling the boundary-eligibility test uses."""
-        new, ins = mode_update(z, modes)
-        viol = 0.0
-        for i, (mode, a, el) in enumerate(zip(modes, ins, chain)):
-            if mode == HigsMode.INTEGRATOR:
-                x = z[n + i]
-                viol = max(viol, abs(project_to_sector(a, x, el.bound, 0.0) - x) / max(1.0, abs(x)))
-        return new, viol
+        """Whether a mode changes or a sector is left at a state."""
+        return law(z, modes)[1]
 
     def finalize(z, modes):
         """Refresh gain slots and clamp rounding dust off the sectors."""
-        _, ins, outs = inputs(z, modes)
-        for i, (mode, a, el) in enumerate(zip(modes, ins, chain)):
-            if mode == HigsMode.GAIN:
-                z[n + i] = outs[i]
-            else:
-                z[n + i] = project_to_sector(a, z[n + i], el.bound, SECTOR_CLAMP_TOL)
+        z[n:] = law(z, modes)[3]
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
         for _ in range(8):
-            new = mode_update(z, modes)[0]
+            new = tuple(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in law(z, modes)[0])
             if new == modes:
                 return modes
             modes = new
@@ -659,8 +661,7 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         events = 0
         while remaining > h_min:
             zc = advance(z, modes, remaining)
-            new, viol = probe(zc, modes)
-            if new == modes and viol <= _EVENT_GAP:
+            if not probe(zc, modes):
                 z = zc
                 finalize(z, modes)
                 break
@@ -670,8 +671,7 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
             while hi - lo > h_min:
                 mid = 0.5 * (lo + hi)
                 zm = advance(z, modes, mid)
-                mnew, mviol = probe(zm, modes)
-                if mnew != modes or mviol > _EVENT_GAP:
+                if probe(zm, modes):
                     hi, ze = mid, zm
                 else:
                     lo = mid
@@ -696,27 +696,15 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         return z, modes
 
     def scan(Zb, modes):
-        """probe and finalize of one step on rows stepped in `modes`.  Keeps
-        the rows before the first mode change or sector exit (the bisecting
-        step takes that row) and up to the first row the clamp moved."""
+        """_element_law on rows stepped in `modes`, which take its new
+        states.  Keeps the rows before the first event (the bisecting step
+        takes that row) and up to the first row the clamp moved."""
         s = system(modes)
-        slots = tuple(Zb[:, n:].T.copy())
-        e = np.vecdot(Zb, s.w_e) + s.c_e
-        ins, outs = chain_outputs(e, slots, modes, chain)
-        gains = chain_gain_flags(e, np.vecdot(Zb, s.w_de) + s.c_de, outs, chain, _EVENT_RTOL)
-        event = np.zeros(len(Zb), dtype=bool)
-        moved = np.zeros(len(Zb), dtype=bool)
-        for i, (mode, g, x, a, el) in enumerate(zip(modes, gains, slots, ins, chain)):
-            if mode == HigsMode.GAIN:
-                event |= ~g
-                Zb[:, n + i] = outs[i]
-            else:
-                event |= g
-                event |= np.abs(project_to_sector(a, x, el.bound, 0.0) - x) / np.maximum(np.abs(x), 1.0) > _EVENT_GAP
-                xc = project_to_sector(a, x, el.bound, SECTOR_CLAMP_TOL)
-                moved |= xc != x
-                Zb[:, n + i] = xc
-        fired = np.flatnonzero(event | moved)
+        _, event, clamp, new = _element_law(np.vecdot(Zb, s.w_e) + s.c_e,
+                                            np.vecdot(Zb, s.w_de) + s.c_de,
+                                            tuple(Zb[:, n:].T.copy()), modes, chain)
+        Zb[:, n:] = np.column_stack(new)
+        fired = np.flatnonzero(event | clamp)
         if not len(fired):
             return len(Zb)
         first = int(fired[0])

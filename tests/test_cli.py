@@ -125,8 +125,7 @@ _PII2_CONTROLLER = {
     ({"type": "irc", "D": -1.0}, "missing key 'Gamma' in controller"),
     ({k: v for k, v in _PII2_CONTROLLER.items() if k != "h2"}, "missing key 'h2' in controller"),
     (dict(_PII2_CONTROLLER, h3={"k_h": 1.0}), "missing key 'omega_h' in h3"),
-    (dict(_PII2_CONTROLLER, h1=3.0),
-     "invalid controller parameters: argument of type 'float' is not iterable"),
+    (dict(_PII2_CONTROLLER, h1=3.0), "h1 must be an object"),
 ], ids=["unknown_type", "unhashable_type", "missing_Gamma", "missing_h2", "missing_h3_omega_h", "h1_not_object"])
 def test_simulate_malformed_controller_exit_config(tmp_path, capsys, controller, message):
     cfg = _write(tmp_path, "bad.json", _quick_scenario(controller=controller))
@@ -178,21 +177,36 @@ def _with_keys(section, **extra):
      "sim controller_x0 must be a number or a list of numbers, got '0.5'"),
     (_with_keys("sim", controller_x0=[False]),
      "sim controller_x0 must be a number or a list of numbers, got False"),
+    ({"output": False}, "output must be an object"),
+    ({"output": []}, "output must be an object"),
+    ({"output": {"csv": True}}, "output csv must be a nonempty string, got True"),
+    ({"output": {"csv": 3}}, "output csv must be a nonempty string, got 3"),
+    ({"output": {"csv": ""}}, "output csv must be a nonempty string, got ''"),
+    ({"output": {"csv": "run.csv", "report": 1}}, "output report must be a nonempty string, got 1"),
+    ({"output": {"csv": "run.csv", "report": None}},
+     "output report must be a nonempty string, got None"),
+    ({"name": ["a"]}, "scenario name must be a string, got ['a']"),
+    ({"checks": "sector"}, "checks must be a list, got 'sector'"),
+    ({"checks": {"sector": {}}}, "checks must be a list, got {'sector': {}}"),
 ], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output",
         "sim_record_every_float", "sim_record_every_bool", "sim_record_every_text",
         "sim_dt_text", "sim_t_end_bool", "sim_r_list", "plant_A_text", "plant_B_bool",
         "plant_C_null", "plant_D_ff_text", "plant_num_text", "plant_den_bool",
         "controller_k_h_bool", "controller_D_text", "element_k_h_text", "element_omega_h_list",
-        "sim_x0_text", "sim_controller_x0_text", "sim_controller_x0_bool"])
+        "sim_x0_text", "sim_controller_x0_text", "sim_controller_x0_bool",
+        "output_false", "output_list", "output_csv_bool", "output_csv_int", "output_csv_empty", "output_report_int",
+        "output_report_null", "name_list", "checks_text", "checks_object"])
 def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
     # A misspelled key would otherwise run on the default it was meant to
-    # change, and a mistyped value on what int() or float() makes of it.
+    # change, and a mistyped value on what int() or float() makes of it;
+    # open() would take an output path of 1 or true as a file descriptor.
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "bad.json", _quick_scenario(**overrides))
-    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (tmp_path / "run.csv").exists()
+    for out_dir in ([], ["--out-dir", "out"]):
+        assert cli.main(["simulate", cfg, *out_dir]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]
     # design reads only the plant section of a scenario file
     assert cli.main(["design", cfg, "higs_irc"]) == (cli.EXIT_CONFIG if "plant" in overrides
                                                      else cli.EXIT_OK)
@@ -401,6 +415,17 @@ def test_design_three_element_region(config_dir, capsys):
     assert out["region"] == "D < -G(0)"
     assert any(s["feasible"] for s in out["samples"])
     assert len(out["constraints"]) == 2
+
+
+@pytest.mark.parametrize("payload", [3, "x", [1], None], ids=["number", "text", "list", "null"])
+@pytest.mark.parametrize("command", [["design", "{}", "higs_irc"], ["check", "{}", "stability"],
+                                     ["simulate", "{}"], ["sweep", "{}"]],
+                         ids=["design", "check", "simulate", "sweep"])
+def test_top_level_not_object_exit_config(tmp_path, capsys, payload, command):
+    cfg = _write(tmp_path, "bad.json", payload)
+    assert cli.main([arg.format(cfg) for arg in command]) == cli.EXIT_CONFIG
+    what = {"design": "plant config", "sweep": "sweep config"}.get(command[0], "scenario file")
+    assert capsys.readouterr() == ("", f"config error: {what} must contain a JSON object\n")
 
 
 def test_design_rejects_non_ni_plant(tmp_path):

@@ -34,7 +34,7 @@ from higsni import (
     simulate_linear_loop,
 )
 from higsni import cli, controllers, lti, sim
-from higsni.controllers import UnsolvableLoop, chain_gain_flags, pii2_chain, pii2_mode_system
+from higsni.controllers import Element, UnsolvableLoop, pii2_chain, pii2_mode_system
 from higsni.higs import (
     HigsMode,
     gain_mode,
@@ -459,22 +459,44 @@ def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D, tol):
         assert gain_mode(e, e_dot, xs, k_bound, p, 1e-9).tolist() == gains
 
 
-@given(_logic_rows(), st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
-       st.floats(0.0, 2.0), st.floats(0.01, 2.0))
-def test_pii2_mode_kernel_matches_scalar_update(rows, k1, k2, w1, w2, dw):
-    # H3's input is H2's output: k_h2 e when H2 is in gain mode, x_h2
-    # otherwise; edges put x_h3 on k_h3 times either of them.
-    (e, e_dot, x1, x2, x3), edges = rows
-    p = HigsPii2Params(0.5, -1.5, HigsParams(w1, k1), HigsParams(w2, k2), HigsParams(w2 + dw, k2))
-    x1 = np.where(edges[:, 0] > 0, k1 * e, x1)
-    x2 = np.where(edges[:, 1] > 0, k2 * e, x2)
-    x3 = np.select([edges[:, 2] == 1, edges[:, 2] == 2], [k2 * x2, k2 * (k2 * e)], x3)
-    chain = pii2_chain(p)
-    got = np.column_stack(chain_gain_flags(e, e_dot, (x1, x2, x3), chain, 1e-12))
-    want = [list(chain_gain_flags(a, b, (c, d, f), chain, 1e-12))
-            for a, b, c, d, f in zip(e.tolist(), e_dot.tolist(), x1.tolist(), x2.tolist(), x3.tolist())]
-    assert all(type(g) is bool for flags in want for g in flags)
-    assert got.tolist() == want
+@st.composite
+def _law_chains(draw):
+    """The single compensated element (bound kappa_tilde) or the PII^2
+    chain, with one mode per element."""
+    if draw(st.booleans()):
+        p = HigsIrcParams(draw(st.floats(0.0, 5.0)), draw(st.floats(0.1, 30.0)),
+                          draw(st.floats(-3.0, -0.1)))
+        chain = (Element(p.kappa_tilde, p),)
+    else:
+        k1, k2, w1, w2, dw = (draw(st.floats(lo, hi)) for lo, hi in
+                              ((0.1, 5.0), (0.1, 5.0), (0.0, 2.0), (0.0, 2.0), (0.01, 2.0)))
+        chain = pii2_chain(HigsPii2Params(0.5, -1.5, HigsParams(w1, k1), HigsParams(w2, k2),
+                                          HigsParams(w2 + dw, k2)))
+    return chain, draw(st.tuples(*[st.sampled_from(list(HigsMode)) for _ in chain]))
+
+
+@given(_logic_rows(), _law_chains())
+def test_element_law_on_a_block_matches_floats(rows, chain_modes):
+    # The block scan calls the law on arrays, the bisecting step on Python
+    # floats.  Edges put an element on bound times its input: for H3 on
+    # H2's output, that is x_h2 when H2 integrates and k_h2 e in gain mode.
+    (e, e_dot, *xs), edges = rows
+    chain, modes = chain_modes
+    states = []
+    for i, el in enumerate(chain):
+        on = [el.bound * e] if el.source is None else [el.bound * states[el.source],
+                                                       el.bound * (chain[el.source].bound * e)]
+        states.append(np.select([edges[:, i] == j + 1 for j in range(len(on))], on, xs[i]))
+    gains, event, clamp, new = sim._element_law(e, e_dot, tuple(states), modes, chain)
+    for r in range(len(e)):
+        want = sim._element_law(float(e[r]), float(e_dot[r]), [float(x[r]) for x in states],
+                                modes, chain)
+        assert all(type(v) is bool for v in (*want[0], want[1], want[2]))
+        assert all(type(v) is float for v in want[3])
+        assert [bool(g[r]) for g in gains] == list(want[0])
+        assert bool(event[r]) == want[1]
+        assert bool(np.broadcast_to(clamp, e.shape)[r]) == want[2]
+        assert _bits([x[r] for x in new]) == _bits(want[3])
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
