@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import logging
+import math
 import os
 import sys
 import traceback
@@ -161,15 +162,23 @@ def _reject_unknown_keys(d: dict, known: tuple, where: str) -> None:
 
 
 def _json_numbers(value, where: str, lists: bool = False) -> None:
-    """Raise ConfigError unless value is a JSON number or, with lists, a
-    number or a (nested) list of numbers: float() and numpy would also take
-    "3" and true."""
+    """Raise ConfigError unless value is a JSON number that converts to a
+    finite float or, with lists, such a number or a (nested) list of them:
+    float() and numpy would also take "3" and true, and json takes NaN,
+    Infinity, 1e999 (inf) and integers beyond the float range."""
     if lists and isinstance(value, list):
         for v in value:
             _json_numbers(v, where, lists)
     elif type(value) not in (int, float):
         kind = "a number or a list of numbers" if lists else "a number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    else:
+        try:
+            x = float(value)
+        except OverflowError:    # an integer beyond the float range
+            x = math.inf if value > 0 else -math.inf
+        if not math.isfinite(x):
+            raise ConfigError(f"{where} must be finite, got {x!r}")
 
 
 def _build_plant(d: dict):

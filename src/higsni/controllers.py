@@ -17,7 +17,8 @@ one description, built by irc_mode_system and pii2_mode_system for the
 hybrid loops and by sim.closed_loop_matrices for the linear loop.  A hybrid
 loop's elements form one chain of Element (sector bound, switching law,
 input): the single element alone, or H1, H2 and H3 fed by H2.
-chain_outputs and chain_gain_flags give its outputs and gain flags.
+sim._element_law walks that chain for the outputs, gain flags and sector
+clamps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .higs import HigsIrcParams, HigsMode, HigsParams, _where, gain_mode
+from .higs import HigsIrcParams, HigsMode, HigsParams
 from .lti import RationalTF, StateSpace, dc_gain
 
 # |1/(G(0) + D) - gain sum| must exceed this times max(1, |1/(G(0) + D)|);
@@ -320,40 +321,3 @@ class Element(NamedTuple):
 def pii2_chain(p: HigsPii2Params) -> tuple:
     """H1 and H2 on the loop error, H3 on H2's output."""
     return (Element(p.h1.k_h, p.h1), Element(p.h2.k_h, p.h2), Element(p.h3.k_h, p.h3, 1))
-
-
-def chain_outputs(e, states, modes, chain):
-    """Each element's input and output with the modes frozen: a gain-mode
-    element outputs bound * input in place of its state, and a chained
-    element's input is its source's output.  On the floats of one state or
-    elementwise on a block's arrays, with equal bits."""
-    ins, outs = [], []
-    for el, x, mode in zip(chain, states, modes):
-        a = e if el.source is None else outs[el.source]
-        ins.append(a)
-        outs.append(el.bound * a if mode == HigsMode.GAIN else x)
-    return ins, outs
-
-
-def chain_gain_flags(e, e_dot, outputs, chain, tol):
-    """Gain-mode flags of the elements at their outputs, on the floats of
-    one state or elementwise on a block's arrays, with equal bits.
-
-    An element on the loop error sees (e, de/dt).  A chained element's
-    input and input rate follow its source's mode decided in this same
-    call: bound times the source's input and rate in gain mode; the
-    source's output and omega_h times the source's input when the source
-    (a base element) integrates.
-    """
-    flags, ins, rates = [], [], []
-    for el, x in zip(chain, outputs):
-        if el.source is None:
-            a, a_dot = e, e_dot
-        else:
-            j, src = el.source, chain[el.source]
-            a = _where(flags[j], src.bound * ins[j], outputs[j])
-            a_dot = _where(flags[j], src.bound * rates[j], src.law.omega_h * ins[j])
-        ins.append(a)
-        rates.append(a_dot)
-        flags.append(gain_mode(a, a_dot, x, el.bound, el.law, tol))
-    return tuple(flags)

@@ -24,8 +24,9 @@ in x_h and certify e * dx_h/dt dissipation along trajectories.
 project_to_sector and gain_mode are written once for floats and arrays
 alike: on arrays they act elementwise, and every element equals the float
 result bit for bit.  So is the element law of the hybrid loops built on
-them (sim._element_law), which the block scan calls on a block of rows and
-the bisecting event step on the floats of one state.
+them (sim._element_law), one pass over an element chain, which the block
+scan calls on a block of rows and the bisecting event step once per probed
+state on the floats of one state.
 """
 
 from __future__ import annotations

@@ -24,11 +24,12 @@ HIGS elements (controllers.Element): the single-element loop is the
 one-element chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a
 block before a row where a mode changes or a sector is left, and its
 bisecting step locates that event inside the step and switches on the
-boundary itself.  One function, _element_law, gives the gain flags, that
-event, the sector clamp and the new element states: the scan calls it on a
-block of rows, the step on the floats of one state.  Recorded samples
-satisfy the sector inequalities by construction up to rounding.  The
-hybrid loops need a strictly proper plant (D_ff = 0).
+boundary itself.  One function, _element_law, walks the chain once and
+gives the gain flags, that event, the sector clamp and the new element
+states: the scan calls it on a block of rows, the step on the floats of
+one state, once per probed state, whose new states a chunk then keeps.
+Recorded samples satisfy the sector inequalities by construction up to
+rounding.  The hybrid loops need a strictly proper plant (D_ff = 0).
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -42,7 +43,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,8 +54,6 @@ from .controllers import (
     InvalidParameters,
     ModeSystem,
     UnsolvableLoop,
-    chain_gain_flags,
-    chain_outputs,
     gain_sum_admissible,
     irc_mode_system,
     pii2_chain,
@@ -64,6 +63,7 @@ from .higs import (
     HigsIrcParams,
     HigsMode,
     _where,
+    gain_mode,
     project_to_sector,
     storage_V1,
     storage_V2_cascade,
@@ -568,22 +568,49 @@ _EVENT_GAP = 1e-13
 _EVENT_MIN_FRAC = 1e-12
 
 
-def _element_law(e, e_dot, states, modes, chain):
-    """The chain's element law at the loop error e, its rate e_dot and the
-    element states, read at the frozen modes: on the floats of one state or
-    elementwise on a block's arrays, bit for bit alike.
+class ElementLaw(NamedTuple):
+    """_element_law's result: the gain flags the update rule picks; the event
+    flag (a mode changes, or an integrating state lies outside its sector by
+    more than _EVENT_GAP over max(1, |x_h|)); the clamp flag (the
+    SECTOR_CLAMP_TOL clamp moved a state); and the new states, gain slots
+    refreshed to their outputs and integrator slots clamped."""
 
-    Returns the gain flags the update rule picks; the event flag (a mode
-    changes, or an integrating state lies outside its sector by more than
-    _EVENT_GAP over max(1, |x_h|)); the clamp flag (the SECTOR_CLAMP_TOL
-    clamp moved a state); and the new states, gain slots refreshed to their
-    outputs and integrator slots clamped."""
-    ins, outs = chain_outputs(e, states, modes, chain)
-    gains = chain_gain_flags(e, e_dot, outs, chain, _EVENT_RTOL)
+    gains: tuple
+    event: object
+    clamp: object
+    states: list
+
+
+def _element_law(e, e_dot, states, modes, chain) -> ElementLaw:
+    """The chain's element law at the loop error e, its rate e_dot and the
+    element states, read at the frozen modes: one pass over the chain, on
+    the floats of one state or elementwise on a block's arrays, bit for bit
+    alike.
+
+    An element's frozen-mode input is e, or its source's frozen-mode output
+    for a chained element; its output is bound times that input in gain
+    mode, else its state.  Its gain flag is decided at that output.  A
+    chained element's input and rate there follow its source's new flag,
+    decided earlier in the pass: bound times the source's input and rate in
+    gain mode, else the source's output and omega_h times the source's input
+    (the source is a base element)."""
+    gains, new = [], []
+    seen = []    # per element: input and rate under its new flag, frozen-mode output
     event = clamp = False
-    new = []
-    for mode, g, x, a, out, el in zip(modes, gains, states, ins, outs, chain):
+    for el, x, mode in zip(chain, states, modes):
+        if el.source is None:
+            a = a_new = e
+            a_dot = e_dot
+        else:
+            src, g_s = chain[el.source], gains[el.source]
+            a_s, rate_s, a = seen[el.source]
+            a_new = _where(g_s, src.bound * a_s, a)
+            a_dot = _where(g_s, src.bound * rate_s, src.law.omega_h * a_s)
         gain = mode == HigsMode.GAIN
+        out = el.bound * a if gain else x
+        g = gain_mode(a_new, a_dot, out, el.bound, el.law, _EVENT_RTOL)
+        gains.append(g)
+        seen.append((a_new, a_dot, out))
         event = event | (g != gain)
         if gain:
             new.append(out)
@@ -594,7 +621,7 @@ def _element_law(e, e_dot, states, modes, chain):
         xc = project_to_sector(a, x, el.bound, SECTOR_CLAMP_TOL)
         clamp = clamp | (xc != x)
         new.append(xc)
-    return gains, event, clamp, new
+    return ElementLaw(tuple(gains), event, clamp, new)
 
 
 def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
@@ -620,29 +647,21 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         R, d = maps(modes) if h == dt else _rk4_affine_map(*system(modes)[:2], h)
         return R @ z + d
 
-    def law(z, modes):
+    def probe(z, modes):
         """_element_law at one state, read off with float dots and tolist():
         a probe stays off numpy's elementwise calls."""
         s = system(modes)
         return _element_law(float(s.w_e @ z) + s.c_e, float(s.w_de @ z) + s.c_de,
                             z[n:].tolist(), modes, chain)
 
-    def probe(z, modes):
-        """Whether a mode changes or a sector is left at a state."""
-        return law(z, modes)[1]
-
-    def finalize(z, modes):
-        """Refresh gain slots and clamp rounding dust off the sectors."""
-        z[n:] = law(z, modes)[3]
-
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
         for _ in range(8):
-            new = tuple(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in law(z, modes)[0])
+            new = tuple(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in probe(z, modes).gains)
             if new == modes:
                 return modes
             modes = new
-            finalize(z, modes)
+            z[n:] = probe(z, modes).states
         return modes
 
     # Sanitize the initial state: clamp into the sectors against the resolved
@@ -650,20 +669,24 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
     # the starting modes.
     modes = (HigsMode.INTEGRATOR,) * len(chain)
     for _ in range(3):
-        finalize(z, modes)
+        z[n:] = probe(z, modes).states
     modes = settle(z, modes)
-    finalize(z, modes)
+    z[n:] = probe(z, modes).states
 
     h_min = _EVENT_MIN_FRAC * dt
 
     def step(k, z, modes):
+        """The step from (k-1) dt to k dt.  A chunk keeps the new states of
+        the probe that decided it: the one that found no event, or the last
+        one on the event side of the bisection."""
         remaining = dt
         events = 0
         while remaining > h_min:
             zc = advance(z, modes, remaining)
-            if not probe(zc, modes):
+            law = probe(zc, modes)
+            if not law.event:
                 z = zc
-                finalize(z, modes)
+                z[n:] = law.states
                 break
             # Earliest event in (0, remaining]: bisect on (mode change or
             # sector exit), land just past it, switch exactly there.
@@ -671,12 +694,13 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
             while hi - lo > h_min:
                 mid = 0.5 * (lo + hi)
                 zm = advance(z, modes, mid)
-                if probe(zm, modes):
-                    hi, ze = mid, zm
+                law_m = probe(zm, modes)
+                if law_m.event:
+                    hi, ze, law = mid, zm, law_m
                 else:
                     lo = mid
             z = ze
-            finalize(z, modes)
+            z[n:] = law.states
             new_modes = settle(z, modes)
             stalled = new_modes == modes
             modes = new_modes
@@ -687,7 +711,7 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
                 # take a small plain chunk so the loop cannot spin in place.
                 nudge = min(remaining, 1e-6 * dt)
                 z = advance(z, modes, nudge)
-                finalize(z, modes)
+                z[n:] = probe(z, modes).states
                 remaining -= nudge
             if events > 64:
                 raise UnsolvableLoop(

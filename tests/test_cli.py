@@ -188,6 +188,13 @@ def _with_keys(section, **extra):
     ({"name": ["a"]}, "scenario name must be a string, got ['a']"),
     ({"checks": "sector"}, "checks must be a list, got 'sector'"),
     ({"checks": {"sector": {}}}, "checks must be a list, got {'sector': {}}"),
+    ({"checks": [{"name": "convergence", "threshold": float("nan")}]},
+     "check 'convergence': threshold must be finite, got nan"),
+    (_with_keys("sim", x0=[float("nan"), 1.0]), "sim x0 must be finite, got nan"),
+    (_with_keys("sim", r=float("inf")), "sim r must be finite, got inf"),
+    (_with_keys("sim", x0=["1e999", 1.0]), "sim x0 must be finite, got inf"),
+    (_with_keys("sim", t_end=float("nan")), "sim t_end must be finite, got nan"),
+    (_with_keys("plant", A=[[0.0, 10**400], [-1.0, 0.0]]), "plant A must be finite, got inf"),
 ], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output",
         "sim_record_every_float", "sim_record_every_bool", "sim_record_every_text",
         "sim_dt_text", "sim_t_end_bool", "sim_r_list", "plant_A_text", "plant_B_bool",
@@ -195,14 +202,21 @@ def _with_keys(section, **extra):
         "controller_k_h_bool", "controller_D_text", "element_k_h_text", "element_omega_h_list",
         "sim_x0_text", "sim_controller_x0_text", "sim_controller_x0_bool",
         "output_false", "output_list", "output_csv_bool", "output_csv_int", "output_csv_empty", "output_report_int",
-        "output_report_null", "name_list", "checks_text", "checks_object"])
+        "output_report_null", "name_list", "checks_text", "checks_object",
+        "check_threshold_nan", "sim_x0_nan", "sim_r_infinity", "sim_x0_1e999", "sim_t_end_nan",
+        "plant_A_huge_int"])
 def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
     # A misspelled key would otherwise run on the default it was meant to
     # change, and a mistyped value on what int() or float() makes of it;
     # open() would take an output path of 1 or true as a file descriptor.
+    # json also reads NaN, Infinity, 1e999 and 10**400, none of them finite
+    # floats.
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "bad.json", _quick_scenario(**overrides))
+    # json.dumps spells inf "Infinity"; the string "1e999" stands for that literal.
+    bad = tmp_path / "bad.json"
+    bad.write_text(bad.read_text().replace('"1e999"', "1e999"))
     for out_dir in ([], ["--out-dir", "out"]):
         assert cli.main(["simulate", cfg, *out_dir]) == cli.EXIT_CONFIG
         assert capsys.readouterr() == ("", f"config error: {message}\n")
