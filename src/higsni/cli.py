@@ -237,8 +237,8 @@ def _build_controller(d: dict):
 def _build_sim(d: dict) -> SimConfig:
     if not isinstance(d, dict):
         raise ConfigError("sim must be an object")
-    _reject_unknown_keys(d, ("dt", "t_end", "x0", "controller_x0", "r", "record_every"), "sim")
-    for key in ("dt", "t_end", "r"):
+    _reject_unknown_keys(d, ("dt", "t_end", "x0", "controller_x0", "record_every"), "sim")
+    for key in ("dt", "t_end"):
         if key in d:
             _json_numbers(d[key], f"sim {key}")
     for key in ("x0", "controller_x0"):
@@ -252,7 +252,6 @@ def _build_sim(d: dict) -> SimConfig:
             t_end=_require(d, "t_end", "sim"),
             x0=_require(d, "x0", "sim"),
             controller_x0=d.get("controller_x0", 0.0),
-            r=d.get("r", 0.0),
             record_every=d.get("record_every", 1),
         )
     except (ValueError, TypeError, OverflowError) as exc:
@@ -413,13 +412,33 @@ def _resolve_out(path: Optional[str], out_dir: Optional[str]) -> Optional[str]:
     return path
 
 
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+
+
+def _output_paths(cfg: ScenarioConfig, out_dir: Optional[str]) -> tuple:
+    """The run's CSV and report paths, each None or in a directory that
+    exists: checked before the simulation, so that a path that cannot be
+    written does not cost a whole run."""
+    if out_dir is not None:
+        _make_out_dir(out_dir)
+    paths = (_resolve_out(cfg.csv_path, out_dir), _resolve_out(cfg.report_path, out_dir))
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path!r}: {folder!r} is not a directory")
+    return paths
+
+
 def cmd_simulate(config_path: str, out_dir: Optional[str] = None) -> int:
     return _simulate_scenario(load_scenario(config_path), out_dir)
 
 
 def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    csv_path, report_path = _output_paths(cfg, out_dir)
     plant = _plant_ss(cfg.plant)
     cert = None
     cert_info = None
@@ -430,11 +449,6 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     checks = _run_checks(cfg, traj, cert_info)
     all_passed = all(rep["passed"] for rep in checks.values())
 
-    csv_path = _resolve_out(cfg.csv_path, out_dir)
-    report_path = _resolve_out(cfg.report_path, out_dir)
-    if csv_path:
-        traj.write_csv(csv_path)
-        log.info("wrote trajectory to %s", csv_path)
     report = {
         "scenario": cfg.name,
         "config": cfg.raw,
@@ -452,11 +466,17 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
         "passed": all_passed,
     }
     text = _dump_json(report)
-    if report_path:
-        with open(report_path, "w", newline="") as fh:
-            fh.write(text)
-        log.info("wrote report to %s", report_path)
-    else:
+    try:
+        if csv_path:
+            traj.write_csv(csv_path)
+            log.info("wrote trajectory to %s", csv_path)
+        if report_path:
+            with open(report_path, "w", newline="") as fh:
+                fh.write(text)
+            log.info("wrote report to %s", report_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    if not report_path:
         sys.stdout.write(text)
     for name in checks:
         log.info("check %-18s %s", name, "pass" if checks[name]["passed"] else "FAIL")
@@ -699,7 +719,7 @@ def _fan_out(tasks: list, jobs: Optional[int]) -> list:
 def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
     _check_jobs(jobs)
     raw = _read_json(config_path, "sweep config")
-    _reject_unknown_keys(raw, ("base", "runs", "output_dir", "jobs"), "sweep config")
+    _reject_unknown_keys(raw, ("base", "runs", "output_dir"), "sweep config")
     base = _require(raw, "base", "sweep config")
     if isinstance(base, str):
         base_path = os.path.join(os.path.dirname(config_path), base)
@@ -712,9 +732,7 @@ def cmd_sweep(config_path: str, jobs: Optional[int] = None) -> int:
     out_dir = raw.get("output_dir", "sweep_out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"sweep output_dir must be a nonempty string, got {out_dir!r}")
-    _check_jobs(raw.get("jobs"))
-    jobs = jobs or raw.get("jobs")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     tasks = []
     writers = {}

@@ -12,13 +12,13 @@ of the positive-feedback interconnection with an NI plant comes down to
 DC conditions: kappa_tilde * G(0) < 1 for the single-element loop and
 D < -G(0) for the PII^2 family.
 
-With its element modes frozen every loop is affine, and ModeSystem is that
-one description, built by irc_mode_system and pii2_mode_system for the
-hybrid loops and by sim.closed_loop_matrices for the linear loop.  A hybrid
-loop's elements form one chain of Element (sector bound, switching law,
-input): the single element alone, or H1, H2 and H3 fed by H2.
-sim._element_law walks that chain for the outputs, gain flags and sector
-clamps.
+With its element modes frozen every loop is linear, dz/dt = J z, so the
+loops are piecewise linear.  ModeSystem is that one description, built by
+irc_mode_system and pii2_mode_system for the hybrid loops and by
+sim.closed_loop_matrices for the linear loop.  A hybrid loop's elements
+form one chain of Element (sector bound, switching law, input): the single
+element alone, or H1, H2 and H3 fed by H2.  sim._element_law walks that
+chain for the outputs, gain flags and sector clamps.
 """
 
 from __future__ import annotations
@@ -200,51 +200,44 @@ def gain_sum_admissible(p: HigsPii2Params, plant_dc: float) -> bool:
 class ModeSystem(NamedTuple):
     """A loop with its element modes frozen, on the joint state z = [x; x_c].
 
-    dz/dt = J z + c, and the loop signals are affine rows of z: the error
-    e = w_e . z + c_e, the plant input u = w_u . z + c_u and the error rate
-    de/dt = w_de . z + c_de.  A gain-mode slot is algebraic: it has a zero
-    row and column in J and is refreshed to its gain-mode output after each
-    step, so the rows hold on states that carry that output.
+    dz/dt = J z, and the loop signals are rows of z: the error e = w_e . z,
+    the plant input u = w_u . z and the error rate de/dt = w_de . z.  A
+    gain-mode slot is algebraic: it has a zero row and column in J and is
+    refreshed to its gain-mode output after each step, so the rows hold on
+    states that carry that output.
     """
 
     J: np.ndarray
-    c: np.ndarray
     w_e: np.ndarray
-    c_e: float
     w_u: np.ndarray
-    c_u: float
     w_de: np.ndarray
-    c_de: float
 
 
-def irc_mode_system(plant: StateSpace, p: HigsIrcParams, r: float, modes) -> ModeSystem:
+def irc_mode_system(plant: StateSpace, p: HigsIrcParams, modes) -> ModeSystem:
     """The single-element loop with its mode frozen, on z = [x; x_h].
 
-    e = r + C x and u = x_h.  Integrating, dx_h/dt = omega_h (D x_h + e);
+    e = C x and u = x_h.  Integrating, dx_h/dt = omega_h (D x_h + e);
     in gain mode x_h = kappa_tilde e is substituted into the plant.  In both
     modes de/dt = C dx/dt.  In gain mode the x_h slot has a zero row and
     column in J and zero weight in e and de/dt, so those hold before the
     slot is refreshed; only u reads it.
     """
     A, B, C, n = plant.A, plant.B, plant.C, plant.n
-    J, c = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+    J = np.zeros((n + 1, n + 1))
     if modes[0] == HigsMode.GAIN:
         J[:n, :n] = A + p.kappa_tilde * np.outer(B, C)
-        c[:n] = p.kappa_tilde * r * B
     else:
         J[:n, :n] = A
         J[:n, n] = B
         J[n, :n] = p.omega_h * C
         J[n, n] = p.omega_h * p.D
-        c[n] = p.omega_h * r
-    return ModeSystem(J, c, np.append(C, 0.0), float(r), np.eye(n + 1)[n], 0.0,
-                      C @ J[:n], float(C @ c[:n]))
+    return ModeSystem(J, np.append(C, 0.0), np.eye(n + 1)[n], C @ J[:n])
 
 
-def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float, modes) -> ModeSystem:
+def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, modes) -> ModeSystem:
     """The PII^2 loop with its modes frozen, on z = [x; x_h1; x_h2; x_h3].
 
-    Solves the algebraic loop e = gamma (r + y) + gamma D (x_h1 + x_h3).
+    Solves the algebraic loop e = gamma y + gamma D (x_h1 + x_h3).
     Gain-mode outputs are substituted (x_h1 -> k_h1 e, x_h2 -> k_h2 e,
     x_h3 -> k_h3 * input of H3), so their slots get zero weights in every
     row.  That leaves an equation linear in e with the denominator
@@ -268,40 +261,31 @@ def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, r: float, modes) -> M
         w_e[n + 1] = gD * k3 / den
     if not g3:
         w_e[n + 2] = gD / den
-    c_e = p.gamma * r / den
     w_u = p.k_p * w_e
-    c_u = p.k_p * c_e
     if g1:
         w_u += k1 * w_e
-        c_u += k1 * c_e
     else:
         w_u[n] += 1.0
     if g3:
         if g2:
             w_u += k3 * k2 * w_e
-            c_u += k3 * k2 * c_e
         else:
             w_u[n + 1] += k3
     else:
         w_u[n + 2] += 1.0
     J = np.zeros((n + 3, n + 3))
-    c = np.zeros(n + 3)
     J[:n, :n] = A
     J[:n, :] += np.outer(B, w_u)
-    c[:n] = B * c_u
     if not g1:
         J[n, :] = p.h1.omega_h * w_e
-        c[n] = p.h1.omega_h * c_e
     if not g2:
         J[n + 1, :] = p.h2.omega_h * w_e
-        c[n + 1] = p.h2.omega_h * c_e
     if not g3:
         if g2:
             J[n + 2, :] = p.h3.omega_h * k2 * w_e
-            c[n + 2] = p.h3.omega_h * k2 * c_e
         else:
             J[n + 2, n + 1] = p.h3.omega_h
-    return ModeSystem(J, c, w_e, c_e, w_u, c_u, w_e @ J, float(w_e @ c))
+    return ModeSystem(J, w_e, w_u, w_e @ J)
 
 
 class Element(NamedTuple):

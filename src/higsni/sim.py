@@ -1,17 +1,16 @@
 """Closed-loop simulation and Lyapunov bookkeeping.
 
 All loops use positive feedback against a SISO plant given as a StateSpace,
-and all are piecewise affine: with the element modes frozen, a loop is a
-controllers.ModeSystem, dz/dt = J z + c on the joint state z = [x;
-controller states] with e, u and de/dt as affine rows of z.  A simulator
-supplies system(modes) -> ModeSystem; the rest is shared.  _loop_start
-validates the plant, certificate and initial state, _mode_maps caches the
-RK4 map z+ = R z + d of one grid step per mode, _march owns the time grid
-and _mode_signals reads the recorded e and u off the rows of each sample's
-mode.
+and all are piecewise linear: with the element modes frozen, a loop is a
+controllers.ModeSystem, dz/dt = J z on the joint state z = [x; controller
+states] with e, u and de/dt as rows of z.  A simulator supplies
+system(modes) -> ModeSystem; the rest is shared.  _loop_start validates the
+plant, certificate and initial state, _mode_maps caches the RK4 map
+z+ = R z of one grid step per mode, _march owns the time grid and
+_mode_signals reads the recorded e and u off the rows of each sample's mode.
 
 _march steps in blocks: it propagates up to _BLOCK_ROWS rows one step at a
-time (z = R z + d, as a lone step would), runs the loop's scan (mode
+time (z = R z, as a lone step would), runs the loop's scan (mode
 decision, sector clamp) and the divergence guard on the whole block, keeps
 the rows up to the first one where something fired and resumes there.
 Every kept row is the one a step at a time would give, bit for bit: a
@@ -40,7 +39,6 @@ they are rejected.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -113,7 +111,6 @@ class SimConfig:
     t_end: float
     x0: np.ndarray
     controller_x0: object = 0.0
-    r: float = 0.0
     record_every: int = 1
 
     def __post_init__(self):
@@ -121,7 +118,6 @@ class SimConfig:
         self.t_end = float(self.t_end)
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         self.controller_x0 = np.asarray(self.controller_x0, dtype=float)
-        self.r = float(self.r)
         self.record_every = int(self.record_every)
         if self.dt <= 0.0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
@@ -184,11 +180,6 @@ class Trajectory:
         if self.W is not None:
             names.append("W")
         return names
-
-    def to_csv_text(self) -> str:
-        out = io.StringIO()
-        self._write_csv(out)
-        return out.getvalue()
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -334,13 +325,15 @@ def LyapunovPii2Certificate(Y, C, params: HigsPii2Params) -> LyapunovCertificate
 # Integration helpers
 
 
-def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """RK4 map z+ = R z + d of one step h of the affine system dz/dt = J z + c.
+def _rk4_affine_map(J: np.ndarray, h: float) -> np.ndarray:
+    """RK4 map z+ = R z of one step h of the linear system dz/dt = J z.
 
     A step with ||hJ||_1 > 1 is taken as 2^s RK4 substeps of h / 2^s, each
     with ||.||_1 < 1 and so inside RK4's stability region, combined by
     squaring: stiff modes then decay as they do in the exact flow.  With
-    s = 0 this is one plain RK4 step.
+    s = 0 this is one plain RK4 step.  The map is linear; the name still
+    says affine because the benchmark counts map builds by it, and a
+    rename waits for the next change to the benchmark (ROADMAP item 1).
     """
     n = J.shape[0]
     I = np.eye(n)
@@ -348,16 +341,14 @@ def _rk4_affine_map(J: np.ndarray, c: np.ndarray, h: float) -> Tuple[np.ndarray,
     norm = float(np.abs(hJ).sum(axis=0).max())
     s = math.frexp(norm)[1] if norm > 1.0 else 0
     if s:
-        h, hJ = h / 2**s, hJ / 2**s
+        hJ = hJ / 2**s
     hJ2 = hJ @ hJ
     hJ3 = hJ2 @ hJ
     hJ4 = hJ3 @ hJ
     R = I + hJ + hJ2 / 2.0 + hJ3 / 6.0 + hJ4 / 24.0
-    Q = h * (I + hJ / 2.0 + hJ2 / 6.0 + hJ3 / 24.0)
-    d = Q @ c
     for _ in range(s):
-        R, d = R @ R, R @ d + d
-    return R, d
+        R = R @ R
+    return R
 
 
 def require_strictly_proper(plant: StateSpace) -> None:
@@ -390,14 +381,13 @@ def _loop_start(plant: StateSpace, cfg: SimConfig, m: int, hybrid: bool,
 
 
 def _mode_maps(system: Callable[[tuple], ModeSystem], dt: float):
-    """system cached per mode, and the cached RK4 map (R, d) of one full
-    step dt per mode, built on its first use."""
+    """system cached per mode, and the cached RK4 map R of one full step dt
+    per mode, built on its first use."""
     system = functools.cache(system)
 
     @functools.cache
     def maps(modes):
-        s = system(modes)
-        return _rk4_affine_map(s.J, s.c, dt)
+        return _rk4_affine_map(system(modes).J, dt)
 
     return system, maps
 
@@ -406,8 +396,8 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
            step=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a joint state over the grid in blocks and sample it.
 
-    maps(modes) -> (R, d) is the frozen-mode map of one step.  A block
-    propagates up to _BLOCK_ROWS rows one step at a time, z = R z + d; then
+    maps(modes) -> R is the frozen-mode map of one step.  A block
+    propagates up to _BLOCK_ROWS rows one step at a time, z = R z; then
     scan(rows, modes) -> q applies the loop's per-step logic to every row in
     place and keeps the first q rows.  The next block starts from the last
     kept row; after a block cut short, step(k, z, modes) -> (z, modes), the
@@ -437,13 +427,12 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
                 z, modes = step(k + 1, z, modes)
                 blk, q, bisect = z[None], 1, False
             else:
-                R, d = maps(modes)
+                R = maps(modes)
                 blk = buf[:min(_BLOCK_ROWS, n_steps - k)]
                 prev = z
-                # The gemv and add of R @ z + d, written into the buffer.
+                # The gemv of R @ z, written into the buffer.
                 for row in rows[:len(blk)]:
                     np.dot(R, prev, out=row)
-                    np.add(row, d, out=row)
                     prev = row
                 q = len(blk) if scan is None else scan(blk, modes)
                 bisect = q < len(blk)
@@ -486,8 +475,8 @@ def _mode_signals(Z: np.ndarray, M: np.ndarray, system) -> Tuple[np.ndarray, np.
     for code in np.flatnonzero(np.bincount(codes)):
         rows = codes == code
         s = system(tuple(HigsMode(int(code) >> b & 1) for b in range(q - 1, -1, -1)))
-        e[rows] = _row_dots(Z[rows], s.w_e) + s.c_e
-        u[rows] = _row_dots(Z[rows], s.w_u) + s.c_u
+        e[rows] = _row_dots(Z[rows], s.w_e)
+        u[rows] = _row_dots(Z[rows], s.w_u)
     return e, u
 
 
@@ -495,11 +484,11 @@ def _mode_signals(Z: np.ndarray, M: np.ndarray, system) -> Tuple[np.ndarray, np.
 # Linear loop
 
 
-def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, r: float = 0.0) -> ModeSystem:
+def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF) -> ModeSystem:
     """The positive-feedback loop with a linear controller as a one-mode
-    ModeSystem on the joint state z = [x; x_k], at reference r.
+    ModeSystem on the joint state z = [x; x_k].
 
-    e = r + y, with the plant output y = C x + D_ff u, and u is the
+    e = y, with the plant output y = C x + D_ff u, and u is the
     controller output; both rows solve the feedthrough loop.  Static
     controllers (order 0) contribute feedthrough only.  Raises IllPosedLoop
     when |1 - Dk * Dp| <= ALGEBRAIC_LOOP_TOL.
@@ -517,25 +506,22 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF, r: float = 0.0) ->
     delta = 1.0 - Dk * Dp
     if abs(delta) <= ALGEBRAIC_LOOP_TOL:
         raise IllPosedLoop(f"feedthrough product gives 1 - Dk*Dp = {delta}")
-    # u = w_u . z + u_r r and y = w_y . z + y_r r
+    # u = w_u . z and y = w_y . z
     w_u = np.concatenate([(Dk / delta) * C, Ck / delta])
-    u_r = Dk / delta
     w_y = Dp * w_u
     w_y[:n] += C
-    y_r = Dp * u_r
     J = np.zeros((n + nk, n + nk))
     J[:n] = np.outer(B, w_u)
     J[:n, :n] += A
     J[n:] = np.outer(Bk, w_y)
     J[n:, n:] += Ak
-    c = np.concatenate([B * u_r, Bk * (1.0 + y_r)]) * r
-    return ModeSystem(J, c, w_y, float(r + y_r * r), w_u, float(u_r * r), w_y @ J, float(w_y @ c))
+    return ModeSystem(J, w_y, w_u, w_y @ J)
 
 
 def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) -> Trajectory:
     """The LTI loop on the hybrid loops' RK4 step map (substepped where the
     loop is stiff): it is their all-integrator limit."""
-    s = closed_loop_matrices(plant, ctrl, cfg.r)
+    s = closed_loop_matrices(plant, ctrl)
     nk = s.J.shape[0] - plant.n
     z = _loop_start(plant, cfg, nk, hybrid=False)
     system, maps = _mode_maps(lambda modes: s, cfg.dt)
@@ -548,7 +534,7 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
         controller_states=Z[:, plant.n:],
         e=e,
         u=u,
-        y=e - cfg.r,
+        y=e,
         meta={"controller": "linear", "controller_state_names": [f"xc{i+1}" for i in range(nk)]},
     )
 
@@ -644,15 +630,14 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
     system, maps = _mode_maps(system, dt)
 
     def advance(z, modes, h):
-        R, d = maps(modes) if h == dt else _rk4_affine_map(*system(modes)[:2], h)
-        return R @ z + d
+        R = maps(modes) if h == dt else _rk4_affine_map(system(modes).J, h)
+        return R @ z
 
     def probe(z, modes):
         """_element_law at one state, read off with float dots and tolist():
         a probe stays off numpy's elementwise calls."""
         s = system(modes)
-        return _element_law(float(s.w_e @ z) + s.c_e, float(s.w_de @ z) + s.c_de,
-                            z[n:].tolist(), modes, chain)
+        return _element_law(float(s.w_e @ z), float(s.w_de @ z), z[n:].tolist(), modes, chain)
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
@@ -724,8 +709,7 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         states.  Keeps the rows before the first event (the bisecting step
         takes that row) and up to the first row the clamp moved."""
         s = system(modes)
-        _, event, clamp, new = _element_law(np.vecdot(Zb, s.w_e) + s.c_e,
-                                            np.vecdot(Zb, s.w_de) + s.c_de,
+        _, event, clamp, new = _element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
                                             tuple(Zb[:, n:].T.copy()), modes, chain)
         Zb[:, n:] = np.column_stack(new)
         fired = np.flatnonzero(event | clamp)
@@ -749,14 +733,14 @@ def simulate_higs_irc_loop(
 ) -> Trajectory:
     """Positive-feedback loop of an NI plant with one compensated element.
 
-    Error signal e = r + C x; the element output u = x_h drives the plant.
+    Error signal e = C x; the element output u = x_h drives the plant.
     The loop is the one-element chain (sector bound kappa_tilde) of
     _hybrid_loop on controllers.irc_mode_system.  When a certificate is
     supplied, W is traced alongside the element storage V.
     """
     z = _loop_start(plant, cfg, 1, hybrid=True, cert=cert)
     chain = (Element(p.kappa_tilde, p),)
-    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: irc_mode_system(plant, p, cfg.r, modes))
+    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: irc_mode_system(plant, p, modes))
     return Trajectory(**run, V=storage_V_h(run["controller_states"][:, 0], p),
                       meta={"controller": "higs_irc", "controller_state_names": ["xh"], "chain": chain})
 
@@ -770,10 +754,10 @@ def simulate_higs_pii2_loop(
     """Hybrid PII^2 loop: H1 and the H2->H3 chain in parallel with k_p.
 
     The loop error solves a per-sample algebraic equation (gain-mode
-    elements feed through, e = gamma*(r + y) + gamma*D*(x_h1 + x_h3)), so
-    with the three modes frozen the joint dynamics are affine
-    (controllers.pii2_mode_system); _hybrid_loop runs the three-element
-    chain on them.
+    elements feed through, e = gamma*y + gamma*D*(x_h1 + x_h3)), so with
+    the three modes frozen the joint dynamics are linear, dz/dt = J z
+    (controllers.pii2_mode_system), and the loop is piecewise linear;
+    _hybrid_loop runs the three-element chain on them.
     """
     z = _loop_start(plant, cfg, 3, hybrid=True, cert=cert)
     if not gain_sum_admissible(p, dc_gain(plant)):
@@ -781,7 +765,7 @@ def simulate_higs_pii2_loop(
             "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
         )
     chain = pii2_chain(p)
-    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: pii2_mode_system(plant, p, cfg.r, modes))
+    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: pii2_mode_system(plant, p, modes))
     XH = run["controller_states"]
     V1 = storage_V1(XH[:, 0], p.h1)
     V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])

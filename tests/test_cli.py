@@ -148,14 +148,15 @@ def _with_keys(section, **extra):
     ({"controller": dict(_PII2_CONTROLLER, h2={"omega_h": 0.2, "k_h": 1.0, "k": 1.0}),
       "checks": []}, "unknown key 'k' in h2 (known: omega_h, k_h)"),
     (_with_keys("sim", Dt=0.5),
-     "unknown key 'Dt' in sim (known: dt, t_end, x0, controller_x0, r, record_every)"),
+     "unknown key 'Dt' in sim (known: dt, t_end, x0, controller_x0, record_every)"),
     (_with_keys("output", CSV="x.csv"), "unknown key 'CSV' in output (known: csv, report)"),
     (_with_keys("sim", record_every=2.5), "sim record_every must be an integer, got 2.5"),
     (_with_keys("sim", record_every=True), "sim record_every must be an integer, got True"),
     (_with_keys("sim", record_every="3"), "sim record_every must be an integer, got '3'"),
     (_with_keys("sim", dt="0.001"), "sim dt must be a number, got '0.001'"),
     (_with_keys("sim", t_end=True), "sim t_end must be a number, got True"),
-    (_with_keys("sim", r=[0.5]), "sim r must be a number, got [0.5]"),
+    (_with_keys("sim", r=0.0),
+     "unknown key 'r' in sim (known: dt, t_end, x0, controller_x0, record_every)"),
     (_with_keys("plant", A=[[0.0, "1"], [-1.0, 0.0]]),
      "plant A must be a number or a list of numbers, got '1'"),
     (_with_keys("plant", B=[0.0, True]), "plant B must be a number or a list of numbers, got True"),
@@ -191,19 +192,18 @@ def _with_keys(section, **extra):
     ({"checks": [{"name": "convergence", "threshold": float("nan")}]},
      "check 'convergence': threshold must be finite, got nan"),
     (_with_keys("sim", x0=[float("nan"), 1.0]), "sim x0 must be finite, got nan"),
-    (_with_keys("sim", r=float("inf")), "sim r must be finite, got inf"),
     (_with_keys("sim", x0=["1e999", 1.0]), "sim x0 must be finite, got inf"),
     (_with_keys("sim", t_end=float("nan")), "sim t_end must be finite, got nan"),
     (_with_keys("plant", A=[[0.0, 10**400], [-1.0, 0.0]]), "plant A must be finite, got inf"),
 ], ids=["scenario", "state_space_plant", "tf_plant", "controller", "element", "sim", "output",
         "sim_record_every_float", "sim_record_every_bool", "sim_record_every_text",
-        "sim_dt_text", "sim_t_end_bool", "sim_r_list", "plant_A_text", "plant_B_bool",
+        "sim_dt_text", "sim_t_end_bool", "sim_r_unknown", "plant_A_text", "plant_B_bool",
         "plant_C_null", "plant_D_ff_text", "plant_num_text", "plant_den_bool",
         "controller_k_h_bool", "controller_D_text", "element_k_h_text", "element_omega_h_list",
         "sim_x0_text", "sim_controller_x0_text", "sim_controller_x0_bool",
         "output_false", "output_list", "output_csv_bool", "output_csv_int", "output_csv_empty", "output_report_int",
         "output_report_null", "name_list", "checks_text", "checks_object",
-        "check_threshold_nan", "sim_x0_nan", "sim_r_infinity", "sim_x0_1e999", "sim_t_end_nan",
+        "check_threshold_nan", "sim_x0_nan", "sim_x0_1e999", "sim_t_end_nan",
         "plant_A_huge_int"])
 def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, capsys,
                                                          overrides, message):
@@ -287,6 +287,45 @@ def test_simulate_hybrid_loop_rejects_plant_feedthrough(tmp_path, monkeypatch, c
 def test_simulate_divergent_scenario_exit_runtime(config_dir, tmp_path):
     cfg = str(config_dir / "mass_spring_irc_unstable.json")
     assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_RUNTIME
+
+
+def _no_run(*args):
+    raise AssertionError("the simulation ran")
+
+
+@pytest.mark.parametrize("output, out_dir, message", [
+    ({"csv": "missing/run.csv"}, None,
+     "cannot write 'missing/run.csv': 'missing' is not a directory"),
+    ({"csv": "run.csv", "report": "a_file/run.report.json"}, None,
+     "cannot write 'a_file/run.report.json': 'a_file' is not a directory"),
+    ({"csv": "run.csv"}, "a_file", "cannot create output directory 'a_file': "),
+], ids=["csv_dir_missing", "report_dir_is_a_file", "out_dir_is_a_file"])
+def test_simulate_unwritable_output_exit_config_before_running(tmp_path, monkeypatch, capsys,
+                                                               output, out_dir, message):
+    # A whole run would otherwise end in a traceback from the first write.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_simulate", _no_run)
+    (tmp_path / "a_file").write_text("")
+    cfg = _write(tmp_path, "quick.json", _quick_scenario(output=output))
+    argv = ["simulate", cfg] + ([] if out_dir is None else ["--out-dir", out_dir])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["a_file", "quick.json"]
+    assert (tmp_path / "a_file").read_text() == ""
+
+
+def test_simulate_output_that_cannot_be_opened_exit_config(tmp_path, monkeypatch, capsys):
+    # The CSV path names a directory: only opening it finds that out.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.csv").mkdir()
+    cfg = _write(tmp_path, "quick.json", _quick_scenario())
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cannot write output: ") and "'run.csv'" in err
+    assert sorted(os.listdir(tmp_path)) == ["quick.json", "run.csv"]
 
 
 @pytest.mark.parametrize("check, message", [
@@ -526,9 +565,7 @@ _SWEEP_RUN = {"name": "a", "overrides": {"sim": {"t_end": 0.5}, "checks": ["sect
 @pytest.mark.parametrize("fields, message", [
     ({"output_dir": None}, "sweep output_dir must be a nonempty string, got None"),
     ({"output_dir": ""}, "sweep output_dir must be a nonempty string, got ''"),
-    ({"jobs": [2]}, "sweep jobs must be a positive integer, got [2]"),
-    ({"jobs": 0}, "sweep jobs must be a positive integer, got 0"),
-    ({"jobs": True}, "sweep jobs must be a positive integer, got True"),
+    ({"jobs": 2}, "unknown key 'jobs' in sweep config (known: base, runs, output_dir)"),
     ({"base": [1]}, "sweep base must be a scenario object or file name, got [1]"),
     ({"runs": [1]}, "sweep runs must be objects, got 1"),
     ({"runs": [{"name": ["a"]}]}, "sweep run name must be a string, got ['a']"),
@@ -537,16 +574,19 @@ _SWEEP_RUN = {"name": "a", "overrides": {"sim": {"t_end": 0.5}, "checks": ["sect
     ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "convergence",
                                                                      "threshold": None}]}}]},
      "check 'convergence': threshold must be a number, got None"),
-    ({"job": 1}, "unknown key 'job' in sweep config (known: base, runs, output_dir, jobs)"),
+    ({"job": 1}, "unknown key 'job' in sweep config (known: base, runs, output_dir)"),
     ({"runs": [{"name": "a", "overides": {"sim": {"t_end": 0.2}}}]},
      "unknown key 'overides' in sweep run 'a' (known: name, overrides)"),
     ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"checks": [{"name": "sector", "rtl": 1}]}}]},
      "unknown key 'rtl' in check 'sector' (known: name)"),
     ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"sim": {"record_every": 2.5}}}]},
      "sim record_every must be an integer, got 2.5"),
-], ids=["output_dir_null", "output_dir_empty", "jobs_list", "jobs_zero", "jobs_bool", "base_list",
+    ({"runs": [_SWEEP_RUN, {"name": "b", "overrides": {"sim": {"r": 0.5}}}]},
+     "unknown key 'r' in sim (known: dt, t_end, x0, controller_x0, record_every)"),
+], ids=["output_dir_null", "output_dir_empty", "jobs_unknown", "base_list",
         "run_not_object", "name_not_string", "overrides_list", "run_check_option",
-        "unknown_sweep_key", "unknown_run_key", "unknown_run_check_key", "run_sim_record_every"])
+        "unknown_sweep_key", "unknown_run_key", "unknown_run_check_key", "run_sim_record_every",
+        "run_sim_r"])
 def test_sweep_rejects_malformed_config_before_running(config_dir, tmp_path, monkeypatch, capsys,
                                                       fields, message):
     monkeypatch.chdir(tmp_path)
@@ -571,6 +611,19 @@ def test_sweep_rejects_jobs_flag_before_running(config_dir, tmp_path, monkeypatc
     assert (captured.out, captured.err) == (
         "", f"config error: sweep jobs must be a positive integer, got {jobs}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_output_dir_that_is_a_file_exit_config(config_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_fan_out", _no_run)
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    cfg = _write(tmp_path, "sweep.json", {"base": str(config_dir / "mass_spring_irc_k20.json"),
+                                          "output_dir": str(blocker), "runs": [_SWEEP_RUN]})
+    assert cli.main(["sweep", cfg]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot create output directory {str(blocker)!r}: ")
+    assert blocker.read_text() == ""
 
 
 def test_sweep_outputs_do_not_depend_on_jobs(config_dir, tmp_path, capsys, caplog):
@@ -638,10 +691,15 @@ def test_sweep_names_a_run_whose_worker_died(config_dir, tmp_path, monkeypatch, 
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_fan_out_returns_every_code_in_task_order(monkeypatch, jobs):
+@pytest.mark.parametrize("jobs, pinned", [(1, True), (3, True), (1, False), (3, False), (None, False)],
+                         ids=["1", "3", "unpinned-1", "unpinned-3", "unpinned-None"])
+def test_fan_out_returns_every_code_in_task_order(monkeypatch, jobs, pinned):
     # 20 000 report lines fill the workers' pipe several times over.
     monkeypatch.setattr(cli, "_sweep_worker", lambda task: int(task[0]) % 4)
+    if not pinned:    # a platform without CPU affinity (macOS)
+        monkeypatch.delattr(os, "sched_setaffinity")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)    # jobs None: two workers
     tasks = [(str(k), None, None) for k in range(20_000)]
     assert cli._fan_out(tasks, jobs) == [k % 4 for k in range(20_000)]
     with pytest.raises(ChildProcessError):

@@ -215,15 +215,14 @@ def test_gain_sum_exclusion():
 # algebraic loop
 
 
-def _signals(plant, y, y_dot, states, modes, p, r=0.0):
+def _signals(plant, y, y_dot, states, modes, p):
     """(e, u, de/dt) read off the frozen-mode rows at [y, y_dot, *states].
 
     On the mass-spring plant y = x1 and dy/dt = x2 (C B = 0), so that joint
     state sets the plant output and its rate directly."""
-    s = pii2_mode_system(plant, p, r, modes)
+    s = pii2_mode_system(plant, p, modes)
     z = np.array([y, y_dot, *states])
-    return (float(s.w_e @ z) + s.c_e, float(s.w_u @ z) + s.c_u,
-            float(s.w_de @ z) + s.c_de)
+    return float(s.w_e @ z), float(s.w_u @ z), float(s.w_de @ z)
 
 
 def _outputs(e, states, modes, p):
@@ -238,10 +237,9 @@ def _outputs(e, states, modes, p):
 
 def test_resolve_all_integrator_hand_value(plant):
     p = _bank(k_p=1.0, D=-1.0, k1=1.0)
-    for r, y in ((1.0, 0.0), (0.0, 1.0)):    # the reference and the output enter alike
-        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), (INT, INT, INT), p, r)
-        assert e == pytest.approx(0.5)
-        assert u == pytest.approx(0.5)
+    e, u, _ = _signals(plant, 1.0, 0.0, (0.0, 0.0, 0.0), (INT, INT, INT), p)
+    assert e == pytest.approx(0.5)
+    assert u == pytest.approx(0.5)
 
 
 def test_resolve_equilibrium_is_zero(plant):
@@ -251,10 +249,9 @@ def test_resolve_equilibrium_is_zero(plant):
 
 def test_resolve_first_element_gain_hand_value(plant):
     p = _bank(k_p=1.0, D=-1.0, k1=1.0)
-    for r, y in ((1.0, 0.0), (0.0, 1.0)):    # the reference and the output enter alike
-        e, u, _ = _signals(plant, y, 0.0, (0.0, 0.0, 0.0), (GAIN, INT, INT), p, r)
-        assert e == pytest.approx(1.0 / 3.0)
-        assert u == pytest.approx(2.0 / 3.0)
+    e, u, _ = _signals(plant, 1.0, 0.0, (0.0, 0.0, 0.0), (GAIN, INT, INT), p)
+    assert e == pytest.approx(1.0 / 3.0)
+    assert u == pytest.approx(2.0 / 3.0)
 
 
 @given(signal, signal, signal, signal, gains, neg_d, gains, gains)

@@ -1,5 +1,6 @@
 """Closed-loop simulators, Lyapunov certificates, and trajectory checks."""
 
+import io
 import re
 
 import mpmath
@@ -94,23 +95,21 @@ def test_trajectory_rejects_ragged_series():
 
 @given(st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
        st.floats(1e-4, 0.1))
-def test_rk4_affine_map_matches_stage_form(j_entries, c_entries, z_entries, h):
+def test_rk4_affine_map_matches_stage_form(j_entries, z_entries, h):
     J = np.array(j_entries).reshape(3, 3)
-    c = np.array(c_entries)
     z = np.array(z_entries)
-    R, d = _rk4_affine_map(J, c, h)
+    R = _rk4_affine_map(J, h)
 
     def f(v):
-        return J @ v + c
+        return J @ v
 
     k1 = f(z)
     k2 = f(z + 0.5 * h * k1)
     k3 = f(z + 0.5 * h * k2)
     k4 = f(z + h * k3)
     want = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert R @ z + d == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert R @ z == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @st.composite
@@ -201,16 +200,13 @@ def test_linear_loop_matches_analytic_decay():
 
 
 def test_closed_loop_rows_with_feedthrough():
-    # Static gain 1 against D_ff = 0.5: u = 2 x + 2 r and y = x + 0.5 u =
-    # 2 x + r, so e = r + y = 2 x + 2 r.
+    # Static gain 1 against D_ff = 0.5: u = 2 x and y = x + 0.5 u = 2 x,
+    # so e = y = 2 x.
     plant = StateSpace([[-1.0]], [1.0], [1.0], D_ff=0.5)
-    s = closed_loop_matrices(plant, RationalTF((1.0,), (1.0,)), r=1.0)
+    s = closed_loop_matrices(plant, RationalTF((1.0,), (1.0,)))
     assert s.w_u == pytest.approx([2.0])
-    assert s.c_u == pytest.approx(2.0)
     assert s.w_e == pytest.approx([2.0])
-    assert s.c_e - 1.0 == pytest.approx(1.0)     # y's reference term, y_r r
     assert s.J[0, 0] == pytest.approx(1.0)
-    assert s.c == pytest.approx([2.0])
 
 
 def test_closed_loop_rejects_singular_feedthrough_product():
@@ -228,20 +224,16 @@ def test_linear_loop_controller_state_validation(plant):
 
 def _expm_reference(plant, ctrl, cfg):
     """Joint states of the linear loop stepped by the 30-digit mpmath
-    exponential of the augmented matrix [[J, c], [0, 0]] dt."""
-    s = closed_loop_matrices(plant, ctrl, cfg.r)
-    nz = s.J.shape[0]
-    aug = np.zeros((nz + 1, nz + 1))
-    aug[:nz, :nz] = s.J
-    aug[:nz, nz] = s.c
+    exponential expm(J dt)."""
+    J = closed_loop_matrices(plant, ctrl).J
+    nz = J.shape[0]
     with mpmath.workdps(30):
-        Phi = mpmath.expm(mpmath.matrix(aug.tolist()) * mpmath.mpf(cfg.dt))
-        Phi = np.array([[float(Phi[i, j]) for j in range(nz + 1)] for i in range(nz + 1)])
-    E, d = Phi[:nz, :nz], Phi[:nz, nz]
+        E = mpmath.expm(mpmath.matrix(J.tolist()) * mpmath.mpf(cfg.dt))
+        E = np.array([[float(E[i, j]) for j in range(nz)] for i in range(nz)])
     z = np.concatenate([cfg.x0, np.broadcast_to(cfg.controller_x0, (nz - plant.n,))])
     Z = [z]
     for k in range(1, cfg.n_steps + 1):
-        z = E @ z + d
+        z = E @ z
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             Z.append(z)
     return np.array(Z)
@@ -266,31 +258,31 @@ def test_stiff_linear_loop_matches_exponential_map(plant):
     assert np.abs(Z - _expm_reference(plant, ctrl, cfg)).max() <= 1e-6
 
 
-def _rk4_steps(J, c, z, h, count):
+def _rk4_steps(J, z, h, count):
     for _ in range(count):
-        k1 = J @ z + c
-        k2 = J @ (z + 0.5 * h * k1) + c
-        k3 = J @ (z + 0.5 * h * k2) + c
-        k4 = J @ (z + h * k3) + c
+        k1 = J @ z
+        k2 = J @ (z + 0.5 * h * k1)
+        k3 = J @ (z + 0.5 * h * k2)
+        k4 = J @ (z + h * k3)
         z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return z
 
 
-@pytest.mark.parametrize("J, c, h", [
-    (np.diag([-3000.0, -1.0]), np.array([1.0, 2.0]), 1e-3),
-    (np.array([[-7.0, 40.0, 0.0], [-40.0, -7.0, 1.0], [0.0, 0.5, -0.2]]), np.array([0.0, 1.0, -1.0]), 0.05),
-    (np.array([[0.5, 3.0], [-3.0, 0.5]]), np.array([1.0, 0.0]), 0.7),
+@pytest.mark.parametrize("J, h", [
+    (np.diag([-3000.0, -1.0]), 1e-3),
+    (np.array([[-7.0, 40.0, 0.0], [-40.0, -7.0, 1.0], [0.0, 0.5, -0.2]]), 0.05),
+    (np.array([[0.5, 3.0], [-3.0, 0.5]]), 0.7),
 ], ids=["stiff_diagonal", "fast_rotation", "growing_rotation"])
-def test_rk4_affine_map_squares_substeps(J, c, h):
+def test_rk4_affine_map_squares_substeps(J, h):
     # s is the fewest halvings that bring ||hJ||_1 below 1.
     s = 0
     while np.abs(h * J).sum(axis=0).max() / 2**s >= 1.0:
         s += 1
     assert s >= 1
-    z = np.linspace(1.0, -2.0, len(c))
-    R, d = _rk4_affine_map(J, c, h)
-    want = _rk4_steps(J, c, z, h / 2**s, 2**s)
-    assert np.abs(R @ z + d - want).max() <= 1e-12 * np.abs(want).max()
+    z = np.linspace(1.0, -2.0, len(J))
+    R = _rk4_affine_map(J, h)
+    want = _rk4_steps(J, z, h / 2**s, 2**s)
+    assert np.abs(R @ z - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +292,7 @@ def test_rk4_affine_map_squares_substeps(J, c, h):
 def test_irc_loop_initial_energy_and_signals(irc20_traj):
     assert irc20_traj.W[0] == pytest.approx(5.0)
     assert irc20_traj.V[0] == 0.0
-    assert irc20_traj.e == pytest.approx(irc20_traj.y, abs=0.0)   # r = 0
+    assert irc20_traj.e == pytest.approx(irc20_traj.y, abs=0.0)
     assert irc20_traj.u == pytest.approx(irc20_traj.controller_states[:, 0], abs=0.0)
 
 
@@ -363,12 +355,6 @@ def test_irc_loop_divergence_guard(plant, monkeypatch):
     cfg = SimConfig(dt=1e-3, t_end=12.0, x0=[3.0, 1.0])
     with pytest.raises(NonFiniteState):
         simulate_higs_irc_loop(plant, wild, cfg)
-
-
-def test_irc_loop_tracks_constant_reference(plant):
-    cfg = SimConfig(dt=1e-3, t_end=2.0, x0=[0.0, 0.0], r=0.5)
-    traj = simulate_higs_irc_loop(plant, HIGS20, cfg)
-    assert traj.e == pytest.approx(0.5 + traj.y, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +527,7 @@ def _irc_runs(draw):
     # end a block; on the fine grids they are rare.
     dt = draw(st.sampled_from([1e-3, 4e-3, 5e-2]))
     cfg = SimConfig(dt=dt, t_end=draw(st.integers(100, 3000)) * dt, x0=x0,
-                    controller_x0=draw(st.floats(-1.0, 1.0)), r=draw(st.sampled_from([0.0, 0.3])),
+                    controller_x0=draw(st.floats(-1.0, 1.0)),
                     record_every=draw(st.sampled_from([1, 7])))
     return plant, p, cfg
 
@@ -563,7 +549,7 @@ def _irc_loop_or_error(plant, p, cfg, block_rows):
           SimConfig(dt=1e-2, t_end=20.0, x0=[0.1, -1.0])))
 # C B = 0.25 enters de/dt through x_h; the loop switches in both directions.
 @example((_lag_plant([(1.0, 0.0, 1.0)], (0.5, 0.5)), HIGS20,
-          SimConfig(dt=1e-3, t_end=20.0, x0=[3.0, 1.0, -2.0], r=0.3)))
+          SimConfig(dt=1e-3, t_end=20.0, x0=[3.0, 1.0, -2.0])))
 @settings(deadline=None)
 @given(_irc_runs())
 def test_blocked_irc_loop_matches_per_step_reference(run):
@@ -595,8 +581,8 @@ def test_irc_divergence_in_block_names_the_per_step_time(plant, limit, monkeypat
 
 
 def _irc_piecewise_reference(p, x0, dt, n_steps):
-    """Samples at k dt of the mass-spring single-element loop (r = 0,
-    x_h(0) = 0), flowed exactly per mode in 30 digits.
+    """Samples at k dt of the mass-spring single-element loop (x_h(0) = 0),
+    flowed exactly per mode in 30 digits.
 
     Integrator mode ends where x_h - kappa_tilde e crosses 0, gain mode
     where e (omega_h e - k_h de/dt) does (de/dt = x2 on the mass-spring).
@@ -706,12 +692,11 @@ def test_pii2_loop_signals_match_per_row_mode_system(plant, pii2_traj):
     assert len(np.unique(pii2_traj.modes, axis=0)) >= 2
     Z = np.hstack([pii2_traj.plant_states, pii2_traj.controller_states])
     modes = list(map(tuple, pii2_traj.modes.tolist()))
-    systems = {m: pii2_mode_system(plant, PII2, 0.0, tuple(map(HigsMode, m)))   # r = 0
-               for m in set(modes)}
+    systems = {m: pii2_mode_system(plant, PII2, tuple(map(HigsMode, m))) for m in set(modes)}
     for i, m in enumerate(modes):
         s = systems[m]
-        assert float(s.w_e @ Z[i]) + s.c_e == pii2_traj.e[i]
-        assert float(s.w_u @ Z[i]) + s.c_u == pii2_traj.u[i]
+        assert float(s.w_e @ Z[i]) == pii2_traj.e[i]
+        assert float(s.w_u @ Z[i]) == pii2_traj.u[i]
 
 
 def test_pii2_loop_storage_series_match_states(pii2_traj):
@@ -840,14 +825,20 @@ def test_dissipation_checker_is_single_element_only(pii2_traj):
 # CSV export
 
 
+def _csv_text(traj: Trajectory) -> str:
+    out = io.StringIO()
+    traj._write_csv(out)
+    return out.getvalue()
+
+
 def test_csv_layout_and_determinism(plant):
     cfg = oscillator_config(t_end=2.0)
     a = simulate_higs_irc_loop(plant, HIGS20, cfg,
                                LyapunovIrcCertificate(np.eye(2), plant.C, HIGS20.kappa_tilde))
     b = simulate_higs_irc_loop(plant, HIGS20, cfg,
                                LyapunovIrcCertificate(np.eye(2), plant.C, HIGS20.kappa_tilde))
-    text = a.to_csv_text()
-    assert text == b.to_csv_text()
+    text = _csv_text(a)
+    assert text == _csv_text(b)
     lines = text.splitlines()
     assert lines[0] == "t,x1,x2,xh,mode,e,u,y,V,W"
     assert len(lines) == len(a) + 1
@@ -856,7 +847,7 @@ def test_csv_layout_and_determinism(plant):
 
 
 def test_csv_round_trips_floats(pii2_traj):
-    lines = pii2_traj.to_csv_text().splitlines()
+    lines = _csv_text(pii2_traj).splitlines()
     header = lines[0].split(",")
     assert header == ["t", "x1", "x2", "xh1", "xh2", "xh3",
                       "mode1", "mode2", "mode3", "e", "u", "y", "V", "V1", "V2", "W"]
@@ -870,7 +861,7 @@ def test_csv_round_trips_floats(pii2_traj):
 def test_csv_write(tmp_path, irc5_traj):
     path = tmp_path / "run.csv"
     irc5_traj.write_csv(path)
-    assert path.read_text() == irc5_traj.to_csv_text()
+    assert path.read_text() == _csv_text(irc5_traj)
 
 
 def _reference_csv_text(traj: Trajectory) -> str:
@@ -912,7 +903,7 @@ def test_csv_writer_matches_cell_by_cell_reference(tmp_path, plant, loop, n_rows
     traj = CSV_LOOPS[loop](plant, oscillator_config(t_end=(n_rows - 1) * 1e-3))
     assert len(traj) == n_rows
     want = _reference_csv_text(traj)
-    assert traj.to_csv_text() == want
+    assert _csv_text(traj) == want
     path = tmp_path / "run.csv"
     traj.write_csv(path)
     assert path.read_bytes() == want.encode()
@@ -978,7 +969,7 @@ def test_csv_writer_reuses_only_bit_equal_columns(tmp_path, edit, n_rows):
     edit(F, M)
     traj = _table_trajectory(F, M)
     want = _reference_csv_text(traj)
-    assert traj.to_csv_text() == want
+    assert _csv_text(traj) == want
     path = tmp_path / "run.csv"
     traj.write_csv(path)
     assert path.read_bytes() == want.encode()
@@ -1005,4 +996,4 @@ def test_csv_writer_matches_reference_on_copied_columns(data, n_rows):
         else:
             F[pick(n_rows), pick(F.shape[1])] = data.draw(floats)
     traj = _table_trajectory(F, M)
-    assert traj.to_csv_text() == _reference_csv_text(traj)
+    assert _csv_text(traj) == _reference_csv_text(traj)
