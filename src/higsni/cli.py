@@ -430,6 +430,9 @@ def _output_paths(cfg: ScenarioConfig, out_dir: Optional[str]) -> tuple:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path!r}: {folder!r} is not a directory")
+    # the report would silently replace the CSV
+    if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ConfigError(f"csv {paths[0]!r} and report {paths[1]!r} are the same file")
     return paths
 
 

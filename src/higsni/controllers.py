@@ -24,7 +24,6 @@ chain for the outputs, gain flags and sector clamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -146,6 +145,10 @@ def pii2rc_sni_value(omega: float, p: Pii2Params) -> float:
     two terms of the first square cancel near the denominator resonance,
     where plain double evaluation loses seven digits.
     """
+    # Only tests call this, as a reference: the CLI does not pay the import
+    # of fractions and decimal.
+    from fractions import Fraction
+
     w = Fraction(float(omega))
     k_p, k1, k2, D = (Fraction(v) for v in (p.k_p, p.k1, p.k2, p.D))
     a = (1 - k_p * D) * w * w + k2 * D

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -75,6 +77,14 @@ from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, dc_gain, tf
 # blocks about 10 % slower.  A block's strings are held at once: about 0.2 MB
 # at 128 rows on the 16-column PII^2 loop, 1.7 MB at 1024.
 _CSV_BLOCK_ROWS = 128
+
+# Fewest rows per part of Trajectory.write_csv, the smallest part worth a
+# fork.  From just before write_csv to the process's exit, 31 interleaved
+# runs per size on a 2-vCPU VM, two parts beat one writer in 20 of 31 runs at
+# 2 x 4096 rows on the linear IRC CSV (the narrowest) and the IRC one, and
+# broke even or lost at 2 x 2048 to 2 x 3072; the 16-column PII^2 CSV gained
+# from 2 x 1536 on.
+_CSV_PART_ROWS = 4096
 
 # Steps per block of _march.  Propagation stays one row at a time; the mode
 # logic, sector clamp and divergence guard run once per block on all rows.
@@ -182,18 +192,76 @@ class Trajectory:
         return names
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            self._write_csv(fh)
+        """Write the CSV text of _write_csv to path, formatted on every CPU
+        this process may use.
 
-    def _write_csv(self, fh) -> None:
-        """Header, then _CSV_BLOCK_ROWS rows at a time: floats as repr, modes as int.
+        The rows split into n = min(CPUs, rows // _CSV_PART_ROWS) contiguous
+        ranges.  n - 1 forked children each format one of the later ranges
+        into a memfd while this process writes the header and the first
+        range; the children's parts are then appended in order, so the
+        bytes are those of one writer.  With n = 1 (one usable CPU, too few
+        rows, or no CPU affinity) nothing is forked.  Raises OSError naming
+        the exit status if a child fails, once every child has been reaped.
+        """
+        rows = len(self)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        n = max(1, min(cpus, rows // _CSV_PART_ROWS))
+        edges = [rows * i // n for i in range(n + 1)]
+        pids, fds = [], []
+        try:
+            with open(path, "w", newline="") as fh:
+                try:
+                    # fork before writing: fh's buffer is empty in every child
+                    for start, stop in zip(edges[1:-1], edges[2:]):
+                        fds.append(os.memfd_create("higsni-csv"))
+                        pid = os.fork()
+                        if pid == 0:
+                            self._csv_part_child(fds[-1], start, stop)
+                        pids.append(pid)
+                    self._write_csv(fh, 0, edges[1])
+                    fh.flush()
+                finally:
+                    statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+                failed = [status for status in statuses if status != 0]
+                if failed:
+                    raise OSError(f"a CSV writer process exited with status {failed[0]}")
+                for fd in fds:
+                    size, sent = os.fstat(fd).st_size, 0
+                    while sent < size:
+                        sent += os.sendfile(fh.fileno(), fd, sent, size - sent)
+        finally:
+            for fd in fds:
+                os.close(fd)
+
+    def _csv_part_child(self, fd: int, start: int, stop: int):
+        """Body of one forked CSV writer; never returns.
+
+        Writes rows start:stop to fd and exits with status 0, or prints the
+        traceback straight to file descriptor 2 and exits with status 1."""
+        status = 1
+        try:
+            with open(fd, "w", newline="", closefd=False) as fh:
+                self._write_csv(fh, start, stop)
+            status = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            # Never return into the caller: the rest of its stack, its atexit
+            # handlers and its buffers belong to the parent.
+            os._exit(status)
+
+    def _write_csv(self, fh, start: int = 0, stop: Optional[int] = None) -> None:
+        """Rows start:stop, _CSV_BLOCK_ROWS at a time: floats as repr, modes as
+        int; the header first when start is 0.
 
         Blocks are formatted column by column.  A column whose bits equal an
         earlier column's under the same formatter reuses that column's
         strings: on the mass-spring IRC loop, e and y are x1 and u is xh.
         Each block is written as soon as it is formatted, so the text of the
         whole file is never held at once."""
-        fh.write(",".join(self.column_names()) + "\n")
+        if start == 0:
+            fh.write(",".join(self.column_names()) + "\n")
+        stop = len(self) if stop is None else stop
         aux = [self.aux[k] for k in sorted(self.aux.keys())]
         tail = [s for s in (self.e, self.u, self.y, self.V, *aux, self.W) if s is not None]
         groups = [(repr, float, (self.times, self.plant_states, self.controller_states)),
@@ -201,14 +269,14 @@ class Trajectory:
                   (repr, float, tail)]
         # One (formatter, 1-D array) per CSV column, in header order.
         cols = [(fmt, c) for fmt, dtype, group in groups for s in group
-                for c in np.reshape(s, (len(self), -1)).T.astype(dtype, copy=False)]
+                for c in np.reshape(s[start:stop], (stop - start, -1)).T.astype(dtype, copy=False)]
         # Bits, not values: 0.0 and -0.0 are equal but print differently.
         same = []
         for i, (fmt, col) in enumerate(cols):
             bits = col.view(np.int64)
             same.append(next((j for j in range(i) if cols[j][0] is fmt
                               and np.array_equal(cols[j][1].view(np.int64), bits)), None))
-        for a in range(0, len(self), _CSV_BLOCK_ROWS):
+        for a in range(0, stop - start, _CSV_BLOCK_ROWS):
             blk = slice(a, a + _CSV_BLOCK_ROWS)
             cells = []
             for (fmt, col), j in zip(cols, same):

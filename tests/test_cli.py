@@ -316,6 +316,30 @@ def test_simulate_unwritable_output_exit_config_before_running(tmp_path, monkeyp
     assert (tmp_path / "a_file").read_text() == ""
 
 
+@pytest.mark.parametrize("output, out_dir, message", [
+    ({"csv": "same.out", "report": "same.out"}, None,
+     "csv 'same.out' and report 'same.out' are the same file"),
+    ({"csv": "a/../same.out", "report": "same.out"}, None,
+     "csv 'a/../same.out' and report 'same.out' are the same file"),
+    ({"csv": "a/same.out", "report": "same.out"}, "out",
+     "csv 'out/same.out' and report 'out/same.out' are the same file"),
+], ids=["plain", "dot_dot", "out_dir"])
+def test_simulate_csv_and_report_one_file_exit_config_before_running(tmp_path, monkeypatch, capsys,
+                                                                     output, out_dir, message):
+    # The report would replace the CSV, and the run would exit as if both
+    # were written.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_simulate", _no_run)
+    (tmp_path / "a").mkdir()
+    cfg = _write(tmp_path, "quick.json", _quick_scenario(output=output))
+    argv = ["simulate", cfg] + ([] if out_dir is None else ["--out-dir", out_dir])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    made = ["a"] + ([out_dir] if out_dir else [])
+    assert sorted(os.listdir(tmp_path)) == sorted(made + ["quick.json"])
+    assert all(os.listdir(tmp_path / folder) == [] for folder in made)
+
+
 def test_simulate_output_that_cannot_be_opened_exit_config(tmp_path, monkeypatch, capsys):
     # The CSV path names a directory: only opening it finds that out.
     monkeypatch.chdir(tmp_path)
@@ -326,6 +350,31 @@ def test_simulate_output_that_cannot_be_opened_exit_config(tmp_path, monkeypatch
     assert out == ""
     assert err.startswith("config error: cannot write output: ") and "'run.csv'" in err
     assert sorted(os.listdir(tmp_path)) == ["quick.json", "run.csv"]
+
+
+def test_simulate_csv_writer_failure_exit_config(tmp_path, monkeypatch, capfd):
+    # Two CPUs and 16-row parts: a forked writer formats rows 1000:2001.
+    write = sim.Trajectory._write_csv
+
+    def fail_after_first_part(self, fh, start=0, stop=None):
+        if start > 0:
+            raise RuntimeError("injected")
+        write(self, fh, start, stop)
+
+    monkeypatch.setattr(sim.Trajectory, "_write_csv", fail_after_first_part)
+    monkeypatch.setattr(sim, "_CSV_PART_ROWS", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "quick.json", _quick_scenario())
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.endswith("config error: cannot write output: "
+                        "a CSV writer process exited with status 1\n")
+    assert "RuntimeError: injected" in err
+    assert not (tmp_path / "run.report.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("check, message", [
@@ -732,9 +781,11 @@ def test_module_entry_point(config_dir):
 ], ids=["import", "linear_simulate"])
 def test_cli_import_leaves_scipy_unloaded(tmp_path, snippet):
     # Every CLI invocation pays the import, and every linear simulate and
-    # sweep worker runs the linear loop: neither may load scipy.
+    # sweep worker runs the linear loop: neither may load scipy, nor
+    # fractions and decimal, which only a test-side closed form uses.
     code = (f"import sys, higsni.cli; OUT = {str(tmp_path)!r}; {snippet}; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, cwd=str(REPO_ROOT))
     assert proc.returncode == 0, proc.stderr
