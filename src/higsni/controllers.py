@@ -6,8 +6,9 @@ and their hybrid variants, whose integrators are HIGS elements: one
 compensated element, or three elements H1, H2, H3 with H2->H3 in series,
 all sharing the loop error e except H3, whose input is H2's output.
 
-Both linear controllers arise from C(s)/(1 - C(s) D) and are strictly
-negative imaginary for admissible gains; their DC gain is -1/D.  Stability
+Both linear controllers arise from C(s)/(1 - C(s) D); their DC gain is
+-1/D.  sni_verdict decides that they are strictly negative imaginary from
+their closed forms, exactly for every admissible parameter set.  Stability
 of the positive-feedback interconnection with an NI plant comes down to
 DC conditions: kappa_tilde * G(0) < 1 for the single-element loop and
 D < -G(0) for the PII^2 family.
@@ -154,6 +155,34 @@ def pii2rc_sni_value(omega: float, p: Pii2Params) -> float:
     a = (1 - k_p * D) * w * w + k2 * D
     b = k1 * D * w
     return float(2 * k1 * w ** 3 / (a * a + b * b))
+
+
+class SniVerdict(NamedTuple):
+    """Strict NI of a linear controller K, decided from its closed form."""
+
+    passed: bool
+    m: str                  # closed form of m(w) = j(K(jw) - conj K(jw))
+    den: tuple              # K's denominator, descending powers of s
+    max_pole_real: float    # for display: the verdict does not read it
+
+
+def sni_verdict(p) -> SniVerdict:
+    """Strict NI of irc_tf(p) or pii2rc_tf(p) from two exact sign facts.
+
+    m(w) is the numerator gain (Gamma or k1) times a form positive for every
+    w > 0, so m > 0 there when that gain is positive.  K's denominator has
+    degree <= 2, so its poles are strictly stable exactly when every
+    coefficient is positive.  No frequency is sampled and no threshold is
+    applied; a coefficient that underflows to 0 leaves a pole at 0 in the K
+    that is simulated, and fails.
+    """
+    if isinstance(p, IrcParams):
+        K, gain, m = irc_tf(p), p.Gamma, "2 Gamma w / (w^2 + (Gamma D)^2)"
+    else:
+        K, gain = pii2rc_tf(p), p.k1
+        m = "2 k1 w^3 / (((1 - k_p D) w^2 + k2 D)^2 + (k1 D w)^2)"
+    passed = gain > 0.0 and all(c > 0.0 for c in K.den)
+    return SniVerdict(passed, m, K.den, float(np.max(K.poles().real)))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ minimality, which are reported alongside) is NI with DC gain C Y C^T.
 Certificates are searched by a numpy-only log-barrier Newton method over
 the affine solution set of B + A Y C^T = 0; a search that ends without one
 is inconclusive, not a proof that the system is not NI.
-Frequency-domain tests evaluate m(w) = j*(G(jw) - conj(G(jw))), which is
-real for SISO systems; NI requires m >= 0 for w > 0 and no poles in the
-open right half plane, strict NI additionally requires strictly stable
-poles and m > 0 on the tested grid.
+The frequency-domain test evaluates m(w) = j*(G(jw) - conj(G(jw))), which
+is real for SISO systems; NI requires m >= 0 for w > 0 and no poles in the
+open right half plane.  A plant has no closed form, so the test samples m on
+a grid.  Strict NI is decided only for the linear controllers, from their
+closed forms (controllers.sni_verdict).
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import numpy as np
 RANK_RTOL = 1e-8          # relative singular-value cutoff for rank decisions
 POLE_EXCLUSION = 1e-6     # |jw - pole| below this counts as "on a pole"
 NI_TOL = 1e-8             # certificate LMI slack; NI test: m(w) >= -NI_TOL, Re(poles) <= NI_TOL
-SNI_TOL = 1e-12           # strict-NI test: Re(poles) < -SNI_TOL and m(w) > SNI_TOL
 CERT_MARGIN = 1e-6        # positivity margin of Y in the certificate search
 CERT_MAX_DIM = 10         # largest plant order the certificate search accepts
-# Frequencies (rad/s) of the sampled NI and strict-NI tests: 121 points,
-# 20 per decade, from 1e-3 to 1e3.
+# Frequencies (rad/s) of the sampled NI test: 121 points, 20 per decade,
+# from 1e-3 to 1e3.
 FREQ_GRID = np.logspace(np.log10(1e-3), np.log10(1e3), 121)
 FREQ_GRID.flags.writeable = False
 
@@ -415,15 +415,6 @@ class NiFrequencyReport:
     has_unstable_pole: bool
 
 
-@dataclass(frozen=True)
-class SniFrequencyReport:
-    passed: bool
-    min_value: float
-    worst_omega: float
-    max_pole_real: float
-    poles_strictly_stable: bool
-
-
 def ni_frequency_test(sys: LinearSystem) -> NiFrequencyReport:
     """Sampled NI test: no open-RHP poles and m(w) >= -NI_TOL on FREQ_GRID.
 
@@ -455,36 +446,6 @@ def ni_frequency_test(sys: LinearSystem) -> NiFrequencyReport:
         flagged_omegas=tuple(flagged),
         max_pole_real=max_re,
         has_unstable_pole=has_rhp,
-    )
-
-
-def sni_frequency_test(sys: LinearSystem) -> SniFrequencyReport:
-    """Sampled strict-NI test: Re[poles] < -SNI_TOL and m(w) > SNI_TOL on FREQ_GRID."""
-    poles = sys.poles()
-    max_re = float(np.max(poles.real)) if poles.size else -np.inf
-    stable = bool(max_re < -SNI_TOL)
-    min_m = np.inf
-    worst = float("nan")
-    if stable:
-        for w in FREQ_GRID:
-            try:
-                G = freq_response(sys, w)
-            except SingularAtFrequency:
-                # pole hugging the axis: cannot certify strictness there
-                min_m = -np.inf
-                worst = float(w)
-                break
-            m = float((1j * (G - G.conjugate())).real)
-            if m < min_m:
-                min_m = m
-                worst = float(w)
-    passed = stable and np.isfinite(min_m) and min_m > SNI_TOL
-    return SniFrequencyReport(
-        passed=bool(passed),
-        min_value=float(min_m),
-        worst_omega=worst,
-        max_pole_real=max_re,
-        poles_strictly_stable=stable,
     )
 
 

@@ -7,6 +7,7 @@ subprocess test covers the module entry point.
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 
@@ -472,7 +473,21 @@ def test_check_sni_on_linear_controller(config_dir, capsys):
     cfg = str(config_dir / "mass_spring_irc_linear.json")
     assert cli.main(["check", cfg, "sni"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["passed"] is True and out["evidence"]["min_value"] > 0.0
+    assert out["passed"] is True
+    assert all(c > 0.0 for c in out["evidence"]["den"])
+    assert out["evidence"]["max_pole_real"] < 0.0
+
+
+@pytest.mark.parametrize("k1", [1e-3, 1e-6])
+def test_check_sni_small_integral_gain(config_dir, tmp_path, capsys, k1):
+    # m(w) = 2 k1 w^3 / ... is below 1e-12 at w = 1e-3 here: SNI all the same.
+    scenario = json.loads((config_dir / "mass_spring_pii2_linear.json").read_text())
+    scenario["controller"]["k1"] = k1
+    cfg = _write(tmp_path, "small_k1.json", scenario)
+    assert cli.main(["check", cfg, "sni"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is True
+    assert out["evidence"]["den"] == [3.0, 2.0 * k1, 2.0]
 
 
 def test_check_sni_is_linear_only(config_dir):
@@ -730,12 +745,32 @@ def test_sweep_names_a_run_whose_worker_died(config_dir, tmp_path, monkeypatch, 
              "runs": [{"name": n, "overrides": {"sim": {"t_end": 0.2}, "checks": ["sector"]}}
                       for n in "abc"]}
     cfg = _write(tmp_path, "sweep.json", sweep)
-    with pytest.raises(RuntimeError, match="sweep run 'c' did not finish: its worker "
-                                           "exited with status 1"):
-        cli.main(["sweep", cfg, "--jobs", "2"])
+    assert cli.main(["sweep", cfg, "--jobs", "2"]) == cli.EXIT_RUNTIME
     assert sorted(p.name for p in out.iterdir()) == [
         "a.csv", "a.report.json", "b.csv", "b.report.json"]
-    assert "TypeError: injected" in capfd.readouterr().err
+    err = capfd.readouterr().err
+    assert "TypeError: injected" in err
+    assert err.endswith("runtime failure: sweep run 'c' did not finish: its worker "
+                        "exited with status 1\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_killed_worker_exit_runtime(config_dir, tmp_path, monkeypatch, capsys):
+    worker = cli._sweep_worker
+
+    def killed_on_k5(task):
+        if task[0] == "k5":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return worker(task)
+
+    monkeypatch.setattr(cli, "_sweep_worker", killed_on_k5)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", str(config_dir / "sweep_gain.json"), "--jobs", "2"]) == cli.EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("runtime failure: sweep run 'k5' did not finish: its worker "
+                   "exited with status -9\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -773,6 +808,16 @@ def test_module_entry_point(config_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_log_setting_that_names_no_level_falls_back_to_warning(config_dir, monkeypatch):
+    # In process, pytest's handlers on the root logger make basicConfig a no-op.
+    monkeypatch.setenv("HIGSNI_LOG", "basic_format")
+    cfg = str(config_dir / "mass_spring_irc_k20.json")
+    proc = subprocess.run([sys.executable, "-m", "higsni", "check", cfg, "stability"],
+                          capture_output=True, text=True, cwd=str(REPO_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("snippet", [

@@ -1,5 +1,7 @@
 """Controller construction, composition identities, and the algebraic loop."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -24,9 +26,10 @@ from higsni.controllers import (
     pii2_chain,
     pii2_mode_system,
     pii2rc_sni_value,
+    sni_verdict,
 )
 from higsni.higs import HigsMode
-from higsni.lti import freq_response, sni_frequency_test
+from higsni.lti import freq_response
 
 gains = st.floats(1e-2, 1e2)
 neg_d = st.floats(-1e2, -1e-2)
@@ -141,13 +144,28 @@ def test_pii2rc_tf_closes_pid_like_core_around_feedthrough(k_p, k1, k2, D):
 
 @given(gains, neg_d)
 def test_irc_tf_is_ni_and_sni(Gamma, D):
-    k = irc_tf(IrcParams(Gamma, D))
-    assert ni_frequency_test(k).passed
-    assert sni_frequency_test(k).passed
+    p = IrcParams(Gamma, D)
+    assert ni_frequency_test(irc_tf(p)).passed
+    assert sni_verdict(p).passed
+
+
+@given(gains, gains, gains, neg_d, gains)
+def test_linear_controller_poles_are_strictly_stable(k_p, k1, k2, D, Gamma):
+    # Cross-checks the verdict's Hurwitz claim (positive coefficients of a
+    # denominator of degree <= 2) against the computed poles.
+    for p, tf in ((IrcParams(Gamma, D), irc_tf), (Pii2Params(k_p, k1, k2, D), pii2rc_tf)):
+        assert np.all(tf(p).poles().real < 0.0)
+        assert sni_verdict(p).max_pole_real < 0.0
 
 
 # ---------------------------------------------------------------------------
 # strict-NI frequency value
+
+
+def _closed_form(verdict, **values):
+    """Evaluate a verdict's m text, which writes products as spaces."""
+    expr = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", verdict.m.replace("^", "**"))
+    return eval(expr, {}, values)
 
 
 def test_sni_value_hand_value():
@@ -171,16 +189,31 @@ def test_sni_value_matches_direct_evaluation(k_p, k1, k2, D, w):
     K = freq_response(pii2rc_tf(p), w)
     direct = (1j * (K - K.conjugate())).real
     assert pii2rc_sni_value(w, p) == pytest.approx(direct, rel=1e-9)
+    m = _closed_form(sni_verdict(p), k_p=k_p, k1=k1, k2=k2, D=D, w=w)
+    assert m == pytest.approx(direct, rel=1e-9)
 
 
-@given(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0),
-       st.floats(-2.0, -0.1))
+@given(st.floats(0.5, 2.0), st.floats(-2.0, -0.5), st.floats(0.5, 2.0))
+def test_irc_sni_closed_form_matches_direct_evaluation(Gamma, D, w):
+    p = IrcParams(Gamma, D)
+    K = freq_response(irc_tf(p), w)
+    m = _closed_form(sni_verdict(p), Gamma=Gamma, D=D, w=w)
+    assert m == pytest.approx(-2.0 * K.imag, rel=1e-9)
+
+
+@given(gains, gains, gains, neg_d)
 def test_pii2rc_tf_is_sni(k_p, k1, k2, D):
-    # The checker demands m > 1e-12 on its grid and m(1e-3) scales like
-    # 2 k1 1e-9 / (k2 D)^2, so extreme k2|D| would push a genuinely
-    # positive value under the sampled-strictness floor.
-    rep = sni_frequency_test(pii2rc_tf(Pii2Params(k_p, k1, k2, D)))
-    assert rep.passed
+    p = Pii2Params(k_p, k1, k2, D)
+    v = sni_verdict(p)
+    assert v.passed
+    assert v.den == pii2rc_tf(p).den
+
+
+def test_sni_verdict_fails_on_a_coefficient_that_underflows():
+    # Gamma D and k1 D round to 0: the K that is simulated has a pole at 0.
+    for p in (IrcParams(1e-200, -1e-200), Pii2Params(1.0, 1e-200, 1.0, -1e-200)):
+        v = sni_verdict(p)
+        assert not v.passed and 0.0 in v.den and v.max_pole_real == 0.0
 
 
 # ---------------------------------------------------------------------------

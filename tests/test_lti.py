@@ -22,7 +22,6 @@ from higsni.lti import (
     NICertificate,
     freq_response,
     is_minimal,
-    sni_frequency_test,
     ss_to_tf,
     verify_ni_certificate,
 )
@@ -215,20 +214,6 @@ def test_ni_frequency_test_single_pole_value(monkeypatch):
 def test_ni_frequency_test_rejects_rhp_pole():
     rep = ni_frequency_test(RationalTF((1.0,), (1.0, -1.0)))
     assert not rep.passed and rep.has_unstable_pole
-
-
-def test_sni_frequency_test_verdicts(plant):
-    strict = RationalTF((1.0, 1.0, 1.0), (2.0, 1.0, 1.0))
-    assert sni_frequency_test(strict).passed
-    assert sni_frequency_test(RationalTF((1.0,), (1.0, 1.0))).passed
-    # imaginary-axis poles are not strictly stable
-    assert not sni_frequency_test(plant).passed
-
-
-def test_sni_minimum_is_positive():
-    rep = sni_frequency_test(RationalTF((1.0, 1.0, 1.0), (2.0, 1.0, 1.0)))
-    assert rep.min_value > 0.0
-    assert rep.poles_strictly_stable
 
 
 def test_default_grid_spans_decades():

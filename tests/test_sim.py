@@ -76,7 +76,6 @@ def test_tolerances_defaults():
     assert lti.RANK_RTOL == 1e-8
     assert lti.POLE_EXCLUSION == 1e-6
     assert lti.NI_TOL == 1e-8
-    assert lti.SNI_TOL == 1e-12
     assert lti.CERT_MARGIN == 1e-6
     assert lti.CERT_MAX_DIM == 10
     assert np.array_equal(lti.FREQ_GRID, np.logspace(np.log10(1e-3), np.log10(1e3), 121))
