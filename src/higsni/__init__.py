@@ -21,6 +21,7 @@ from .lti import (
     SingularA,
     SingularAtFrequency,
     StateSpace,
+    Verdict,
     assess_ni,
     dc_gain,
     ni_frequency_test,
@@ -35,6 +36,7 @@ from .sim import (
     NonFiniteState,
     SimConfig,
     Trajectory,
+    check_convergence,
     check_dissipation,
     check_monotone,
     check_sector,

@@ -5,10 +5,13 @@ check (ni / sni / certificate / stability against a scenario), design
 (admissible parameter regions for a verified NI plant) and sweep (fan a
 base scenario out over parameter overrides in forked worker processes).
 
-Scenario files are JSON; see the README for the schema.  Exit codes:
-0 success, 1 configuration or usage errors, 2 runtime or numerical
-failures, 3 failed checks.  Set HIGSNI_LOG=debug|info|warning to control
-log verbosity.
+Every check gives an lti.Verdict whose status is holds, fails or
+inconclusive; simulate reports each under its name in the same JSON shape,
+check prints its one.  Scenario files are JSON; see the README for the
+schema.  Exit codes: 0 success (every verdict holds), 1 configuration or
+usage errors, 2 runtime or numerical failures, 3 a verdict that fails or is
+inconclusive (its status says which).  Set HIGSNI_LOG=debug|info|warning to
+control log verbosity.
 """
 
 from __future__ import annotations
@@ -21,41 +24,37 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .controllers import (
     HigsPii2Params,
     IrcParams,
     Pii2Params,
-    StabilityVerdict,
     UnsolvableLoop,
-    check_irc_stability,
-    check_pii2_stability,
-    gain_sum_admissible,
     irc_tf,
     pii2rc_tf,
     sni_verdict,
+    stability_verdict,
 )
 from .higs import HigsIrcParams, HigsParams
 from .lti import (
-    NICertificate,
     RationalTF,
     StateSpace,
+    Verdict,
     assess_ni,
+    certify_ni,
     dc_gain,
     ni_frequency_test,
-    search_ni_certificate,
     tf_to_ss,
-    verify_ni_certificate,
 )
 from .sim import (
+    MONOTONE_CONDITION,
     LyapunovIrcCertificate,
     LyapunovPii2Certificate,
     NonFiniteState,
     SimConfig,
+    check_convergence,
     check_dissipation,
     check_monotone,
     check_sector,
@@ -86,8 +85,11 @@ class _Controller(NamedTuple):
 
 _ELEMENT_KEYS = ("h1", "h2", "h3")
 
-# The numeric options a trajectory check takes from a scenario, with their
-# defaults; the other checks' tolerances are constants of sim.
+# The trajectory checks a scenario may list, each (Trajectory, **options)
+# -> Verdict, and the numeric options a check takes from a scenario, with
+# their defaults; the other checks' tolerances are constants of sim.
+_TRAJECTORY_CHECKS = {"sector": check_sector, "lyapunov_monotone": check_monotone,
+                      "dissipation": check_dissipation, "convergence": check_convergence}
 _CHECK_OPTIONS = {"convergence": {"threshold": 0.2}}
 
 
@@ -122,16 +124,6 @@ class NotNI(RuntimeError):
 
 class WorkerLost(RuntimeError):
     """A sweep worker exited before reporting every run it was given."""
-
-
-@dataclass
-class CheckReport:
-    """One named check with its verdict and numeric evidence."""
-
-    name: str
-    passed: bool
-    condition: str
-    evidence: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -350,57 +342,51 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, default=lambda o: o.tolist(), sort_keys=True, indent=2) + "\n"
 
 
+def _verdict_json(v: Verdict) -> dict:
+    """The one JSON shape of a verdict, in a report and on check's stdout."""
+    return {**asdict(v), "passed": v.passed}
+
+
+def _exit_code(verdicts) -> int:
+    """EXIT_OK when every verdict holds, EXIT_CHECK when any fails or is
+    inconclusive: the verdicts' status fields tell those two apart."""
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_CHECK
+
+
 def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
     """Search an NI certificate and assemble the loop Lyapunov form.
 
-    Returns (cert_or_none, info_dict).  The certificate is only returned
-    when it is positive definite; otherwise the info explains the failure
-    and the simulation proceeds without W.
+    Returns (cert, info, missing).  The certificate is returned only when
+    it is positive definite, and missing is then None.  Otherwise info
+    explains why, the simulation proceeds without W, and missing is the
+    lyapunov_monotone verdict: inconclusive when no NI certificate was
+    found, failed when the loop form is not positive definite.
     """
     info = {"searched": True, "found": False, "positive_definite": False}
-    Y = search_ni_certificate(plant)
-    if Y is None:
-        info["reason"] = "no NI certificate found for the plant"
-        return None, info
+    found = certify_ni(plant)
+    if not found.passed:
+        info["reason"] = found.reason
+        return None, info, Verdict("inconclusive", MONOTONE_CONDITION, reason=found.reason)
+    Y = found.evidence["Y"]
     info["found"] = True
-    info["Y"] = Y.Y.tolist()
-    cert = CONTROLLERS[cfg.controller_type].certificate(Y.Y, plant.C, cfg.controller)
+    info["Y"] = Y.tolist()
+    cert = CONTROLLERS[cfg.controller_type].certificate(Y, plant.C, cfg.controller)
     info["positive_definite"] = cert.positive_definite
     if not cert.positive_definite:
         info["reason"] = f"certificate not positive definite at stage: {cert.failed_stage}"
-        return None, info
-    return cert, info
+        return None, info, Verdict("fails", MONOTONE_CONDITION, reason=info["reason"])
+    return cert, info, None
 
 
 def _simulate(cfg: ScenarioConfig, plant: StateSpace, cert):
     return CONTROLLERS[cfg.controller_type].simulate(plant, cfg.controller, cfg.sim, cert)
 
 
-def _run_checks(cfg: ScenarioConfig, traj, cert_info) -> dict:
-    reports = {}
-    for name, opts in cfg.checks:
-        if name == "sector":
-            reports[name] = asdict(check_sector(traj))
-        elif name == "lyapunov_monotone":
-            if traj.W is None:
-                reports[name] = {
-                    "passed": False,
-                    "reason": (cert_info or {}).get("reason", "no Lyapunov certificate available"),
-                }
-            else:
-                reports[name] = asdict(check_monotone(traj))
-        elif name == "dissipation":
-            reports[name] = asdict(check_dissipation(traj))
-        elif name == "convergence":
-            threshold = opts["threshold"]
-            final = np.concatenate([traj.plant_states[-1], traj.controller_states[-1]])
-            final_norm = float(np.linalg.norm(final))
-            reports[name] = {
-                "passed": final_norm <= threshold,
-                "final_norm": final_norm,
-                "threshold": threshold,
-            }
-    return reports
+def _run_checks(cfg: ScenarioConfig, traj, missing: Optional[Verdict]) -> dict:
+    """Each listed check's Verdict by name; lyapunov_monotone on a run
+    without W is missing, the verdict of _build_certificate."""
+    return {name: missing if name == "lyapunov_monotone" and traj.W is None
+            else _TRAJECTORY_CHECKS[name](traj, **opts) for name, opts in cfg.checks}
 
 
 def _resolve_out(path: Optional[str], out_dir: Optional[str]) -> Optional[str]:
@@ -442,30 +428,27 @@ def cmd_simulate(config_path: str, out_dir: Optional[str] = None) -> int:
 def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     csv_path, report_path = _output_paths(cfg, out_dir)
     plant = _plant_ss(cfg.plant)
-    cert = None
-    cert_info = None
-    wants_lyapunov = any(name == "lyapunov_monotone" for name, _ in cfg.checks)
-    if wants_lyapunov:
-        cert, cert_info = _build_certificate(cfg, plant)
+    cert, cert_info, missing = None, None, None
+    if any(name == "lyapunov_monotone" for name, _ in cfg.checks):
+        cert, cert_info, missing = _build_certificate(cfg, plant)
     traj = _simulate(cfg, plant, cert)
-    checks = _run_checks(cfg, traj, cert_info)
-    all_passed = all(rep["passed"] for rep in checks.values())
+    verdicts = _run_checks(cfg, traj, missing)
+    code = _exit_code(verdicts.values())
 
     report = {
         "scenario": cfg.name,
         "config": cfg.raw,
         "controller": {"type": cfg.controller_type, **asdict(cfg.controller)},
         "certificate": cert_info,
-        "checks": checks,
+        "checks": {name: _verdict_json(v) for name, v in verdicts.items()},
         "result": {
             "n_samples": len(traj),
             "final_time": float(traj.times[-1]),
             "final_plant_state": traj.plant_states[-1].tolist(),
             "final_controller_state": traj.controller_states[-1].tolist(),
-            "final_norm": float(np.linalg.norm(
-                np.concatenate([traj.plant_states[-1], traj.controller_states[-1]]))),
+            "final_norm": traj.final_norm(),
         },
-        "passed": all_passed,
+        "passed": code == EXIT_OK,
     }
     text = _dump_json(report)
     try:
@@ -480,87 +463,29 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
         raise ConfigError(f"cannot write output: {exc}") from exc
     if not report_path:
         sys.stdout.write(text)
-    for name in checks:
-        log.info("check %-18s %s", name, "pass" if checks[name]["passed"] else "FAIL")
-    return EXIT_OK if all_passed else EXIT_CHECK
-
-
-def _stability_report(cfg: ScenarioConfig, plant: StateSpace) -> CheckReport:
-    _admit_plant(cfg.controller_type, plant)
-    if cfg.controller_type == "higs_irc":
-        v: StabilityVerdict = check_irc_stability(plant, cfg.controller.kappa_tilde)
-        evidence = {
-            "kappa_tilde": cfg.controller.kappa_tilde,
-            "plant_dc": v.plant_dc,
-            "margin_1_minus_kt_G0": v.margin,
-        }
-        return CheckReport("stability", v.passed, v.condition, evidence)
-    D = cfg.controller.D
-    v = check_pii2_stability(plant, D)
-    evidence = {"D": D, "plant_dc": v.plant_dc, "margin_minus_G0_minus_D": v.margin}
-    if cfg.controller_type == "higs_pii2":
-        ok = gain_sum_admissible(cfg.controller, v.plant_dc)
-        evidence["gain_sum"] = cfg.controller.gain_sum()
-        evidence["gain_sum_admissible"] = ok
-        return CheckReport("stability", v.passed and ok, v.condition + " and gain-sum exclusion", evidence)
-    return CheckReport("stability", v.passed, v.condition, evidence)
+    for name, v in verdicts.items():
+        log.info("check %-18s %s", name, v.status)
+    return code
 
 
 def cmd_check(config_path: str, which: str) -> int:
     cfg = load_scenario(config_path)
     plant = _plant_ss(cfg.plant)
     if which == "ni":
-        rep = ni_frequency_test(cfg.plant)
-        report = CheckReport(
-            "ni",
-            rep.passed,
-            "j(G(jw) - conj G(jw)) >= 0 for w > 0 and no open right-half-plane poles",
-            {
-                "min_value": rep.min_value,
-                "worst_omega": rep.worst_omega,
-                "flagged_omegas": list(rep.flagged_omegas),
-                "max_pole_real": rep.max_pole_real,
-            },
-        )
+        v = ni_frequency_test(cfg.plant)
     elif which == "sni":
         if CONTROLLERS[cfg.controller_type].tf is None:
             raise ConfigError("sni check applies to the linear controllers (irc, pii2rc)")
         v = sni_verdict(cfg.controller)
-        report = CheckReport(
-            "sni",
-            v.passed,
-            "strictly stable poles and j(K(jw) - conj K(jw)) > 0 for all w > 0",
-            {"m": v.m, "den": list(v.den), "max_pole_real": v.max_pole_real},
-        )
     elif which == "certificate":
-        Y = search_ni_certificate(plant)
-        if Y is None:
-            report = CheckReport(
-                "certificate", False,
-                "exists Y > 0 with A Y + Y A^T <= 0 and B + A Y C^T = 0",
-                {"found": False, "note": "search budget exhausted; inconclusive"},
-            )
-        else:
-            cr = verify_ni_certificate(plant, Y)
-            report = CheckReport(
-                "certificate", cr.passed,
-                "exists Y > 0 with A Y + Y A^T <= 0 and B + A Y C^T = 0",
-                {
-                    "found": True,
-                    "Y": Y.Y.tolist(),
-                    "y_min_eig": cr.y_min_eig,
-                    "lyap_max_eig": cr.lyap_max_eig,
-                    "residual_norm": cr.residual_norm,
-                    "minimal": cr.minimal,
-                    "det_a_nonzero": cr.det_a_nonzero,
-                },
-            )
+        v = certify_ni(plant)
     elif which == "stability":
-        report = _stability_report(cfg, plant)
+        _admit_plant(cfg.controller_type, plant)
+        v = stability_verdict(plant, cfg.controller)
     else:
         raise ConfigError(f"unknown check {which!r}")
-    sys.stdout.write(_dump_json(asdict(report)))
-    return EXIT_OK if report.passed else EXIT_CHECK
+    sys.stdout.write(_dump_json({"name": which, **_verdict_json(v)}))
+    return _exit_code([v])
 
 
 def cmd_design(config_path: str, controller_type: str) -> int:
@@ -574,8 +499,8 @@ def cmd_design(config_path: str, controller_type: str) -> int:
     if not assessment.verified:
         raise NotNI(
             "plant failed NI verification (certificate search and frequency test); "
-            f"frequency-test minimum {assessment.freq_report.min_value:.3e}, "
-            f"max pole real part {assessment.freq_report.max_pole_real:.3e}"
+            f"frequency-test minimum {assessment.freq_report.margin:.3e}, "
+            f"max pole real part {assessment.freq_report.evidence['max_pole_real']:.3e}"
         )
     g0 = dc_gain(ss)
     report = {

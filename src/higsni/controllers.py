@@ -10,8 +10,8 @@ Both linear controllers arise from C(s)/(1 - C(s) D); their DC gain is
 -1/D.  sni_verdict decides that they are strictly negative imaginary from
 their closed forms, exactly for every admissible parameter set.  Stability
 of the positive-feedback interconnection with an NI plant comes down to
-DC conditions: kappa_tilde * G(0) < 1 for the single-element loop and
-D < -G(0) for the PII^2 family.
+DC conditions, which stability_verdict decides: kappa_tilde * G(0) < 1 for
+the single-element loop and D < -G(0) for the PII^2 family.
 
 With its element modes frozen every loop is linear, dz/dt = J z, so the
 loops are piecewise linear.  ModeSystem is that one description, built by
@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .higs import HigsIrcParams, HigsMode, HigsParams
-from .lti import RationalTF, StateSpace, dc_gain
+from .lti import RationalTF, StateSpace, Verdict, dc_gain
 
 # |1/(G(0) + D) - gain sum| must exceed this times max(1, |1/(G(0) + D)|);
 # |G(0) + D| at or below it leaves no finite exclusion.
@@ -157,66 +157,52 @@ def pii2rc_sni_value(omega: float, p: Pii2Params) -> float:
     return float(2 * k1 * w ** 3 / (a * a + b * b))
 
 
-class SniVerdict(NamedTuple):
-    """Strict NI of a linear controller K, decided from its closed form."""
-
-    passed: bool
-    m: str                  # closed form of m(w) = j(K(jw) - conj K(jw))
-    den: tuple              # K's denominator, descending powers of s
-    max_pole_real: float    # for display: the verdict does not read it
-
-
-def sni_verdict(p) -> SniVerdict:
+def sni_verdict(p) -> Verdict:
     """Strict NI of irc_tf(p) or pii2rc_tf(p) from two exact sign facts.
 
     m(w) is the numerator gain (Gamma or k1) times a form positive for every
     w > 0, so m > 0 there when that gain is positive.  K's denominator has
     degree <= 2, so its poles are strictly stable exactly when every
-    coefficient is positive.  No frequency is sampled and no threshold is
-    applied; a coefficient that underflows to 0 leaves a pole at 0 in the K
-    that is simulated, and fails.
+    coefficient is positive.  margin is the smallest of that gain and those
+    coefficients, bound 0, and the verdict holds when margin > bound.  No
+    frequency is sampled and no threshold is applied; a coefficient that
+    underflows to 0 leaves a pole at 0 in the K that is simulated, and
+    fails.  m is the closed form of m(w) = j(K(jw) - conj K(jw)), and
+    max_pole_real is for display: the verdict does not read it.
     """
     if isinstance(p, IrcParams):
         K, gain, m = irc_tf(p), p.Gamma, "2 Gamma w / (w^2 + (Gamma D)^2)"
     else:
         K, gain = pii2rc_tf(p), p.k1
         m = "2 k1 w^3 / (((1 - k_p D) w^2 + k2 D)^2 + (k1 D w)^2)"
-    passed = gain > 0.0 and all(c > 0.0 for c in K.den)
-    return SniVerdict(passed, m, K.den, float(np.max(K.poles().real)))
+    margin = min(gain, *K.den)
+    return Verdict.measured(
+        margin > 0.0, "strictly stable poles and j(K(jw) - conj K(jw)) > 0 for all w > 0",
+        margin, 0.0, m=m, den=K.den, max_pole_real=float(np.max(K.poles().real)))
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """DC-gain stability condition outcome; margin > 0 means strictly met."""
+def stability_verdict(plant: StateSpace, p) -> Verdict:
+    """The strict DC condition that certifies the loop's stability.
 
-    passed: bool
-    margin: float
-    condition: str
-    plant_dc: float
-
-
-def check_irc_stability(plant: StateSpace, kappa_tilde: float) -> StabilityVerdict:
-    """Strict condition kappa_tilde * G(0) < 1 for the single-element loop."""
+    For the single-element hybrid loop (HigsIrcParams) it is
+    kappa_tilde * G(0) < 1 with margin 1 - kappa_tilde G(0); for the PII^2
+    family and the linear IRC it is D < -G(0) with margin -G(0) - D.  The
+    bound is 0 and the verdict holds when margin > bound.  The hybrid PII^2
+    bank must also keep its gain sum off 1/(G(0) + D) (gain_sum_admissible
+    in the evidence), or fails whatever the margin.
+    """
     g0 = dc_gain(plant)
-    margin = 1.0 - float(kappa_tilde) * g0
-    return StabilityVerdict(
-        passed=margin > 0.0,
-        margin=margin,
-        condition="kappa_tilde * G(0) < 1",
-        plant_dc=g0,
-    )
-
-
-def check_pii2_stability(plant: StateSpace, D: float) -> StabilityVerdict:
-    """Strict condition D < -G(0) shared by the PII^2 family."""
-    g0 = dc_gain(plant)
-    margin = -g0 - float(D)
-    return StabilityVerdict(
-        passed=margin > 0.0,
-        margin=margin,
-        condition="D < -G(0)",
-        plant_dc=g0,
-    )
+    if isinstance(p, HigsIrcParams):
+        margin = 1.0 - p.kappa_tilde * g0
+        return Verdict.measured(margin > 0.0, "kappa_tilde * G(0) < 1", margin, 0.0,
+                                kappa_tilde=p.kappa_tilde, plant_dc=g0)
+    margin = -g0 - p.D
+    if not isinstance(p, HigsPii2Params):
+        return Verdict.measured(margin > 0.0, "D < -G(0)", margin, 0.0, D=p.D, plant_dc=g0)
+    admissible = gain_sum_admissible(p, g0)
+    return Verdict.measured(margin > 0.0 and admissible, "D < -G(0) and gain-sum exclusion",
+                            margin, 0.0, D=p.D, plant_dc=g0, gain_sum=p.gain_sum(),
+                            gain_sum_admissible=admissible)
 
 
 def gain_sum_admissible(p: HigsPii2Params, plant_dc: float) -> bool:

@@ -16,11 +16,14 @@ is real for SISO systems; NI requires m >= 0 for w > 0 and no poles in the
 open right half plane.  A plant has no closed form, so the test samples m on
 a grid.  Strict NI is decided only for the linear controllers, from their
 closed forms (controllers.sni_verdict).
+
+Every check of the package, here and in controllers and sim, returns one
+Verdict: holds, fails or inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -34,6 +37,45 @@ CERT_MAX_DIM = 10         # largest plant order the certificate search accepts
 # from 1e-3 to 1e3.
 FREQ_GRID = np.logspace(np.log10(1e-3), np.log10(1e3), 121)
 FREQ_GRID.flags.writeable = False
+
+
+STATUSES = ("holds", "fails", "inconclusive")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one check; every check of the package returns one.
+
+    status is "holds", "fails" or "inconclusive", and passed is True only
+    for "holds".  margin is the worst value the check measured and bound
+    the limit it was compared with, both None when nothing was measured;
+    the README's checks table gives each check's comparison.  reason is
+    empty for a measured verdict and otherwise says why nothing was
+    measured.  evidence holds the check's other numbers, among them any
+    condition besides the margin that can fail a measured verdict.
+    """
+
+    status: str
+    condition: str
+    margin: Optional[float] = None
+    bound: Optional[float] = None
+    reason: str = ""
+    evidence: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "holds"
+
+    @classmethod
+    def measured(cls, holds: bool, condition: str, margin: float, bound: float,
+                 **evidence) -> "Verdict":
+        """A verdict that compared margin with bound: holds or fails."""
+        return cls("holds" if holds else "fails", condition, float(margin), float(bound),
+                   evidence=evidence)
 
 
 class SingularA(ValueError):
@@ -204,31 +246,18 @@ class NICertificate:
         object.__setattr__(self, "Y", Y)
 
 
-@dataclass(frozen=True)
-class CertReport:
-    """Outcome of checking one NICertificate against one realization.
+NI_CERT_CONDITION = "exists Y > 0 with A Y + Y A^T <= 0 and B + A Y C^T = 0"
+NO_CERT_REASON = "no NI certificate found for the plant"
 
-    passed is True iff y_min_eig > 0, lyap_max_eig <= NI_TOL and
-    residual_norm <= NI_TOL.  Minimality and det A != 0 are informational;
-    together with passed they make the NI conclusion rigorous.
+
+def verify_ni_certificate(sys: StateSpace, cert: NICertificate) -> Verdict:
+    """Check Y > 0, A Y + Y A^T <= NI_TOL and ||B + A Y C^T|| <= NI_TOL.
+
+    margin is the larger of lambda_max(A Y + Y A^T) and the residual norm,
+    bound NI_TOL; the verdict holds when margin <= bound and Y > 0.
+    Minimality and det A != 0 are evidence only; with a verdict that holds
+    they make the NI conclusion rigorous.
     """
-
-    y_min_eig: float
-    lyap_max_eig: float
-    residual_norm: float
-    y_positive: bool
-    lyap_nonpositive: bool
-    residual_zero: bool
-    minimal: bool
-    det_a_nonzero: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.y_positive and self.lyap_nonpositive and self.residual_zero
-
-
-def verify_ni_certificate(sys: StateSpace, cert: NICertificate) -> CertReport:
-    """Check Y > 0, A Y + Y A^T <= NI_TOL and ||B + A Y C^T|| <= NI_TOL."""
     Y = cert.Y
     if Y.shape != (sys.n, sys.n):
         raise DimensionMismatch(f"Y has shape {Y.shape}, expected {(sys.n, sys.n)}")
@@ -236,16 +265,11 @@ def verify_ni_certificate(sys: StateSpace, cert: NICertificate) -> CertReport:
     S = sys.A @ Y + Y @ sys.A.T
     lyap_max = float(np.linalg.eigvalsh(S)[-1])
     residual = float(np.linalg.norm(sys.B + sys.A @ (Y @ sys.C)))
-    return CertReport(
-        y_min_eig=y_min,
-        lyap_max_eig=lyap_max,
-        residual_norm=residual,
-        y_positive=y_min > 0.0,
-        lyap_nonpositive=lyap_max <= NI_TOL,
-        residual_zero=residual <= NI_TOL,
-        minimal=is_minimal(sys),
-        det_a_nonzero=_smallest_sv_ok(sys.A),
-    )
+    return Verdict.measured(
+        y_min > 0.0 and lyap_max <= NI_TOL and residual <= NI_TOL, NI_CERT_CONDITION,
+        max(lyap_max, residual), NI_TOL,
+        Y=Y, y_min_eig=y_min, lyap_max_eig=lyap_max, residual_norm=residual,
+        minimal=is_minimal(sys), det_a_nonzero=_smallest_sv_ok(sys.A))
 
 
 def _sym_basis(n: int) -> np.ndarray:
@@ -301,10 +325,10 @@ def search_ni_certificate(sys: StateSpace) -> Optional[NICertificate]:
     the system is not NI.
     """
     n = sys.n
-    if n > CERT_MAX_DIM:
-        raise ValueError(f"certificate search supports n <= {CERT_MAX_DIM}, got n = {n}")
     if not _smallest_sv_ok(sys.A):
         raise SingularA("A is singular; NI conditions require det A != 0")
+    if n > CERT_MAX_DIM:
+        raise ValueError(f"certificate search supports n <= {CERT_MAX_DIM}, got n = {n}")
 
     A = sys.A
     basis = _sym_basis(n)
@@ -403,24 +427,32 @@ def search_ni_certificate(sys: StateSpace) -> Optional[NICertificate]:
     return None
 
 
-@dataclass(frozen=True)
-class NiFrequencyReport:
-    """Grid test of m(w) = j*(G(jw) - conj G(jw)) plus a pole-location check."""
+def certify_ni(sys: StateSpace) -> Verdict:
+    """search_ni_certificate, then verify_ni_certificate on the Y it finds.
 
-    passed: bool
-    min_value: float
-    worst_omega: float
-    flagged_omegas: tuple
-    max_pole_real: float
-    has_unstable_pole: bool
+    Inconclusive when the search finds no Y or refuses a plant of more than
+    CERT_MAX_DIM states: neither proves that the plant is not NI.  A
+    singular A raises SingularA, as in the search.
+    """
+    try:
+        cert = search_ni_certificate(sys)
+    except SingularA:
+        raise
+    except ValueError as exc:  # more than CERT_MAX_DIM states
+        return Verdict("inconclusive", NI_CERT_CONDITION, reason=f"{NO_CERT_REASON}: {exc}")
+    if cert is None:
+        return Verdict("inconclusive", NI_CERT_CONDITION, reason=NO_CERT_REASON)
+    return verify_ni_certificate(sys, cert)
 
 
-def ni_frequency_test(sys: LinearSystem) -> NiFrequencyReport:
+def ni_frequency_test(sys: LinearSystem) -> Verdict:
     """Sampled NI test: no open-RHP poles and m(w) >= -NI_TOL on FREQ_GRID.
 
-    Grid points within POLE_EXCLUSION of a pole are excluded from the
-    minimum and reported in flagged_omegas (imaginary-axis poles do not
-    defeat the NI property, but m is not evaluable there).
+    margin is the smallest m on the grid, bound -NI_TOL; an open-RHP pole
+    (max_pole_real > NI_TOL in the evidence) fails the verdict whatever the
+    margin.  Grid points within POLE_EXCLUSION of a pole are left out of
+    the minimum and listed in flagged_omegas: imaginary-axis poles do not
+    defeat the NI property, but m is not evaluable there.
     """
     poles = sys.poles()
     max_re = float(np.max(poles.real)) if poles.size else -np.inf
@@ -439,14 +471,10 @@ def ni_frequency_test(sys: LinearSystem) -> NiFrequencyReport:
             min_m = m
             worst = float(w)
     passed = (not has_rhp) and (min_m >= -NI_TOL or not np.isfinite(min_m))
-    return NiFrequencyReport(
-        passed=bool(passed),
-        min_value=float(min_m),
-        worst_omega=worst,
-        flagged_omegas=tuple(flagged),
-        max_pole_real=max_re,
-        has_unstable_pole=has_rhp,
-    )
+    return Verdict.measured(
+        passed, "j(G(jw) - conj G(jw)) >= 0 for w > 0 and no open right-half-plane poles",
+        min_m, -NI_TOL, worst_omega=worst, flagged_omegas=tuple(flagged),
+        max_pole_real=max_re, has_unstable_pole=has_rhp)
 
 
 def tf_to_ss(tf: RationalTF) -> StateSpace:
@@ -487,33 +515,34 @@ def ss_to_tf(sys: StateSpace) -> RationalTF:
 
 @dataclass(frozen=True)
 class NiAssessment:
-    """Combined NI verification: certificate search first, grid test second."""
+    """NI verification of a plant by two routes: the certificate Verdict of
+    certify_ni (None when A is singular) and the sampled frequency test."""
 
-    verified: bool
-    method: Optional[str]          # "certificate" | "frequency" | None
-    certificate: Optional[NICertificate]
-    cert_report: Optional[CertReport]
-    freq_report: NiFrequencyReport
+    cert_report: Optional[Verdict]
+    freq_report: Verdict
+
+    @property
+    def method(self) -> Optional[str]:
+        """The route that verified the plant, the certificate first: "certificate",
+        "frequency", or None when neither did."""
+        if self.cert_report is not None and self.cert_report.passed:
+            return "certificate"
+        return "frequency" if self.freq_report.passed else None
+
+    @property
+    def verified(self) -> bool:
+        return self.method is not None
 
 
 def assess_ni(sys: LinearSystem) -> NiAssessment:
-    """Try the Lyapunov certificate route, fall back to the frequency test.
+    """Try the Lyapunov certificate route and the frequency test.
 
-    Either route passing counts as NI verified; the report records which one
-    succeeded so downstream consumers can cite it.
+    Either route passing counts as NI verified; method records which one
+    did, so that downstream consumers can cite it.
     """
     ss = sys if isinstance(sys, StateSpace) else tf_to_ss(sys)
-    cert = None
-    cert_report = None
     try:
-        cert = search_ni_certificate(ss)
-    except (ValueError, SingularA):
-        cert = None
-    if cert is not None:
-        cert_report = verify_ni_certificate(ss, cert)
-    freq = ni_frequency_test(sys)
-    if cert_report is not None and cert_report.passed:
-        return NiAssessment(True, "certificate", cert, cert_report, freq)
-    if freq.passed:
-        return NiAssessment(True, "frequency", cert, cert_report, freq)
-    return NiAssessment(False, None, cert, cert_report, freq)
+        cert_report = certify_ni(ss)
+    except SingularA:
+        cert_report = None
+    return NiAssessment(cert_report, ni_frequency_test(sys))

@@ -69,7 +69,15 @@ from .higs import (
     storage_V2_cascade,
     storage_V_h,
 )
-from .lti import RationalTF, SingularA, StateSpace, _smallest_sv_ok, dc_gain, tf_to_ss
+from .lti import (
+    RationalTF,
+    SingularA,
+    StateSpace,
+    Verdict,
+    _smallest_sv_ok,
+    dc_gain,
+    tf_to_ss,
+)
 
 
 # Rows per block of Trajectory._write_csv.  Formatting column by column,
@@ -174,6 +182,11 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def final_norm(self) -> float:
+        """|z| at the last sample, z = [plant state; controller state]."""
+        return float(np.linalg.norm(np.concatenate([self.plant_states[-1],
+                                                    self.controller_states[-1]])))
 
     def column_names(self) -> list:
         n = self.plant_states.shape[1]
@@ -845,7 +858,7 @@ def simulate_higs_pii2_loop(
 # ---------------------------------------------------------------------------
 # Trajectory checks
 
-# Each check reports its tolerance beside its verdict.
+# Each check compares its margin with a bound built from one of these.
 # check_sector: a sample may miss the sector by this relative margin.
 SECTOR_CHECK_RTOL = 1e-9
 # check_monotone: W may rise by this times the time between two samples.
@@ -853,40 +866,25 @@ MONOTONE_BUDGET = 1e-6
 # check_dissipation: storage may exceed the supplied energy by this times dt^2.
 DISSIPATION_BUDGET_COEFF = 100.0
 
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    passed: bool
-    worst_increase: float
-    worst_time: float
-    budget: float
+MONOTONE_CONDITION = "W(t_k+1) - W(t_k) <= MONOTONE_BUDGET (t_k+1 - t_k) at every sample pair"
 
 
-def check_monotone(traj: Trajectory) -> MonotoneReport:
-    """W(t_{k+1}) <= W(t_k) + MONOTONE_BUDGET * (t_{k+1} - t_k) at every sample pair."""
+def check_monotone(traj: Trajectory) -> Verdict:
+    """W(t_{k+1}) <= W(t_k) + MONOTONE_BUDGET * (t_{k+1} - t_k) at every sample pair.
+
+    margin is the rise of W over the pair that exceeds its allowance most,
+    bound that pair's allowance; the verdict holds when margin <= bound.
+    """
     if traj.W is None:
         raise ValueError("trajectory has no Lyapunov series; supply a certificate when simulating")
+    if len(traj) == 1:
+        return Verdict.measured(True, MONOTONE_CONDITION, 0.0, 0.0, worst_time=float(traj.times[0]))
     dW = np.diff(traj.W)
     allow = MONOTONE_BUDGET * np.diff(traj.times)
     excess = dW - allow
-    worst = int(np.argmax(excess)) if len(excess) else 0
-    passed = bool(len(excess) == 0 or excess[worst] <= 0.0)
-    worst_increase = float(dW[worst]) if len(excess) else 0.0
-    return MonotoneReport(
-        passed=passed,
-        worst_increase=worst_increase,
-        worst_time=float(traj.times[worst + 1]) if len(excess) else float(traj.times[0]),
-        budget=MONOTONE_BUDGET,
-    )
-
-
-@dataclass(frozen=True)
-class SectorReport:
-    passed: bool
-    worst_margin: float     # min over samples of (e*u - u^2/k) / scale
-    worst_time: float
-    worst_element: int
-    rtol: float
+    i = int(np.argmax(excess))
+    return Verdict.measured(excess[i] <= 0.0, MONOTONE_CONDITION, dW[i], allow[i],
+                            worst_time=float(traj.times[i + 1]))
 
 
 def _sector_pairs(traj: Trajectory):
@@ -899,9 +897,13 @@ def _sector_pairs(traj: Trajectory):
             for i, el in enumerate(chain)]
 
 
-def check_sector(traj: Trajectory) -> SectorReport:
-    """Relative sector test e*u >= u^2/k at every recorded sample, within
-    SECTOR_CHECK_RTOL."""
+def check_sector(traj: Trajectory) -> Verdict:
+    """Relative sector test e*u >= u^2/k at every recorded sample.
+
+    margin is the smallest (e u - u^2/k) / max(1, |e u|, u^2/k) over the
+    samples and elements, bound -SECTOR_CHECK_RTOL; the verdict holds when
+    margin >= bound.
+    """
     worst = np.inf
     worst_t = float(traj.times[0])
     worst_el = 0
@@ -915,29 +917,19 @@ def check_sector(traj: Trajectory) -> SectorReport:
             worst = float(margin[i])
             worst_t = float(traj.times[i])
             worst_el = idx
-    return SectorReport(
-        passed=bool(worst >= -SECTOR_CHECK_RTOL),
-        worst_margin=worst,
-        worst_time=worst_t,
-        worst_element=worst_el,
-        rtol=SECTOR_CHECK_RTOL,
-    )
+    return Verdict.measured(worst >= -SECTOR_CHECK_RTOL,
+                            "e u >= u^2 / k at every sample, within a relative SECTOR_CHECK_RTOL",
+                            worst, -SECTOR_CHECK_RTOL, worst_time=worst_t, worst_element=worst_el)
 
 
-@dataclass(frozen=True)
-class DissipationReport:
-    passed: bool
-    worst_excess: float
-    worst_time: float
-    budget_coeff: float
-
-
-def check_dissipation(traj: Trajectory) -> DissipationReport:
+def check_dissipation(traj: Trajectory) -> Verdict:
     """Trapezoid storage inequality dV <= mean(e) * dx_h + DISSIPATION_BUDGET_COEFF * dt^2.
 
     Applies to the single-element loop (V against the supply e * dx_h/dt).
     The budget absorbs integration error; it shrinks quadratically with the
-    recording step, so refining dt tightens the test.
+    recording step, so refining dt tightens the test.  margin is dV minus
+    the supply over the pair that exceeds its budget most, bound that
+    pair's budget; the verdict holds when margin <= bound.
     """
     if traj.meta.get("controller") != "higs_irc" or traj.V is None:
         raise ValueError("dissipation check needs a higs_irc trajectory with V recorded")
@@ -948,9 +940,13 @@ def check_dissipation(traj: Trajectory) -> DissipationReport:
     dts = np.diff(traj.times)
     excess = dV - supply - DISSIPATION_BUDGET_COEFF * dts * dts
     i = int(np.argmax(excess))
-    return DissipationReport(
-        passed=bool(excess[i] <= 0.0),
-        worst_excess=float((dV - supply)[i]),
-        worst_time=float(traj.times[i + 1]),
-        budget_coeff=DISSIPATION_BUDGET_COEFF,
-    )
+    return Verdict.measured(
+        excess[i] <= 0.0, "dV <= mean(e) dx_h + DISSIPATION_BUDGET_COEFF dt^2 at every sample pair",
+        dV[i] - supply[i], DISSIPATION_BUDGET_COEFF * dts[i] * dts[i],
+        worst_time=float(traj.times[i + 1]))
+
+
+def check_convergence(traj: Trajectory, threshold: float) -> Verdict:
+    """margin, the norm |z| at the last sample, is at most the bound threshold."""
+    norm = traj.final_norm()
+    return Verdict.measured(norm <= threshold, "|z(t_end)| <= threshold", norm, threshold)

@@ -25,7 +25,7 @@ from higsni import (
     simulate_higs_irc_loop,
 )
 from higsni.cli import ConfigError, _plant_ss, _simulate, cmd_simulate, load_scenario
-from higsni.controllers import check_irc_stability, pii2rc_sni_value
+from higsni.controllers import pii2rc_sni_value, stability_verdict
 from higsni.lti import NICertificate, verify_ni_certificate
 from higsni.sim import closed_loop_matrices
 
@@ -58,11 +58,11 @@ def test_criterion_1_mass_spring_convergence(plant, irc5_traj):
 
 
 def test_criterion_2_effective_gain_and_dc_condition(plant):
-    kt20 = HigsIrcParams(0.5, 20.0, -1.0).kappa_tilde
-    kt5 = HigsIrcParams(0.5, 5.0, -1.0).kappa_tilde
-    exact = kt20 == 20.0 / 21.0 and kt5 == 5.0 / 6.0
-    v20 = check_irc_stability(plant, kt20)
-    v5 = check_irc_stability(plant, kt5)
+    p20 = HigsIrcParams(0.5, 20.0, -1.0)
+    p5 = HigsIrcParams(0.5, 5.0, -1.0)
+    exact = p20.kappa_tilde == 20.0 / 21.0 and p5.kappa_tilde == 5.0 / 6.0
+    v20 = stability_verdict(plant, p20)
+    v5 = stability_verdict(plant, p5)
     ok = exact and v20.passed and v5.passed
     _verdict(2, ok,
              f"kappa_tilde(20,-1) == 20/21 and kappa_tilde(5,-1) == 5/6 "
@@ -76,11 +76,12 @@ def test_criterion_3_certificate_residual_and_search(plant):
     found = search_ni_certificate(plant)
     wall = time.perf_counter() - t0
     found_ok = found is not None and verify_ni_certificate(plant, found).passed
-    ok = (rep.passed and rep.residual_norm <= 1e-12
-          and rep.lyap_max_eig <= 1e-12 and wall < 1.0 and found_ok)
+    residual, lyap = rep.evidence["residual_norm"], rep.evidence["lyap_max_eig"]
+    ok = (rep.passed and residual <= 1e-12
+          and lyap <= 1e-12 and wall < 1.0 and found_ok)
     _verdict(3, ok,
-             f"Y = I verifies (residual {rep.residual_norm:.2e} <= 1e-12, "
-             f"lyapunov max eig {rep.lyap_max_eig:.2e}); search found a "
+             f"Y = I verifies (residual {residual:.2e} <= 1e-12, "
+             f"lyapunov max eig {lyap:.2e}); search found a "
              f"verifying Y in {wall:.3f}s < 1s")
 
 
@@ -125,7 +126,7 @@ def test_criterion_5_lyapunov_monotone(irc20_traj, pii2_traj):
     ok = rep_irc.passed and rep_pii2.passed and not rep_rev.passed
     _verdict(5, ok,
              f"W nonincreasing within budget (worst increases "
-             f"{rep_irc.worst_increase:.2e}, {rep_pii2.worst_increase:.2e}); "
+             f"{rep_irc.margin:.2e}, {rep_pii2.margin:.2e}); "
              f"time-reversed W rejected: {not rep_rev.passed}")
 
 
@@ -143,7 +144,7 @@ def test_criterion_6_sector_all_scenarios(config_dir):
         traj = _simulate(cfg, _plant_ss(cfg.plant), None)
         results[cfg.name] = check_sector(traj)
     ok = len(results) == 3 and all(rep.passed for rep in results.values())
-    margins = {name: f"{rep.worst_margin:.1e}" for name, rep in results.items()}
+    margins = {name: f"{rep.margin:.1e}" for name, rep in results.items()}
     _verdict(6, ok,
              f"sector inequality within 1e-9 relative on all {len(results)} "
              f"shipped sector scenarios (worst margins {margins})")

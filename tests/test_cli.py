@@ -13,9 +13,24 @@ import sys
 
 import pytest
 
-from higsni import cli, sim
+import numpy as np
 
-from conftest import REPO_ROOT
+from higsni import (
+    HigsIrcParams,
+    IrcParams,
+    RationalTF,
+    check_convergence,
+    check_dissipation,
+    check_monotone,
+    check_sector,
+    cli,
+    lti,
+    ni_frequency_test,
+    sim,
+)
+from higsni.controllers import sni_verdict, stability_verdict
+
+from conftest import REPO_ROOT, modal_plant
 
 
 def _write(tmp_path, name, payload):
@@ -452,7 +467,7 @@ def test_check_certificate_passes(config_dir, capsys):
     cfg = str(config_dir / "mass_spring_irc_k20.json")
     assert cli.main(["check", cfg, "certificate"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["evidence"]["found"] is True
+    assert out["status"] == "holds" and out["evidence"]["Y"]
     assert out["evidence"]["residual_norm"] <= 1e-9
 
 
@@ -461,7 +476,7 @@ def test_check_stability_passes(config_dir, capsys):
     assert cli.main(["check", cfg, "stability"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["evidence"]["kappa_tilde"] == pytest.approx(20.0 / 21.0)
-    assert out["evidence"]["margin_1_minus_kt_G0"] == pytest.approx(1.0 / 21.0)
+    assert out["margin"] == pytest.approx(1.0 / 21.0)
 
 
 def test_check_stability_rejects_unstable_gain(config_dir):
@@ -508,6 +523,133 @@ def test_check_stability_gain_sum_guard(tmp_path, capsys):
     assert cli.main(["check", cfg, "stability"]) == cli.EXIT_CHECK
     out = json.loads(capsys.readouterr().out)
     assert out["evidence"]["gain_sum_admissible"] is False
+
+
+def _twelve_state_scenario(**overrides):
+    """Six collocated modes (12 states): NI, but above the certificate
+    search's CERT_MAX_DIM."""
+    A, B, C = modal_plant([(1.0 + 0.3 * i, 0.05, 0.3) for i in range(6)])
+    plant = {"A": A.tolist(), "B": B.tolist(), "C": C.tolist()}
+    return _quick_scenario(
+        plant=plant, controller={"type": "higs_irc", "omega_h": 0.5, "k_h": 5.0, "D": -20.0},
+        sim={"dt": 1e-3, "t_end": 0.5, "x0": [0.1] * 12},
+        checks=["sector", "lyapunov_monotone"], **overrides)
+
+
+def test_simulate_above_the_certificate_size_cap_is_inconclusive(tmp_path):
+    cfg = _write(tmp_path, "twelve.json", _twelve_state_scenario())
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+    assert (tmp_path / "run.csv").exists()
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    monotone = report["checks"]["lyapunov_monotone"]
+    assert monotone["status"] == "inconclusive" and monotone["passed"] is False
+    assert "n <= 10, got n = 12" in monotone["reason"]
+    assert report["checks"]["sector"]["status"] == "holds"
+    assert report["passed"] is False
+
+
+def test_check_certificate_above_the_size_cap_is_inconclusive(tmp_path, capsys):
+    cfg = _write(tmp_path, "twelve.json", _twelve_state_scenario())
+    assert cli.main(["check", cfg, "certificate"]) == cli.EXIT_CHECK
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "inconclusive" and out["passed"] is False
+    assert out["reason"].startswith("no NI certificate found for the plant: ")
+    assert "n <= 10, got n = 12" in out["reason"]
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_singular_plant_a_stays_a_config_error(tmp_path, capsys, n):
+    # the first row of A vanishes; det A != 0 comes before the size cap
+    scenario = _twelve_state_scenario() if n == 12 else _quick_scenario(checks=["lyapunov_monotone"])
+    scenario["plant"]["A"][0] = [0.0] * n
+    cfg = _write(tmp_path, "singular.json", scenario)
+    assert cli.main(["check", cfg, "certificate"]) == cli.EXIT_CONFIG
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "singular" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("config, which, code, status", [
+    ("mass_spring_irc_k20.json", "stability", cli.EXIT_OK, "holds"),
+    ("mass_spring_irc_unstable.json", "stability", cli.EXIT_CHECK, "fails"),
+    (None, "certificate", cli.EXIT_CHECK, "inconclusive"),
+])
+def test_check_exit_code_follows_status(config_dir, tmp_path, capsys, config, which, code, status):
+    cfg = (str(config_dir / config) if config
+           else _write(tmp_path, "twelve.json", _twelve_state_scenario()))
+    assert cli.main(["check", cfg, which]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == status and out["passed"] is (status == "holds")
+
+
+def test_missing_certificate_makes_lyapunov_monotone_inconclusive(config_dir, tmp_path,
+                                                                  monkeypatch):
+    # The benchmark reads this shape: a search that finds nothing is never a pass.
+    monkeypatch.setattr(lti, "search_ni_certificate", lambda plant: None)
+    cfg = str(config_dir / "mass_spring_irc_k20.json")
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+    report = json.loads((tmp_path / "mass_spring_irc_k20.report.json").read_text())
+    monotone = report["checks"]["lyapunov_monotone"]
+    assert monotone["status"] == "inconclusive" and monotone["passed"] is False
+    assert "no NI certificate found" in monotone["reason"]
+    assert report["certificate"]["found"] is False
+    assert report["passed"] is False
+    assert all(report["checks"][name]["passed"] is True
+               for name in ("sector", "dissipation", "convergence"))
+
+
+def test_check_certificate_without_a_found_y_is_inconclusive(config_dir, monkeypatch, capsys):
+    monkeypatch.setattr(lti, "search_ni_certificate", lambda plant: None)
+    cfg = str(config_dir / "mass_spring_irc_k20.json")
+    assert cli.main(["check", cfg, "certificate"]) == cli.EXIT_CHECK
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "inconclusive" and out["passed"] is False
+    assert out["reason"] == "no NI certificate found for the plant"
+    assert out["margin"] is None and out["evidence"] == {}
+
+
+def test_unpositive_loop_certificate_fails_lyapunov_monotone(tmp_path):
+    # kappa_tilde = 20 / 1.2 > 1 / G(0): the plant's Y = I is found, but the
+    # loop form is not positive definite, as the DC condition fails.
+    scenario = _quick_scenario(checks=["lyapunov_monotone"], sim={"t_end": 0.5, "x0": [3.0, 1.0]})
+    scenario["controller"]["D"] = -0.01
+    cfg = _write(tmp_path, "quick.json", scenario)
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+    monotone = json.loads((tmp_path / "run.report.json").read_text())["checks"]["lyapunov_monotone"]
+    assert monotone["status"] == "fails"
+    assert monotone["reason"] == "certificate not positive definite at stage: 1/kappa_tilde - C Y C^T > 0"
+
+
+def _producers(irc20_traj, plant):
+    return {
+        "sector": lambda: check_sector(irc20_traj),
+        "monotone": lambda: check_monotone(irc20_traj),
+        "dissipation": lambda: check_dissipation(irc20_traj),
+        "convergence": lambda: check_convergence(irc20_traj, 1e-9),
+        "ni": lambda: ni_frequency_test(RationalTF((1.0,), (1.0, -1.0))),
+        "sni": lambda: sni_verdict(IrcParams(1.0, -1.5)),
+        "certificate": lambda: lti.certify_ni(plant),
+        "certificate_inconclusive": lambda: lti.certify_ni(
+            lti.StateSpace(*modal_plant([(1.0 + i, 0.05, 0.3) for i in range(6)]))),
+        "stability": lambda: stability_verdict(plant, HigsIrcParams(0.5, 20.0, -1.0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_producers(None, None)))
+def test_every_check_serializes_to_one_shape(irc20_traj, plant, name):
+    v = _producers(irc20_traj, plant)[name]()
+    assert isinstance(v, lti.Verdict)
+    out = json.loads(cli._dump_json(cli._verdict_json(v)))
+    assert set(out) == {"status", "passed", "condition", "margin", "bound", "reason", "evidence"}
+    assert out["status"] in ("holds", "fails", "inconclusive")
+    assert out["passed"] is (out["status"] == "holds") is v.passed
+    # a measured verdict has no reason and a margin; an unmeasured one the reverse
+    assert (out["margin"] is None) is (out["status"] == "inconclusive") is bool(out["reason"])
+
+
+def test_verdict_rejects_an_unknown_status():
+    with pytest.raises(ValueError):
+        lti.Verdict("passed", "x")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from higsni import (
     CascadeAssumptionViolated,
+    HigsIrcParams,
     HigsParams,
     HigsPii2Params,
     InvalidParameters,
@@ -20,13 +21,12 @@ from higsni import (
 )
 from higsni import sim
 from higsni.controllers import (
-    check_irc_stability,
-    check_pii2_stability,
     gain_sum_admissible,
     pii2_chain,
     pii2_mode_system,
     pii2rc_sni_value,
     sni_verdict,
+    stability_verdict,
 )
 from higsni.higs import HigsMode
 from higsni.lti import freq_response
@@ -155,7 +155,7 @@ def test_linear_controller_poles_are_strictly_stable(k_p, k1, k2, D, Gamma):
     # denominator of degree <= 2) against the computed poles.
     for p, tf in ((IrcParams(Gamma, D), irc_tf), (Pii2Params(k_p, k1, k2, D), pii2rc_tf)):
         assert np.all(tf(p).poles().real < 0.0)
-        assert sni_verdict(p).max_pole_real < 0.0
+        assert sni_verdict(p).evidence["max_pole_real"] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_linear_controller_poles_are_strictly_stable(k_p, k1, k2, D, Gamma):
 
 def _closed_form(verdict, **values):
     """Evaluate a verdict's m text, which writes products as spaces."""
-    expr = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", verdict.m.replace("^", "**"))
+    expr = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", verdict.evidence["m"].replace("^", "**"))
     return eval(expr, {}, values)
 
 
@@ -206,14 +206,14 @@ def test_pii2rc_tf_is_sni(k_p, k1, k2, D):
     p = Pii2Params(k_p, k1, k2, D)
     v = sni_verdict(p)
     assert v.passed
-    assert v.den == pii2rc_tf(p).den
+    assert v.evidence["den"] == pii2rc_tf(p).den
 
 
 def test_sni_verdict_fails_on_a_coefficient_that_underflows():
     # Gamma D and k1 D round to 0: the K that is simulated has a pole at 0.
     for p in (IrcParams(1e-200, -1e-200), Pii2Params(1.0, 1e-200, 1.0, -1e-200)):
         v = sni_verdict(p)
-        assert not v.passed and 0.0 in v.den and v.max_pole_real == 0.0
+        assert not v.passed and 0.0 in v.evidence["den"] and v.evidence["max_pole_real"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +221,18 @@ def test_sni_verdict_fails_on_a_coefficient_that_underflows():
 
 
 def test_irc_stability_margins(plant):
-    v = check_irc_stability(plant, 20.0 / 21.0)
+    # kappa_tilde = k_h / (1 - k_h D): 20/21, 5/6 and 1
+    v = stability_verdict(plant, HigsIrcParams(0.5, 20.0, -1.0))
     assert v.passed and v.margin == pytest.approx(1.0 / 21.0)
-    assert check_irc_stability(plant, 5.0 / 6.0).passed
-    assert not check_irc_stability(plant, 1.0).passed
+    assert stability_verdict(plant, HigsIrcParams(0.5, 5.0, -1.0)).passed
+    assert not stability_verdict(plant, HigsIrcParams(0.5, 2.0, -0.5)).passed
 
 
 def test_pii2_stability_margins(plant):
-    v = check_pii2_stability(plant, -1.5)
+    v = stability_verdict(plant, Pii2Params(1.0, 1.0, 1.0, -1.5))
     assert v.passed and v.margin == pytest.approx(0.5)
-    assert not check_pii2_stability(plant, -1.0).passed
-    assert not check_pii2_stability(plant, -0.5).passed
+    assert not stability_verdict(plant, Pii2Params(1.0, 1.0, 1.0, -1.0)).passed
+    assert not stability_verdict(plant, Pii2Params(1.0, 1.0, 1.0, -0.5)).passed
 
 
 def test_gain_sum_exclusion():

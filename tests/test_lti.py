@@ -95,22 +95,22 @@ def test_is_minimal(plant):
 def test_identity_certificate_passes_exactly(plant):
     rep = verify_ni_certificate(plant, NICertificate(np.eye(2)))
     assert rep.passed
-    assert rep.residual_norm <= 1e-12
-    assert rep.lyap_max_eig == pytest.approx(0.0, abs=1e-12)
-    assert rep.y_min_eig == pytest.approx(1.0, abs=1e-12)
-    assert rep.minimal and rep.det_a_nonzero
+    assert rep.evidence["residual_norm"] <= 1e-12
+    assert rep.evidence["lyap_max_eig"] == pytest.approx(0.0, abs=1e-12)
+    assert rep.evidence["y_min_eig"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.evidence["minimal"] and rep.evidence["det_a_nonzero"]
 
 
 def test_scaled_certificate_fails_residual(plant):
     # Y = 2I leaves B + A Y C^T = [0, -1]^T, norm exactly 1.
     rep = verify_ni_certificate(plant, NICertificate(2.0 * np.eye(2)))
     assert not rep.passed
-    assert rep.residual_norm == pytest.approx(1.0, abs=1e-12)
+    assert rep.evidence["residual_norm"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_indefinite_certificate_fails_positivity(plant):
     rep = verify_ni_certificate(plant, NICertificate(np.diag([1.0, -1.0])))
-    assert not rep.passed and not rep.y_positive
+    assert not rep.passed and not rep.evidence["y_min_eig"] > 0.0
 
 
 @pytest.mark.parametrize("eps", [0.1, -0.1])
@@ -120,7 +120,7 @@ def test_perturbing_identity_breaks_lyapunov_inequality(plant, eps):
     Y = np.eye(2)
     Y[1, 1] += eps
     rep = verify_ni_certificate(plant, NICertificate(Y))
-    assert rep.lyap_max_eig == pytest.approx(abs(eps), abs=1e-12)
+    assert rep.evidence["lyap_max_eig"] == pytest.approx(abs(eps), abs=1e-12)
     assert not rep.passed
 
 
@@ -192,15 +192,15 @@ def test_ni_frequency_test_oscillator(plant, monkeypatch):
     monkeypatch.setattr(lti, "FREQ_GRID", np.array([0.5, 2.0, 10.0]))
     rep = ni_frequency_test(plant)
     assert rep.passed
-    assert abs(rep.min_value) <= 1e-12
-    assert not rep.has_unstable_pole
+    assert abs(rep.margin) <= 1e-12
+    assert not rep.evidence["has_unstable_pole"]
 
 
 def test_ni_frequency_test_flags_pole_adjacent_points(plant, monkeypatch):
     monkeypatch.setattr(lti, "FREQ_GRID", np.array([0.5, 1.0, 2.0]))
     rep = ni_frequency_test(plant)
     assert rep.passed
-    assert rep.flagged_omegas == (1.0,)
+    assert rep.evidence["flagged_omegas"] == (1.0,)
 
 
 def test_ni_frequency_test_single_pole_value(monkeypatch):
@@ -208,12 +208,12 @@ def test_ni_frequency_test_single_pole_value(monkeypatch):
     monkeypatch.setattr(lti, "FREQ_GRID", np.array([1.0]))
     rep = ni_frequency_test(k)
     assert rep.passed
-    assert rep.min_value == pytest.approx(1.0, abs=1e-12)
+    assert rep.margin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ni_frequency_test_rejects_rhp_pole():
     rep = ni_frequency_test(RationalTF((1.0,), (1.0, -1.0)))
-    assert not rep.passed and rep.has_unstable_pole
+    assert not rep.passed and rep.evidence["has_unstable_pole"]
 
 
 def test_default_grid_spans_decades():
@@ -302,4 +302,4 @@ def test_assess_ni_rejects_unstable_plant():
     res = assess_ni(StateSpace([[1.0]], [1.0], [1.0]))
     assert not res.verified
     assert res.method is None
-    assert res.freq_report.has_unstable_pole
+    assert res.freq_report.evidence["has_unstable_pole"]

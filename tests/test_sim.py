@@ -763,7 +763,7 @@ def test_dissipation_budget_tightens_with_dt(plant):
         traj = simulate_higs_irc_loop(plant, HIGS20, oscillator_config(dt=dt, t_end=8.0))
         rep = check_dissipation(traj)
         assert rep.passed
-        excesses[dt] = max(rep.worst_excess, 0.0)
+        excesses[dt] = max(rep.margin, 0.0)
     assert excesses[1e-3] <= 100.0 * 1e-3 ** 2
     assert excesses[2e-3] <= 100.0 * 2e-3 ** 2
 
@@ -784,7 +784,7 @@ def test_monotone_checker_accepts_exact_budget():
     assert check_monotone(flat).passed
     rising = Trajectory(W=np.array([1.0, 1.0 + 2e-6, 1.0, 0.5]), **base)
     rep = check_monotone(rising)
-    assert not rep.passed and rep.worst_time == 1.0
+    assert not rep.passed and rep.evidence["worst_time"] == 1.0
 
 
 def test_monotone_checker_requires_lyapunov_series(pii2_traj):
