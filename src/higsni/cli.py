@@ -24,8 +24,8 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 from .controllers import (
     HigsPii2Params,
@@ -75,15 +75,12 @@ EXIT_CHECK = 3
 class _Controller(NamedTuple):
     """What the CLI needs to know about one controller type."""
 
-    params: type
-    keys: tuple                   # constructor order; _ELEMENT_KEYS build HigsParams
+    params: type                  # its init fields are the config keys
     checks: set
     simulate: Callable            # (plant, params, SimConfig, cert) -> Trajectory
     certificate: Optional[Callable] = None   # (Y, C, params) -> Lyapunov form; hybrid types
     tf: Optional[Callable] = None            # params -> RationalTF; linear types
 
-
-_ELEMENT_KEYS = ("h1", "h2", "h3")
 
 # The trajectory checks a scenario may list, each (Trajectory, **options)
 # -> Verdict, and the numeric options a check takes from a scenario, with
@@ -98,18 +95,14 @@ def _linear_loop(tf: Callable) -> Callable:
 
 
 CONTROLLERS = {
-    "irc": _Controller(IrcParams, ("Gamma", "D"), {"convergence"},
-                       _linear_loop(irc_tf), tf=irc_tf),
-    "pii2rc": _Controller(Pii2Params, ("k_p", "k1", "k2", "D"), {"convergence"},
-                          _linear_loop(pii2rc_tf), tf=pii2rc_tf),
+    "irc": _Controller(IrcParams, {"convergence"}, _linear_loop(irc_tf), tf=irc_tf),
+    "pii2rc": _Controller(Pii2Params, {"convergence"}, _linear_loop(pii2rc_tf), tf=pii2rc_tf),
     "higs_irc": _Controller(
-        HigsIrcParams, ("omega_h", "k_h", "D"),
-        {"sector", "lyapunov_monotone", "dissipation", "convergence"},
+        HigsIrcParams, {"sector", "lyapunov_monotone", "dissipation", "convergence"},
         simulate_higs_irc_loop,
         certificate=lambda Y, C, c: LyapunovIrcCertificate(Y, C, c.kappa_tilde)),
     "higs_pii2": _Controller(
-        HigsPii2Params, ("k_p", "D") + _ELEMENT_KEYS,
-        {"sector", "lyapunov_monotone", "convergence"},
+        HigsPii2Params, {"sector", "lyapunov_monotone", "convergence"},
         simulate_higs_pii2_loop, certificate=LyapunovPii2Certificate),
 }
 
@@ -195,6 +188,25 @@ def _build_plant(d: dict):
     raise ConfigError("plant must provide either A/B/C (state space) or num/den")
 
 
+def _build_params(cls, d: dict, where: str, extra: tuple = ()):
+    """cls from the config object d, whose keys are cls's init fields (and
+    extra) in constructor order; a HigsParams field is an object of its own."""
+    hints = get_type_hints(cls)
+    keys = [f.name for f in fields(cls) if f.init]
+    _reject_unknown_keys(d, (*extra, *keys), where)
+    args = []
+    for key in keys:
+        value = _require(d, key, where)
+        if hints[key] is HigsParams:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object")
+            args.append(_build_params(HigsParams, value, key))
+        else:
+            _json_numbers(value, f"{where} {key}")
+            args.append(value)
+    return cls(*args)
+
+
 def _build_controller(d: dict):
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError("controller must be an object with a 'type' field")
@@ -202,23 +214,8 @@ def _build_controller(d: dict):
     row = CONTROLLERS.get(ctype) if isinstance(ctype, str) else None
     if row is None:
         raise ConfigError(f"unknown controller type {ctype!r}")
-    _reject_unknown_keys(d, ("type",) + row.keys, "controller")
     try:
-        args = []
-        for key in row.keys:
-            value = _require(d, key, "controller")
-            if key in _ELEMENT_KEYS:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key} must be an object")
-                element = {k: _require(value, k, key) for k in ("omega_h", "k_h")}
-                for k, v in element.items():
-                    _json_numbers(v, f"{key} {k}")
-                args.append(HigsParams(**element))
-                _reject_unknown_keys(value, ("omega_h", "k_h"), key)
-            else:
-                _json_numbers(value, f"controller {key}")
-                args.append(value)
-        return ctype, row.params(*args)
+        return ctype, _build_params(row.params, d, "controller", ("type",))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -267,6 +264,9 @@ def _normalize_checks(raw, ctype: str) -> list:
             raise ConfigError(
                 f"check {name!r} not available for controller type {ctype!r} "
                 f"(available: {sorted(allowed)})")
+        # each check's verdict is reported under its name
+        if any(name == listed for listed, _ in checks):
+            raise ConfigError(f"check {name!r} listed twice")
         defaults = _CHECK_OPTIONS.get(name, {})
         _reject_unknown_keys(given, ("name", *defaults), f"check {name!r}")
         options = {}
@@ -405,9 +405,9 @@ def _make_out_dir(out_dir: str) -> None:
 
 
 def _output_paths(cfg: ScenarioConfig, out_dir: Optional[str]) -> tuple:
-    """The run's CSV and report paths, each None or in a directory that
-    exists: checked before the simulation, so that a path that cannot be
-    written does not cost a whole run."""
+    """The run's CSV and report paths, each None or a path that is not a
+    directory, in a directory that exists: checked before the simulation,
+    so that a path that cannot be written does not cost a whole run."""
     if out_dir is not None:
         _make_out_dir(out_dir)
     paths = (_resolve_out(cfg.csv_path, out_dir), _resolve_out(cfg.report_path, out_dir))
@@ -415,6 +415,8 @@ def _output_paths(cfg: ScenarioConfig, out_dir: Optional[str]) -> tuple:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path!r}: {folder!r} is not a directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
     # the report would silently replace the CSV
     if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
         raise ConfigError(f"csv {paths[0]!r} and report {paths[1]!r} are the same file")
@@ -517,7 +519,7 @@ def cmd_design(config_path: str, controller_type: str) -> int:
         samples = []
         for D in [d * scale for d in d_grid]:
             for k_h in (1.0, 5.0, 20.0):
-                kt = k_h / (1.0 - k_h * D)
+                kt = HigsIrcParams(0.5, k_h, D).kappa_tilde
                 samples.append({
                     "k_h": k_h, "D": D, "kappa_tilde": kt,
                     "feasible": kt * g0 < 1.0,

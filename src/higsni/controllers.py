@@ -15,21 +15,19 @@ the single-element loop and D < -G(0) for the PII^2 family.
 
 With its element modes frozen every loop is linear, dz/dt = J z, so the
 loops are piecewise linear.  ModeSystem is that one description, built by
-irc_mode_system and pii2_mode_system for the hybrid loops and by
-sim.closed_loop_matrices for the linear loop.  A hybrid loop's elements
-form one chain of Element (sector bound, switching law, input): the single
-element alone, or H1, H2 and H3 fed by H2.  sim._element_law walks that
-chain for the outputs, gain flags and sector clamps.
+irc_mode_system and pii2_mode_system for the hybrid loops, whose modes are
+the elements' gain flags, and by sim.closed_loop_matrices for the linear
+loop.  pii2_chain lays the PII^2 bank out as its chain of higs.Element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .higs import HigsIrcParams, HigsMode, HigsParams
+from .higs import Element, HigsIrcParams, HigsParams, InvalidParameters, require_ranges
 from .lti import RationalTF, StateSpace, Verdict, dc_gain
 
 # |1/(G(0) + D) - gain sum| must exceed this times max(1, |1/(G(0) + D)|);
@@ -47,10 +45,6 @@ class UnsolvableLoop(RuntimeError):
     """The algebraic error equation degenerated (should not happen for D < 0)."""
 
 
-class InvalidParameters(ValueError):
-    """Parameter combination outside the admissible set."""
-
-
 @dataclass(frozen=True)
 class IrcParams:
     """Integral resonant controller Gamma/s closed around feedthrough D."""
@@ -59,12 +53,7 @@ class IrcParams:
     D: float
 
     def __post_init__(self):
-        object.__setattr__(self, "Gamma", float(self.Gamma))
-        object.__setattr__(self, "D", float(self.D))
-        if not (self.Gamma > 0.0 and np.isfinite(self.Gamma)):
-            raise InvalidParameters(f"Gamma must be finite and > 0, got {self.Gamma}")
-        if not (self.D < 0.0 and np.isfinite(self.D)):
-            raise InvalidParameters(f"D must be finite and < 0, got {self.D}")
+        require_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -77,14 +66,7 @@ class Pii2Params:
     D: float
 
     def __post_init__(self):
-        for name in ("k_p", "k1", "k2", "D"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("k_p", "k1", "k2"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise InvalidParameters(f"{name} must be finite and > 0, got {v}")
-        if not (self.D < 0.0 and np.isfinite(self.D)):
-            raise InvalidParameters(f"D must be finite and < 0, got {self.D}")
+        require_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -104,12 +86,7 @@ class HigsPii2Params:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "k_p", float(self.k_p))
-        object.__setattr__(self, "D", float(self.D))
-        if not (self.k_p > 0.0 and np.isfinite(self.k_p)):
-            raise InvalidParameters(f"k_p must be finite and > 0, got {self.k_p}")
-        if not (self.D < 0.0 and np.isfinite(self.D)):
-            raise InvalidParameters(f"D must be finite and < 0, got {self.D}")
+        require_ranges(self)
         for name in ("h1", "h2", "h3"):
             if not isinstance(getattr(self, name), HigsParams):
                 raise InvalidParameters(f"{name} must be a HigsParams instance")
@@ -242,7 +219,7 @@ def irc_mode_system(plant: StateSpace, p: HigsIrcParams, modes) -> ModeSystem:
     """
     A, B, C, n = plant.A, plant.B, plant.C, plant.n
     J = np.zeros((n + 1, n + 1))
-    if modes[0] == HigsMode.GAIN:
+    if modes[0]:
         J[:n, :n] = A + p.kappa_tilde * np.outer(B, C)
     else:
         J[:n, :n] = A
@@ -266,7 +243,7 @@ def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, modes) -> ModeSystem:
     A, B, C = plant.A, plant.B, plant.C
     n = plant.n
     k1, k2, k3 = p.h1.k_h, p.h2.k_h, p.h3.k_h
-    g1, g2, g3 = (m == HigsMode.GAIN for m in modes)
+    g1, g2, g3 = modes
     gD = p.gamma * p.D
     den = 1.0 - gD * ((k1 if g1 else 0.0) + (k3 * k2 if g3 and g2 else 0.0))
     if abs(den) <= ALGEBRAIC_LOOP_TOL:
@@ -304,20 +281,6 @@ def pii2_mode_system(plant: StateSpace, p: HigsPii2Params, modes) -> ModeSystem:
         else:
             J[n + 2, n + 1] = p.h3.omega_h
     return ModeSystem(J, w_e, w_u, w_e @ J)
-
-
-class Element(NamedTuple):
-    """One HIGS element of a loop's chain.
-
-    bound is its sector bound (k_h, or kappa_tilde for a compensated
-    element) and law carries its switching law (omega_h, k_h).  source
-    names its input: None for the loop error e, else the index of an
-    earlier base element whose output it takes.
-    """
-
-    bound: float
-    law: object
-    source: Optional[int] = None
 
 
 def pii2_chain(p: HigsPii2Params) -> tuple:

@@ -19,16 +19,15 @@ de/dt, so it never feeds the other states and is refreshed afterwards, and
 an integrator slot changes only where a clamp fires, which ends the block.
 
 Both hybrid loops run one event mechanism, _hybrid_loop, over a chain of
-HIGS elements (controllers.Element): the single-element loop is the
-one-element chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a
-block before a row where a mode changes or a sector is left, and its
-bisecting step locates that event inside the step and switches on the
-boundary itself.  One function, _element_law, walks the chain once and
-gives the gain flags, that event, the sector clamp and the new element
-states: the scan calls it on a block of rows, the step on the floats of
-one state, once per probed state, whose new states a chunk then keeps.
-Recorded samples satisfy the sector inequalities by construction up to
-rounding.  The hybrid loops need a strictly proper plant (D_ff = 0).
+HIGS elements (higs.Element): the single-element loop is the one-element
+chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a block before a
+row where a mode changes or a sector is left, and its bisecting step
+locates that event inside the step and switches on the boundary itself.
+Both read the chain's higs.element_law: the scan on a block of rows, the
+step on the floats of one state, once per probed state, whose new states a
+chunk then keeps.  Recorded samples satisfy the sector inequalities by
+construction up to rounding.  The hybrid loops need a strictly proper plant
+(D_ff = 0).
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -43,13 +42,12 @@ import math
 import os
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .controllers import (
     ALGEBRAIC_LOOP_TOL,
-    Element,
     HigsPii2Params,
     InvalidParameters,
     ModeSystem,
@@ -60,11 +58,9 @@ from .controllers import (
     pii2_mode_system,
 )
 from .higs import (
+    Element,
     HigsIrcParams,
-    HigsMode,
-    _where,
-    gain_mode,
-    project_to_sector,
+    element_law,
     storage_V1,
     storage_V2_cascade,
     storage_V_h,
@@ -98,9 +94,6 @@ _CSV_PART_ROWS = 4096
 # logic, sector clamp and divergence guard run once per block on all rows.
 _BLOCK_ROWS = 256
 
-# Slack of the sector clamp: x_h is projected into the sector only when
-# e*x_h < x_h^2/k - SECTOR_CLAMP_TOL, so rounding dust on the edge stays.
-SECTOR_CLAMP_TOL = 1e-12
 # The divergence guard: a kept row with |state| above this (or NaN) ends the
 # run with NonFiniteState.
 DIVERGENCE_LIMIT = 1e9
@@ -141,6 +134,8 @@ class SimConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least one step")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end / self.dt}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -487,16 +482,20 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     which also catches NaN) runs on every kept row; samples are taken at
     t = 0, every record_every steps and at the final step.  Returns the
     sample times, the joint states (one row per sample) and the integer
-    mode codes.
+    mode codes.  Raises ValueError naming the sample count when the sample
+    arrays cannot be allocated.
     """
     n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
     N = -(-n_steps // every) + 1    # samples at 0, every `every` steps and at the end
-    # Multiples of every are exact in floating point, so T[i] = (i every) dt
-    # as a step counter gives it.
-    T = np.arange(0.0, N * every, every) * dt
+    try:
+        # Multiples of every are exact in floating point, so T[i] = (i every) dt
+        # as a step counter gives it.
+        T = np.arange(0.0, N * every, every) * dt
+        Z = np.empty((N, z.shape[0]))
+        M = np.empty((N, len(modes)), dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"cannot record the {N:.6g} samples of the run: {exc}") from exc
     T[-1] = n_steps * dt
-    Z = np.empty((N, z.shape[0]))
-    M = np.empty((N, len(modes)), dtype=np.int64)
     Z[0], M[0] = z, modes
     buf = np.empty((_BLOCK_ROWS, z.shape[0]))
     rows = list(buf)
@@ -555,7 +554,7 @@ def _mode_signals(Z: np.ndarray, M: np.ndarray, system) -> Tuple[np.ndarray, np.
     e, u = np.empty(len(Z)), np.empty(len(Z))
     for code in np.flatnonzero(np.bincount(codes)):
         rows = codes == code
-        s = system(tuple(HigsMode(int(code) >> b & 1) for b in range(q - 1, -1, -1)))
+        s = system(tuple(bool(int(code) >> b & 1) for b in range(q - 1, -1, -1)))
         e[rows] = _row_dots(Z[rows], s.w_e)
         u[rows] = _row_dots(Z[rows], s.w_u)
     return e, u
@@ -623,72 +622,9 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
 # ---------------------------------------------------------------------------
 # Hybrid loops
 
-# Event localization inside one step: boundary eligibility and the sector-exit
-# threshold during bisection, plus the smallest chunk worth resolving.  Much
-# tighter than the recording-level tolerances so that switching a mode moves
-# the state (and the Lyapunov value) by a negligible amount.  Both tests
-# measure distance in state units scaled by max(1, |x_h|); the exit threshold
-# sits strictly inside the eligibility band so that wherever a sector exit is
-# detected, the mode update is allowed to act on it.
-_EVENT_RTOL = 1e-12
-_EVENT_GAP = 1e-13
+# The smallest chunk of a step that the bisecting step resolves, as a
+# fraction of dt.
 _EVENT_MIN_FRAC = 1e-12
-
-
-class ElementLaw(NamedTuple):
-    """_element_law's result: the gain flags the update rule picks; the event
-    flag (a mode changes, or an integrating state lies outside its sector by
-    more than _EVENT_GAP over max(1, |x_h|)); the clamp flag (the
-    SECTOR_CLAMP_TOL clamp moved a state); and the new states, gain slots
-    refreshed to their outputs and integrator slots clamped."""
-
-    gains: tuple
-    event: object
-    clamp: object
-    states: list
-
-
-def _element_law(e, e_dot, states, modes, chain) -> ElementLaw:
-    """The chain's element law at the loop error e, its rate e_dot and the
-    element states, read at the frozen modes: one pass over the chain, on
-    the floats of one state or elementwise on a block's arrays, bit for bit
-    alike.
-
-    An element's frozen-mode input is e, or its source's frozen-mode output
-    for a chained element; its output is bound times that input in gain
-    mode, else its state.  Its gain flag is decided at that output.  A
-    chained element's input and rate there follow its source's new flag,
-    decided earlier in the pass: bound times the source's input and rate in
-    gain mode, else the source's output and omega_h times the source's input
-    (the source is a base element)."""
-    gains, new = [], []
-    seen = []    # per element: input and rate under its new flag, frozen-mode output
-    event = clamp = False
-    for el, x, mode in zip(chain, states, modes):
-        if el.source is None:
-            a = a_new = e
-            a_dot = e_dot
-        else:
-            src, g_s = chain[el.source], gains[el.source]
-            a_s, rate_s, a = seen[el.source]
-            a_new = _where(g_s, src.bound * a_s, a)
-            a_dot = _where(g_s, src.bound * rate_s, src.law.omega_h * a_s)
-        gain = mode == HigsMode.GAIN
-        out = el.bound * a if gain else x
-        g = gain_mode(a_new, a_dot, out, el.bound, el.law, _EVENT_RTOL)
-        gains.append(g)
-        seen.append((a_new, a_dot, out))
-        event = event | (g != gain)
-        if gain:
-            new.append(out)
-            continue
-        scale = abs(x)
-        exit_ = abs(project_to_sector(a, x, el.bound, 0.0) - x) / _where(scale > 1.0, scale, 1.0)
-        event = event | (exit_ > _EVENT_GAP)
-        xc = project_to_sector(a, x, el.bound, SECTOR_CLAMP_TOL)
-        clamp = clamp | (xc != x)
-        new.append(xc)
-    return ElementLaw(tuple(gains), event, clamp, new)
 
 
 def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
@@ -715,15 +651,15 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         return R @ z
 
     def probe(z, modes):
-        """_element_law at one state, read off with float dots and tolist():
+        """element_law at one state, read off with float dots and tolist():
         a probe stays off numpy's elementwise calls."""
         s = system(modes)
-        return _element_law(float(s.w_e @ z), float(s.w_de @ z), z[n:].tolist(), modes, chain)
+        return element_law(float(s.w_e @ z), float(s.w_de @ z), z[n:].tolist(), modes, chain)
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
         for _ in range(8):
-            new = tuple(HigsMode.GAIN if g else HigsMode.INTEGRATOR for g in probe(z, modes).gains)
+            new = probe(z, modes).gains
             if new == modes:
                 return modes
             modes = new
@@ -733,7 +669,7 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
     # Sanitize the initial state: clamp into the sectors against the resolved
     # error (a couple of passes, since clamping moves the error), then settle
     # the starting modes.
-    modes = (HigsMode.INTEGRATOR,) * len(chain)
+    modes = (False,) * len(chain)
     for _ in range(3):
         z[n:] = probe(z, modes).states
     modes = settle(z, modes)
@@ -786,11 +722,11 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         return z, modes
 
     def scan(Zb, modes):
-        """_element_law on rows stepped in `modes`, which take its new
+        """element_law on rows stepped in `modes`, which take its new
         states.  Keeps the rows before the first event (the bisecting step
         takes that row) and up to the first row the clamp moved."""
         s = system(modes)
-        _, event, clamp, new = _element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
+        _, event, clamp, new = element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
                                             tuple(Zb[:, n:].T.copy()), modes, chain)
         Zb[:, n:] = np.column_stack(new)
         fired = np.flatnonzero(event | clamp)

@@ -4,6 +4,7 @@ Commands run in-process through cli.main so the suite stays fast; one
 subprocess test covers the module entry point.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -356,10 +357,29 @@ def test_simulate_csv_and_report_one_file_exit_config_before_running(tmp_path, m
     assert all(os.listdir(tmp_path / folder) == [] for folder in made)
 
 
-def test_simulate_output_that_cannot_be_opened_exit_config(tmp_path, monkeypatch, capsys):
-    # The CSV path names a directory: only opening it finds that out.
+@pytest.mark.parametrize("output, out_dir, path", [
+    ({"csv": "run.csv"}, None, "run.csv"),
+    ({"csv": "x.csv", "report": "run.csv"}, None, "run.csv"),
+    ({"csv": "run.csv"}, "out", "out/run.csv"),
+], ids=["csv", "report", "out_dir"])
+def test_simulate_output_that_is_a_directory_exit_config_before_running(
+        tmp_path, monkeypatch, capsys, output, out_dir, path):
+    # Opening it would fail only after the whole run.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.csv").mkdir()
+    monkeypatch.setattr(cli, "_simulate", _no_run)
+    os.makedirs(path)
+    cfg = _write(tmp_path, "quick.json", _quick_scenario(output=output))
+    argv = ["simulate", cfg] + ([] if out_dir is None else ["--out-dir", out_dir])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: cannot write {path!r}: it is a directory\n")
+    assert os.listdir(path) == []
+
+
+def test_simulate_output_that_cannot_be_opened_exit_config(tmp_path, monkeypatch, capsys):
+    # The CSV path is a link into a missing directory: only opening it finds
+    # that out.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.csv").symlink_to(tmp_path / "missing" / "run.csv")
     cfg = _write(tmp_path, "quick.json", _quick_scenario())
     assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
@@ -421,12 +441,63 @@ def test_simulate_bad_check_option_exit_config_before_running(tmp_path, monkeypa
 
 
 def test_scenario_check_options_are_numbers_with_defaults(tmp_path):
-    checks = ["sector", {"name": "convergence", "threshold": 1}, {"name": "dissipation"},
-              "convergence"]
+    checks = ["sector", {"name": "convergence", "threshold": 1}, {"name": "dissipation"}]
     cfg = cli.load_scenario(_write(tmp_path, "quick.json", _quick_scenario(checks=checks)))
     assert cfg.checks == [("sector", {}), ("convergence", {"threshold": 1.0}),
-                          ("dissipation", {}), ("convergence", {"threshold": 0.2})]
+                          ("dissipation", {})]
     assert type(cfg.checks[1][1]["threshold"]) is float
+    cfg = cli.load_scenario(_write(tmp_path, "default.json", _quick_scenario(checks=["convergence"])))
+    assert cfg.checks == [("convergence", {"threshold": 0.2})]
+
+
+def test_repeated_check_name_exit_config_before_running(config_dir, tmp_path, monkeypatch,
+                                                        capsys):
+    # Verdicts are reported by name: the second entry would replace the
+    # first, whatever either found.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_simulate", _no_run)
+    monkeypatch.setattr(cli, "_fan_out", _no_run)
+    base = str(config_dir / "mass_spring_irc_linear.json")
+    checks = [{"name": "convergence", "threshold": 1e-9}, "convergence"]
+    scenario = _write(tmp_path, "twice.json", dict(json.loads(open(base).read()), checks=checks))
+    sweep = _write(tmp_path, "sweep.json", {"base": base, "output_dir": "out",
+                                            "runs": [{"name": "a", "overrides": {"checks": checks}}]})
+    for argv in (["simulate", scenario], ["sweep", sweep]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: check 'convergence' listed twice\n")
+
+
+@pytest.mark.parametrize("sim_keys, message", [
+    ({"t_end": 1e12}, "cannot record the 1e+15 samples of the run: "),
+    ({"dt": 1e-300}, "cannot record the 2e+300 samples of the run: "),
+    ({"t_end": 1e12, "dt": 1e-300}, "invalid sim section: t_end / dt must be finite, got inf"),
+], ids=["t_end", "dt", "steps_overflow"])
+def test_run_too_long_to_record_exit_config(tmp_path, monkeypatch, capsys, sim_keys, message):
+    # Petabytes or more: the sample arrays cannot be allocated, and the
+    # allocation fails without touching memory.
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "long.json", _quick_scenario(**_with_keys("sim", **sim_keys)))
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["long.json"]
+
+
+@pytest.mark.parametrize("controller, known", [
+    ({"type": "irc", "Gamma": 1.0, "D": -1.0}, "type, Gamma, D"),
+    ({"type": "pii2rc", "k_p": 1.0, "k1": 1.0, "k2": 1.0, "D": -2.0}, "type, k_p, k1, k2, D"),
+    (_quick_scenario()["controller"], "type, omega_h, k_h, D"),
+    (_PII2_CONTROLLER, "type, k_p, D, h1, h2, h3"),
+], ids=["irc", "pii2rc", "higs_irc", "higs_pii2"])
+def test_unknown_controller_key_lists_the_constructor_fields(tmp_path, capsys, controller, known):
+    cfg = _write(tmp_path, "bad.json",
+                 _quick_scenario(controller=dict(controller, bogus=1.0), checks=[]))
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: unknown key 'bogus' in controller (known: {known})\n")
+    params = cli.CONTROLLERS[controller["type"]].params
+    assert known.split(", ")[1:] == [f.name for f in dataclasses.fields(params) if f.init]
 
 
 def test_simulate_failed_check_exit_check(tmp_path, capsys):

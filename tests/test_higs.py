@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from higsni import HigsIrcParams, HigsParams, SimConfig, StateSpace, simulate_higs_irc_loop
+from higsni import (
+    HigsIrcParams,
+    HigsParams,
+    HigsPii2Params,
+    InvalidParameters,
+    IrcParams,
+    Pii2Params,
+    SimConfig,
+    StateSpace,
+    simulate_higs_irc_loop,
+)
 from higsni.higs import (
-    HigsMode,
     gain_mode,
     project_to_sector,
     storage_V1,
@@ -33,6 +42,40 @@ def test_params_validation():
         HigsIrcParams(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         HigsIrcParams(1.0, 1.0, 0.5)
+
+
+# An admissible parameter set per class, by keyword.
+_ADMISSIBLE = {
+    HigsParams: {"omega_h": 0.5, "k_h": 1.0},
+    HigsIrcParams: {"omega_h": 0.5, "k_h": 20.0, "D": -1.0},
+    IrcParams: {"Gamma": 1.0, "D": -1.0},
+    Pii2Params: {"k_p": 1.0, "k1": 1.0, "k2": 1.0, "D": -2.0},
+    HigsPii2Params: {"k_p": 0.5, "D": -1.5, "h1": HigsParams(0.3, 2.0),
+                     "h2": HigsParams(0.2, 1.0), "h3": HigsParams(0.4, 1.0)},
+}
+
+# Every numeric field of every parameter class: its range and the nearest
+# value outside it.
+_RANGED_FIELDS = [
+    (HigsParams, "omega_h", ">= 0", -0.1), (HigsParams, "k_h", "> 0", 0.0),
+    (HigsIrcParams, "omega_h", ">= 0", -0.1), (HigsIrcParams, "k_h", "> 0", 0.0),
+    (HigsIrcParams, "D", "< 0", 0.0),
+    (IrcParams, "Gamma", "> 0", 0.0), (IrcParams, "D", "< 0", 0.0),
+    (Pii2Params, "k_p", "> 0", 0.0), (Pii2Params, "k1", "> 0", 0.0),
+    (Pii2Params, "k2", "> 0", 0.0), (Pii2Params, "D", "< 0", 0.0),
+    (HigsPii2Params, "k_p", "> 0", 0.0), (HigsPii2Params, "D", "< 0", 0.0),
+]
+
+
+@pytest.mark.parametrize("value", ["out_of_range", np.nan, np.inf, -np.inf],
+                         ids=["out_of_range", "nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("cls, name, text, outside", _RANGED_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _, _ in _RANGED_FIELDS])
+def test_every_parameter_range_raises_invalid_parameters(cls, name, text, outside, value):
+    value = outside if value == "out_of_range" else value
+    with pytest.raises(InvalidParameters) as exc:
+        cls(**dict(_ADMISSIBLE[cls], **{name: value}))
+    assert str(exc.value) == f"{name} must be finite and {text}, got {float(value)}"
 
 
 def test_kappa_tilde_reference_values():
@@ -163,7 +206,7 @@ def test_trace_stays_in_sector():
 def test_trace_gain_samples_sit_on_boundary():
     p = HigsIrcParams(0.5, 20.0, -1.0)
     tr = _sine_trace(p)
-    gain = tr.modes[:, 0] == int(HigsMode.GAIN)
+    gain = tr.modes[:, 0] == int(True)
     assert gain.any() and (~gain).any()
     dev = np.abs(tr.u[gain] - p.kappa_tilde * np.sin(tr.times[gain]))
     assert dev.max() <= 1e-9 * max(1.0, np.abs(tr.u).max())

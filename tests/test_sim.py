@@ -35,10 +35,10 @@ from higsni import (
     simulate_higs_pii2_loop,
     simulate_linear_loop,
 )
-from higsni import cli, controllers, lti, sim
-from higsni.controllers import Element, UnsolvableLoop, pii2_chain, pii2_mode_system
+from higsni import cli, controllers, higs, lti, sim
+from higsni.controllers import UnsolvableLoop, pii2_chain, pii2_mode_system
 from higsni.higs import (
-    HigsMode,
+    Element,
     gain_mode,
     project_to_sector,
 )
@@ -69,7 +69,7 @@ def test_sim_config_validation():
 
 
 def test_tolerances_defaults():
-    assert sim.SECTOR_CLAMP_TOL == 1e-12
+    assert higs.SECTOR_CLAMP_TOL == 1e-12
     assert sim.DIVERGENCE_LIMIT == 1e9
     assert controllers.GAIN_SUM_TOL == 1e-9
     assert controllers.ALGEBRAIC_LOOP_TOL == 1e-12
@@ -458,7 +458,7 @@ def _law_chains(draw):
                               ((0.1, 5.0), (0.1, 5.0), (0.0, 2.0), (0.0, 2.0), (0.01, 2.0)))
         chain = pii2_chain(HigsPii2Params(0.5, -1.5, HigsParams(w1, k1), HigsParams(w2, k2),
                                           HigsParams(w2 + dw, k2)))
-    return chain, draw(st.tuples(*[st.sampled_from(list(HigsMode)) for _ in chain]))
+    return chain, draw(st.tuples(*[st.sampled_from([False, True]) for _ in chain]))
 
 
 @given(_logic_rows(), _law_chains())
@@ -473,9 +473,9 @@ def test_element_law_on_a_block_matches_floats(rows, chain_modes):
         on = [el.bound * e] if el.source is None else [el.bound * states[el.source],
                                                        el.bound * (chain[el.source].bound * e)]
         states.append(np.select([edges[:, i] == j + 1 for j in range(len(on))], on, xs[i]))
-    gains, event, clamp, new = sim._element_law(e, e_dot, tuple(states), modes, chain)
+    gains, event, clamp, new = higs.element_law(e, e_dot, tuple(states), modes, chain)
     for r in range(len(e)):
-        want = sim._element_law(float(e[r]), float(e_dot[r]), [float(x[r]) for x in states],
+        want = higs.element_law(float(e[r]), float(e_dot[r]), [float(x[r]) for x in states],
                                 modes, chain)
         assert all(type(v) is bool for v in (*want[0], want[1], want[2]))
         assert all(type(v) is float for v in want[3])
@@ -692,7 +692,7 @@ def test_pii2_loop_signals_match_per_row_mode_system(plant, pii2_traj):
     assert len(np.unique(pii2_traj.modes, axis=0)) >= 2
     Z = np.hstack([pii2_traj.plant_states, pii2_traj.controller_states])
     modes = list(map(tuple, pii2_traj.modes.tolist()))
-    systems = {m: pii2_mode_system(plant, PII2, tuple(map(HigsMode, m))) for m in set(modes)}
+    systems = {m: pii2_mode_system(plant, PII2, tuple(map(bool, m))) for m in set(modes)}
     for i, m in enumerate(modes):
         s = systems[m]
         assert float(s.w_e @ Z[i]) == pii2_traj.e[i]
