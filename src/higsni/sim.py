@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -76,19 +74,10 @@ from .lti import (
 )
 
 
-# Rows per block of Trajectory._write_csv.  Formatting column by column,
-# blocks of 64 to 1024 rows write a 10 001-row run equally fast and 32-row
-# blocks about 10 % slower.  A block's strings are held at once: about 0.2 MB
-# at 128 rows on the 16-column PII^2 loop, 1.7 MB at 1024.
+# Rows per block of Trajectory._write_csv.  A block's strings are held at
+# once, so larger blocks raise the peak memory of a run: about 0.2 MB at 128
+# rows on the 16-column PII^2 loop, 1.7 MB at 1024.
 _CSV_BLOCK_ROWS = 128
-
-# Fewest rows per part of Trajectory.write_csv, the smallest part worth a
-# fork.  From just before write_csv to the process's exit, 31 interleaved
-# runs per size on a 2-vCPU VM, two parts beat one writer in 20 of 31 runs at
-# 2 x 4096 rows on the linear IRC CSV (the narrowest) and the IRC one, and
-# broke even or lost at 2 x 2048 to 2 x 3072; the 16-column PII^2 CSV gained
-# from 2 x 1536 on.
-_CSV_PART_ROWS = 4096
 
 # Steps per block of _march.  Propagation stays one row at a time; the mode
 # logic, sector clamp and divergence guard run once per block on all rows.
@@ -200,95 +189,68 @@ class Trajectory:
         return names
 
     def write_csv(self, path) -> None:
-        """Write the CSV text of _write_csv to path, formatted on every CPU
-        this process may use.
+        """Write the CSV text of _write_csv to path."""
+        with open(path, "w", newline="") as fh:
+            self._write_csv(fh)
 
-        The rows split into n = min(CPUs, rows // _CSV_PART_ROWS) contiguous
-        ranges.  n - 1 forked children each format one of the later ranges
-        into a memfd while this process writes the header and the first
-        range; the children's parts are then appended in order, so the
-        bytes are those of one writer.  With n = 1 (one usable CPU, too few
-        rows, or no CPU affinity) nothing is forked.  Raises OSError naming
-        the exit status if a child fails, once every child has been reaped.
-        """
-        rows = len(self)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        n = max(1, min(cpus, rows // _CSV_PART_ROWS))
-        edges = [rows * i // n for i in range(n + 1)]
-        pids, fds = [], []
-        try:
-            with open(path, "w", newline="") as fh:
-                try:
-                    # fork before writing: fh's buffer is empty in every child
-                    for start, stop in zip(edges[1:-1], edges[2:]):
-                        fds.append(os.memfd_create("higsni-csv"))
-                        pid = os.fork()
-                        if pid == 0:
-                            self._csv_part_child(fds[-1], start, stop)
-                        pids.append(pid)
-                    self._write_csv(fh, 0, edges[1])
-                    fh.flush()
-                finally:
-                    statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-                failed = [status for status in statuses if status != 0]
-                if failed:
-                    raise OSError(f"a CSV writer process exited with status {failed[0]}")
-                for fd in fds:
-                    size, sent = os.fstat(fd).st_size, 0
-                    while sent < size:
-                        sent += os.sendfile(fh.fileno(), fd, sent, size - sent)
-        finally:
-            for fd in fds:
-                os.close(fd)
+    def _write_csv(self, fh) -> None:
+        """The header, then the rows _CSV_BLOCK_ROWS at a time: floats as
+        repr, modes as int.
 
-    def _csv_part_child(self, fd: int, start: int, stop: int):
-        """Body of one forked CSV writer; never returns.
+        Each column of a block is formatted by one orjson.dumps call, whose
+        shortest round-trip text is repr's wherever repr writes positional
+        text; the other cells take repr.  A column whose bits equal an
+        earlier column's of the same dtype reuses that column's strings: on
+        the mass-spring IRC loop, e and y are x1 and u is xh.  Each block is written as soon as it is
+        formatted, so the text of the whole file is never held at once."""
+        # Imported here, not with the module: it also loads uuid and
+        # zoneinfo, about 5 ms that no run without a CSV should pay.
+        import orjson
 
-        Writes rows start:stop to fd and exits with status 0, or prints the
-        traceback straight to file descriptor 2 and exits with status 1."""
-        status = 1
-        try:
-            with open(fd, "w", newline="", closefd=False) as fh:
-                self._write_csv(fh, start, stop)
-            status = 0
-        except BaseException:
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            # Never return into the caller: the rest of its stack, its atexit
-            # handlers and its buffers belong to the parent.
-            os._exit(status)
-
-    def _write_csv(self, fh, start: int = 0, stop: Optional[int] = None) -> None:
-        """Rows start:stop, _CSV_BLOCK_ROWS at a time: floats as repr, modes as
-        int; the header first when start is 0.
-
-        Blocks are formatted column by column.  A column whose bits equal an
-        earlier column's under the same formatter reuses that column's
-        strings: on the mass-spring IRC loop, e and y are x1 and u is xh.
-        Each block is written as soon as it is formatted, so the text of the
-        whole file is never held at once."""
-        if start == 0:
-            fh.write(",".join(self.column_names()) + "\n")
-        stop = len(self) if stop is None else stop
+        fh.write(",".join(self.column_names()) + "\n")
         aux = [self.aux[k] for k in sorted(self.aux.keys())]
         tail = [s for s in (self.e, self.u, self.y, self.V, *aux, self.W) if s is not None]
-        groups = [(repr, float, (self.times, self.plant_states, self.controller_states)),
-                  (str, np.int64, () if self.modes is None else (self.modes,)),
-                  (repr, float, tail)]
-        # One (formatter, 1-D array) per CSV column, in header order.
-        cols = [(fmt, c) for fmt, dtype, group in groups for s in group
-                for c in np.reshape(s[start:stop], (stop - start, -1)).T.astype(dtype, copy=False)]
+        groups = [(float, (self.times, self.plant_states, self.controller_states)),
+                  (np.int64, () if self.modes is None else (self.modes,)),
+                  (float, tail)]
+        # One 1-D array per CSV column, in header order.
+        cols = [c for dtype, group in groups for s in group
+                for c in np.reshape(s, (len(self), -1)).T.astype(dtype, copy=False)]
         # Bits, not values: 0.0 and -0.0 are equal but print differently.
         same = []
-        for i, (fmt, col) in enumerate(cols):
+        for i, col in enumerate(cols):
             bits = col.view(np.int64)
-            same.append(next((j for j in range(i) if cols[j][0] is fmt
-                              and np.array_equal(cols[j][1].view(np.int64), bits)), None))
-        for a in range(0, stop - start, _CSV_BLOCK_ROWS):
-            blk = slice(a, a + _CSV_BLOCK_ROWS)
+            same.append(next((j for j in range(i) if cols[j].dtype == col.dtype
+                              and np.array_equal(cols[j].view(np.int64), bits)), None))
+        # repr writes x positionally exactly when the decimal exponent of its
+        # shortest round-trip digits d(x) is -4 to 15, i.e. 1e-4 <= |d(x)| <
+        # 1e16.  Shortest digits are monotone in x, and d(1e-4) = 1e-4 and
+        # d(1e16) = 1e16, so on the doubles that is fl(1e-4) <= |x| < 1e16:
+        # nextafter(1e-4, 0) and 1e16 fall outside, 1e-4 and nextafter(1e16, 0)
+        # inside.  There orjson writes the same shortest digits positionally,
+        # with the same ".0" on whole values, and so it does for 0.0 and -0.0.
+        # Every other cell (exponent form, nan and +-inf, which orjson writes
+        # as null) takes repr.  Per column: block index -> offsets of those.
+        spills = []
+        for col in cols:
+            spill = {}
+            if col.dtype.kind == "f":
+                mag = np.abs(col)
+                positional = (mag >= 1e-4) & (mag < 1e16) | (col == 0.0)
+                for r in np.flatnonzero(~positional).tolist():
+                    spill.setdefault(r // _CSV_BLOCK_ROWS, []).append(r % _CSV_BLOCK_ROWS)
+            spills.append(spill)
+        for k, a in enumerate(range(0, len(self), _CSV_BLOCK_ROWS)):
             cells = []
-            for (fmt, col), j in zip(cols, same):
-                cells.append(list(map(fmt, col[blk].tolist())) if j is None else cells[j])
+            for col, j, spill in zip(cols, same, spills):
+                if j is not None:
+                    cells.append(cells[j])
+                    continue
+                values = col[a:a + _CSV_BLOCK_ROWS].tolist()
+                text = orjson.dumps(values).decode()[1:-1].split(",")
+                for r in spill.get(k, ()):
+                    text[r] = repr(values[r])
+                cells.append(text)
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

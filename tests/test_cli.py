@@ -5,6 +5,7 @@ subprocess test covers the module entry point.
 """
 
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -389,28 +390,29 @@ def test_simulate_output_that_cannot_be_opened_exit_config(tmp_path, monkeypatch
 
 
 def test_simulate_csv_writer_failure_exit_config(tmp_path, monkeypatch, capfd):
-    # Two CPUs and 16-row parts: a forked writer formats rows 1000:2001.
+    # The disk fills up after the header and the first block.
     write = sim.Trajectory._write_csv
 
-    def fail_after_first_part(self, fh, start=0, stop=None):
-        if start > 0:
-            raise RuntimeError("injected")
-        write(self, fh, start, stop)
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
 
-    monkeypatch.setattr(sim.Trajectory, "_write_csv", fail_after_first_part)
-    monkeypatch.setattr(sim, "_CSV_PART_ROWS", 16)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(sim.Trajectory, "_write_csv", lambda self, fh: write(self, FullDisk(fh)))
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "quick.json", _quick_scenario())
     assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
     out, err = capfd.readouterr()
     assert out == ""
     assert err.endswith("config error: cannot write output: "
-                        "a CSV writer process exited with status 1\n")
-    assert "RuntimeError: injected" in err
+                        "[Errno 28] No space left on device\n")
+    assert (tmp_path / "run.csv").read_text().count("\n") == 1 + sim._CSV_BLOCK_ROWS
     assert not (tmp_path / "run.report.json").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("check, message", [
@@ -1040,14 +1042,21 @@ def test_log_setting_that_names_no_level_falls_back_to_warning(config_dir, monke
 def test_cli_import_leaves_scipy_unloaded(tmp_path, snippet):
     # Every CLI invocation pays the import, and every linear simulate and
     # sweep worker runs the linear loop: neither may load scipy, nor
-    # fractions and decimal, which only a test-side closed form uses.
+    # fractions and decimal, which only a test-side closed form uses.  The
+    # CSV writer's orjson, with the uuid and zoneinfo it loads, stays off the
+    # import itself.
     code = (f"import sys, higsni.cli; OUT = {str(tmp_path)!r}; {snippet}; "
             "print([m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')])")
+            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')]); "
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] in ('orjson', 'uuid', 'zoneinfo')])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, cwd=str(REPO_ROOT))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_etc, orjson_etc = proc.stdout.splitlines()
+    assert scipy_etc == "[]"
+    if snippet == "pass":
+        assert orjson_etc == "[]"
 
 
 def test_cli_main_freezes_the_imported_heap(tmp_path):
