@@ -17,15 +17,17 @@ control log verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import inspect
 import json
 import logging
 import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, NamedTuple, Optional, get_type_hints
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .controllers import (
     HigsPii2Params,
@@ -83,11 +85,9 @@ class _Controller(NamedTuple):
 
 
 # The trajectory checks a scenario may list, each (Trajectory, **options)
-# -> Verdict, and the numeric options a check takes from a scenario, with
-# their defaults; the other checks' tolerances are constants of sim.
+# -> Verdict: its keyword parameters are the options a scenario may set.
 _TRAJECTORY_CHECKS = {"sector": check_sector, "lyapunov_monotone": check_monotone,
                       "dissipation": check_dissipation, "convergence": check_convergence}
-_CHECK_OPTIONS = {"convergence": {"threshold": 0.2}}
 
 
 def _linear_loop(tf: Callable) -> Callable:
@@ -145,105 +145,90 @@ def _reject_unknown_keys(d: dict, known: tuple, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where} (known: {', '.join(known)})")
 
 
-def _json_numbers(value, where: str, lists: bool = False) -> None:
-    """Raise ConfigError unless value is a JSON number that converts to a
-    finite float or, with lists, such a number or a (nested) list of them:
-    float() and numpy would also take "3" and true, and json takes NaN,
-    Infinity, 1e999 (inf) and integers beyond the float range."""
-    if lists and isinstance(value, list):
+def _json_value(value, hint, where: str):
+    """value checked against the annotation hint, a number as a float:
+    an int needs an integer, a float a JSON number that converts to a finite
+    float, and any other hint (np.ndarray, tuple) such a number or a (nested)
+    list of them.  float() and numpy would also take "3" and true, and json
+    takes NaN, Infinity, 1e999 (inf) and integers beyond the float range."""
+    if hint is int:
+        if type(value) is not int:
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return value
+    if hint is not float and isinstance(value, list):
         for v in value:
-            _json_numbers(v, where, lists)
-    elif type(value) not in (int, float):
-        kind = "a number or a list of numbers" if lists else "a number"
+            _json_value(v, hint, where)
+        return value
+    if type(value) not in (int, float):
+        kind = "a number" if hint is float else "a number or a list of numbers"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
-    else:
-        try:
-            x = float(value)
-        except OverflowError:    # an integer beyond the float range
-            x = math.inf if value > 0 else -math.inf
-        if not math.isfinite(x):
-            raise ConfigError(f"{where} must be finite, got {x!r}")
+    try:
+        x = float(value)
+    except OverflowError:    # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
+    return x
 
 
-def _build_plant(d: dict):
+@functools.cache
+def _parameters(target) -> tuple:
+    """target's parameters with their annotations evaluated: a class's init
+    fields, a check's trajectory and then its options."""
+    return tuple(inspect.signature(target, eval_str=True).parameters.values())
+
+
+def _read_keys(params, d, where: str, extra: tuple = (), invalid: str = "", sep: str = " ") -> dict:
+    """The keyword arguments named by params (inspect.Parameter) from the
+    config object d, whose keys are their names (and extra); a parameter
+    with a default may be left out and takes it.  Each value must suit its
+    annotation (_json_value), and a HigsParams one is an object of its own,
+    built as _build_params builds a section."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown_keys(d, (*extra, *(p.name for p in params)), where)
+    kwargs = {}
+    for p in params:
+        if p.name not in d:
+            if p.default is p.empty:
+                raise ConfigError(f"missing key {p.name!r} in {where}")
+            kwargs[p.name] = p.default
+        elif p.annotation is HigsParams:
+            kwargs[p.name] = _build_params(HigsParams, d[p.name], p.name, invalid)
+        else:
+            kwargs[p.name] = _json_value(d[p.name], p.annotation, f"{where}{sep}{p.name}")
+    return kwargs
+
+
+def _build_params(cls, d, where: str, invalid: str, extra: tuple = ()):
+    """cls from the config section d, whose keys are cls's init fields (and
+    extra).  What cls itself rejects is a ConfigError that starts with
+    invalid."""
+    kwargs = _read_keys(_parameters(cls), d, where, extra, invalid)
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{invalid}: {exc}") from exc
+
+
+def _build_plant(d):
     if not isinstance(d, dict):
         raise ConfigError("plant must be an object")
-    if "A" in d:
-        _reject_unknown_keys(d, ("A", "B", "C", "D_ff"), "plant")
-    elif "num" in d:
-        _reject_unknown_keys(d, ("num", "den"), "plant")
-    for key in ("A", "B", "C", "num", "den"):
-        if key in d:
-            _json_numbers(d[key], f"plant {key}", lists=True)
-    if "D_ff" in d:
-        _json_numbers(d["D_ff"], "plant D_ff")
-    try:
-        if "A" in d:
-            return StateSpace(d["A"], _require(d, "B", "plant"), _require(d, "C", "plant"),
-                              d.get("D_ff", 0.0))
-        if "num" in d:
-            return RationalTF(tuple(d["num"]), tuple(_require(d, "den", "plant")))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid plant: {exc}") from exc
-    raise ConfigError("plant must provide either A/B/C (state space) or num/den")
+    cls = StateSpace if "A" in d else RationalTF if "num" in d else None
+    if cls is None:
+        raise ConfigError("plant must provide either A/B/C (state space) or num/den")
+    return _build_params(cls, d, "plant", "invalid plant")
 
 
-def _build_params(cls, d: dict, where: str, extra: tuple = ()):
-    """cls from the config object d, whose keys are cls's init fields (and
-    extra) in constructor order; a HigsParams field is an object of its own."""
-    hints = get_type_hints(cls)
-    keys = [f.name for f in fields(cls) if f.init]
-    _reject_unknown_keys(d, (*extra, *keys), where)
-    args = []
-    for key in keys:
-        value = _require(d, key, where)
-        if hints[key] is HigsParams:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
-            args.append(_build_params(HigsParams, value, key))
-        else:
-            _json_numbers(value, f"{where} {key}")
-            args.append(value)
-    return cls(*args)
-
-
-def _build_controller(d: dict):
+def _build_controller(d):
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError("controller must be an object with a 'type' field")
     ctype = d["type"]
     row = CONTROLLERS.get(ctype) if isinstance(ctype, str) else None
     if row is None:
         raise ConfigError(f"unknown controller type {ctype!r}")
-    try:
-        return ctype, _build_params(row.params, d, "controller", ("type",))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid controller parameters: {exc}") from exc
-
-
-def _build_sim(d: dict) -> SimConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("sim must be an object")
-    _reject_unknown_keys(d, ("dt", "t_end", "x0", "controller_x0", "record_every"), "sim")
-    for key in ("dt", "t_end"):
-        if key in d:
-            _json_numbers(d[key], f"sim {key}")
-    for key in ("x0", "controller_x0"):
-        if key in d:
-            _json_numbers(d[key], f"sim {key}", lists=True)
-    if type(d.get("record_every", 1)) is not int:
-        raise ConfigError(f"sim record_every must be an integer, got {d['record_every']!r}")
-    try:
-        return SimConfig(
-            dt=d.get("dt", 1e-3),
-            t_end=_require(d, "t_end", "sim"),
-            x0=_require(d, "x0", "sim"),
-            controller_x0=d.get("controller_x0", 0.0),
-            record_every=d.get("record_every", 1),
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid sim section: {exc}") from exc
+    return ctype, _build_params(row.params, d, "controller", "invalid controller parameters",
+                                ("type",))
 
 
 def _normalize_checks(raw, ctype: str) -> list:
@@ -267,14 +252,8 @@ def _normalize_checks(raw, ctype: str) -> list:
         # each check's verdict is reported under its name
         if any(name == listed for listed, _ in checks):
             raise ConfigError(f"check {name!r} listed twice")
-        defaults = _CHECK_OPTIONS.get(name, {})
-        _reject_unknown_keys(given, ("name", *defaults), f"check {name!r}")
-        options = {}
-        for key, default in defaults.items():
-            value = given.get(key, default)
-            _json_numbers(value, f"check {name!r}: {key}")
-            options[key] = float(value)
-        checks.append((name, options))
+        options = _parameters(_TRAJECTORY_CHECKS[name])[1:]
+        checks.append((name, _read_keys(options, given, f"check {name!r}", ("name",), sep=": ")))
     return checks
 
 
@@ -300,7 +279,8 @@ def _scenario_from_dict(raw: dict, default_name: str) -> ScenarioConfig:
     _reject_unknown_keys(raw, ("name", "plant", "controller", "sim", "checks", "output"), "scenario")
     plant = _build_plant(_require(raw, "plant", "scenario"))
     ctype, controller = _build_controller(_require(raw, "controller", "scenario"))
-    sim = _build_sim(_require(raw, "sim", "scenario"))
+    sim = _build_params(SimConfig, _require(raw, "sim", "scenario"), "sim",
+                        "invalid sim section")
     checks = _normalize_checks(raw.get("checks", []), ctype)
     output = raw.get("output", {})
     if not isinstance(output, dict):

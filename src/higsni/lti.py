@@ -97,12 +97,6 @@ def _as_state_vector(v, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _smallest_sv_ok(M: np.ndarray) -> bool:
-    """True when M is invertible at the working rank tolerance."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    return bool(sv[-1] > RANK_RTOL * max(sv[0], 1e-300))
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """SISO realization  dx/dt = A x + B u,  y = C x + D_ff u.
@@ -200,12 +194,14 @@ def freq_response(sys: LinearSystem, omega: float) -> complex:
 
 def dc_gain(sys: StateSpace) -> float:
     """G(0) = D_ff - C A^{-1} B.  Raises SingularA when A is not invertible."""
-    if not _smallest_sv_ok(sys.A):
+    if _rank(sys.A) < sys.n:
         raise SingularA("A is singular; DC gain undefined")
     return float(sys.D_ff - sys.C @ np.linalg.solve(sys.A, sys.B))
 
 
 def _rank(M: np.ndarray) -> int:
+    """The singular values of M above RANK_RTOL times the largest: a square
+    M is invertible exactly when this is its order."""
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
@@ -269,7 +265,7 @@ def verify_ni_certificate(sys: StateSpace, cert: NICertificate) -> Verdict:
         y_min > 0.0 and lyap_max <= NI_TOL and residual <= NI_TOL, NI_CERT_CONDITION,
         max(lyap_max, residual), NI_TOL,
         Y=Y, y_min_eig=y_min, lyap_max_eig=lyap_max, residual_norm=residual,
-        minimal=is_minimal(sys), det_a_nonzero=_smallest_sv_ok(sys.A))
+        minimal=is_minimal(sys), det_a_nonzero=_rank(sys.A) == sys.n)
 
 
 def _sym_basis(n: int) -> np.ndarray:
@@ -325,7 +321,7 @@ def search_ni_certificate(sys: StateSpace) -> Optional[NICertificate]:
     the system is not NI.
     """
     n = sys.n
-    if not _smallest_sv_ok(sys.A):
+    if _rank(sys.A) < n:
         raise SingularA("A is singular; NI conditions require det A != 0")
     if n > CERT_MAX_DIM:
         raise ValueError(f"certificate search supports n <= {CERT_MAX_DIM}, got n = {n}")

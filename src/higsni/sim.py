@@ -68,7 +68,7 @@ from .lti import (
     SingularA,
     StateSpace,
     Verdict,
-    _smallest_sv_ok,
+    _rank,
     dc_gain,
     tf_to_ss,
 )
@@ -105,12 +105,21 @@ class CertificateNotPD(ValueError):
         self.margin = margin
 
 
-@dataclass
+# n_steps * dt may miss t_end by this relative margin: t_end must be a whole
+# number of steps, so that the last sample is taken at t_end.
+WHOLE_STEPS_RTOL = 1e-9
+
+
+@dataclass(kw_only=True)
 class SimConfig:
-    dt: float
+    """One run: its step dt, end time t_end, initial plant state x0 and
+    controller state (a single value is broadcast), and every how many steps
+    a sample is recorded.  A scenario's sim section takes these keys."""
+
+    dt: float = 1e-3
     t_end: float
     x0: np.ndarray
-    controller_x0: object = 0.0
+    controller_x0: np.ndarray = 0.0
     record_every: int = 1
 
     def __post_init__(self):
@@ -125,6 +134,10 @@ class SimConfig:
             raise ValueError("t_end must be at least one step")
         if not np.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end / dt must be finite, got {self.t_end / self.dt}")
+        n = self.n_steps
+        if abs(n * self.dt - self.t_end) > WHOLE_STEPS_RTOL * self.t_end:
+            raise ValueError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}: "
+                             f"the nearest, {n} steps, ends at {n * self.dt}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -172,21 +185,24 @@ class Trajectory:
         return float(np.linalg.norm(np.concatenate([self.plant_states[-1],
                                                     self.controller_states[-1]])))
 
+    def _columns(self) -> list:
+        """(name, values) per CSV column, in the one order of the header and
+        the rows: t, plant states, controller states, modes, e, u, y, V, the
+        aux series by name, W.  Mode codes are int64, the rest float."""
+        XC = self.controller_states
+        xc_names = self.meta.get("controller_state_names", [f"xc{i+1}" for i in range(XC.shape[1])])
+        modes = () if self.modes is None else self.modes.T.astype(np.int64, copy=False)
+        mode_names = ["mode"] if len(modes) == 1 else [f"mode{i+1}" for i in range(len(modes))]
+        floats = [("t", self.times), *((f"x{i+1}", x) for i, x in enumerate(self.plant_states.T)),
+                  *zip(xc_names, XC.T)]
+        tail = [("e", self.e), ("u", self.u), ("y", self.y), ("V", self.V),
+                *sorted(self.aux.items()), ("W", self.W)]
+        return ([(name, s.astype(float, copy=False)) for name, s in floats]
+                + list(zip(mode_names, modes))
+                + [(name, s.astype(float, copy=False)) for name, s in tail if s is not None])
+
     def column_names(self) -> list:
-        n = self.plant_states.shape[1]
-        names = ["t"] + [f"x{i+1}" for i in range(n)]
-        names += list(self.meta.get("controller_state_names",
-                                    [f"xc{i+1}" for i in range(self.controller_states.shape[1])]))
-        if self.modes is not None:
-            q = self.modes.shape[1]
-            names += ["mode"] if q == 1 else [f"mode{i+1}" for i in range(q)]
-        names += ["e", "u", "y"]
-        if self.V is not None:
-            names.append("V")
-        names += sorted(self.aux.keys())
-        if self.W is not None:
-            names.append("W")
-        return names
+        return [name for name, _ in self._columns()]
 
     def write_csv(self, path) -> None:
         """Write the CSV text of _write_csv to path."""
@@ -207,15 +223,8 @@ class Trajectory:
         # zoneinfo, about 5 ms that no run without a CSV should pay.
         import orjson
 
-        fh.write(",".join(self.column_names()) + "\n")
-        aux = [self.aux[k] for k in sorted(self.aux.keys())]
-        tail = [s for s in (self.e, self.u, self.y, self.V, *aux, self.W) if s is not None]
-        groups = [(float, (self.times, self.plant_states, self.controller_states)),
-                  (np.int64, () if self.modes is None else (self.modes,)),
-                  (float, tail)]
-        # One 1-D array per CSV column, in header order.
-        cols = [c for dtype, group in groups for s in group
-                for c in np.reshape(s, (len(self), -1)).T.astype(dtype, copy=False)]
+        names, cols = zip(*self._columns())
+        fh.write(",".join(names) + "\n")
         # Bits, not values: 0.0 and -0.0 are equal but print differently.
         same = []
         for i, col in enumerate(cols):
@@ -404,7 +413,7 @@ def _loop_start(plant: StateSpace, cfg: SimConfig, m: int, hybrid: bool,
     invertible A and, when given, a positive-definite certificate."""
     if hybrid:
         require_strictly_proper(plant)
-        if not _smallest_sv_ok(plant.A):
+        if _rank(plant.A) < plant.n:
             raise SingularA("plant A must be invertible")
         if cert is not None:
             cert.require_positive_definite()
@@ -844,7 +853,7 @@ def check_dissipation(traj: Trajectory) -> Verdict:
         worst_time=float(traj.times[i + 1]))
 
 
-def check_convergence(traj: Trajectory, threshold: float) -> Verdict:
+def check_convergence(traj: Trajectory, threshold: float = 0.2) -> Verdict:
     """margin, the norm |z| at the last sample, is at most the bound threshold."""
     norm = traj.final_norm()
     return Verdict.measured(norm <= threshold, "|z(t_end)| <= threshold", norm, threshold)

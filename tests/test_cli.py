@@ -19,8 +19,13 @@ import numpy as np
 
 from higsni import (
     HigsIrcParams,
+    HigsParams,
+    HigsPii2Params,
     IrcParams,
+    Pii2Params,
     RationalTF,
+    SimConfig,
+    StateSpace,
     check_convergence,
     check_dissipation,
     check_monotone,
@@ -500,6 +505,68 @@ def test_unknown_controller_key_lists_the_constructor_fields(tmp_path, capsys, c
         "", f"config error: unknown key 'bogus' in controller (known: {known})\n")
     params = cli.CONTROLLERS[controller["type"]].params
     assert known.split(", ")[1:] == [f.name for f in dataclasses.fields(params) if f.init]
+
+
+_TF_PLANT = {"num": [1.0], "den": [1.0, 0.0, 1.0]}
+
+
+# (class, where its unknown key is reported, the section holding that key)
+_SECTIONS = [
+    (StateSpace, "plant", dict(_quick_scenario()["plant"], bogus=1.0)),
+    (RationalTF, "plant", dict(_TF_PLANT, bogus=1.0)),
+    (SimConfig, "sim", dict(_quick_scenario()["sim"], bogus=1.0)),
+    (IrcParams, "controller", {"type": "irc", "Gamma": 1.0, "D": -1.0, "bogus": 1.0}),
+    (Pii2Params, "controller",
+     {"type": "pii2rc", "k_p": 1.0, "k1": 1.0, "k2": 1.0, "D": -2.0, "bogus": 1.0}),
+    (HigsIrcParams, "controller", dict(_quick_scenario()["controller"], bogus=1.0)),
+    (HigsPii2Params, "controller", dict(_PII2_CONTROLLER, bogus=1.0)),
+    (HigsParams, "h2", dict(_PII2_CONTROLLER, h2={"omega_h": 0.2, "k_h": 1.0, "bogus": 1.0})),
+]
+
+
+@pytest.mark.parametrize("cls, where, section", _SECTIONS, ids=[c[0].__name__ for c in _SECTIONS])
+def test_unknown_key_lists_the_init_fields_of_its_section(cls, where, section):
+    # A section's keys are the init fields of the class it builds; a
+    # controller section also takes its type.
+    name = "controller" if where == "h2" else where
+    known = ", ".join(f.name for f in dataclasses.fields(cls) if f.init)
+    if where == "controller":
+        known = "type, " + known
+    with pytest.raises(cli.ConfigError) as exc:
+        cli._scenario_from_dict(_quick_scenario(**{name: section}, checks=[]), "bad")
+    assert str(exc.value) == f"unknown key 'bogus' in {where} (known: {known})"
+
+
+def test_scenario_without_dt_runs_at_the_default_dt(tmp_path):
+    # dt's default is SimConfig's; only the echoed config tells the runs apart
+    outputs = []
+    for name, sim_section in (("default", {"t_end": 0.05, "x0": [3.0, 1.0]}),
+                              ("explicit", {"dt": 1e-3, "t_end": 0.05, "x0": [3.0, 1.0]})):
+        cfg = _write(tmp_path, f"{name}.json", _quick_scenario(
+            name="run", plant=_TF_PLANT, sim=sim_section, checks=["sector", "convergence"],
+            output={"csv": f"{name}.csv", "report": f"{name}.report.json"}))
+        assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+        report = json.loads((tmp_path / f"{name}.report.json").read_text())
+        assert report.pop("config")["sim"] == sim_section
+        outputs.append(((tmp_path / f"{name}.csv").read_bytes(), report))
+    assert outputs[0] == outputs[1]
+    assert cli.load_scenario(cfg).sim.dt == SimConfig(t_end=0.05, x0=[3.0, 1.0]).dt == 1e-3
+
+
+def test_convergence_without_threshold_reports_the_default_bound(tmp_path, capsys):
+    cfg = _write(tmp_path, "quick.json", _quick_scenario(checks=["convergence"], output={}))
+    cli.main(["simulate", cfg])
+    assert json.loads(capsys.readouterr().out)["checks"]["convergence"]["bound"] == 0.2
+
+
+@pytest.mark.parametrize("t_end, n_steps", [(0.0025, 2), (0.0035, 4)], ids=["2.5", "3.5"])
+def test_t_end_between_steps_exit_config(tmp_path, capsys, t_end, n_steps):
+    # round() would take the even neighbour, and the run would end early or late
+    cfg = _write(tmp_path, "bad.json", _quick_scenario(**_with_keys("sim", t_end=t_end)))
+    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", (
+        f"config error: invalid sim section: t_end {t_end} is not a whole number of steps "
+        f"of dt 0.001: the nearest, {n_steps} steps, ends at {n_steps * 1e-3}\n"))
 
 
 def test_simulate_failed_check_exit_check(tmp_path, capsys):

@@ -66,6 +66,13 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=1e-3, t_end=1.0, x0=[0.0], record_every=0)
     assert SimConfig(dt=1e-3, t_end=1.0, x0=[0.0]).n_steps == 1000
+    assert SimConfig(t_end=1.0, x0=[0.0]).dt == 1e-3
+
+
+@pytest.mark.parametrize("t_end, dt, n_steps", [(40.0, 1e-3, 40000), (0.3, 0.1, 3)])
+def test_sim_config_takes_whole_steps_within_rounding(t_end, dt, n_steps):
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point
+    assert SimConfig(dt=dt, t_end=t_end, x0=[0.0]).n_steps == n_steps
 
 
 def test_tolerances_defaults():
