@@ -122,7 +122,7 @@ class WorkerLost(RuntimeError):
 @dataclass
 class ScenarioConfig:
     name: str
-    plant: object                 # StateSpace | RationalTF
+    plant: StateSpace
     controller_type: str
     controller: object
     sim: SimConfig
@@ -211,13 +211,21 @@ def _build_params(cls, d, where: str, invalid: str, extra: tuple = ()):
         raise ConfigError(f"{invalid}: {exc}") from exc
 
 
-def _build_plant(d):
+def _build_plant(d) -> StateSpace:
+    """The plant section's StateSpace: A/B/C as given, or num/den realized
+    once, in controllable canonical form, so that every command checks the
+    same realization."""
     if not isinstance(d, dict):
         raise ConfigError("plant must be an object")
-    cls = StateSpace if "A" in d else RationalTF if "num" in d else None
-    if cls is None:
+    if "A" in d:
+        return _build_params(StateSpace, d, "plant", "invalid plant")
+    if "num" not in d:
         raise ConfigError("plant must provide either A/B/C (state space) or num/den")
-    return _build_params(cls, d, "plant", "invalid plant")
+    tf = _build_params(RationalTF, d, "plant", "invalid plant")
+    try:
+        return tf_to_ss(tf)
+    except ValueError as exc:    # a static gain
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_controller(d):
@@ -304,10 +312,6 @@ def _scenario_from_dict(raw: dict, default_name: str) -> ScenarioConfig:
         report_path=output.get("report"),
         raw=raw,
     )
-
-
-def _plant_ss(plant) -> StateSpace:
-    return plant if isinstance(plant, StateSpace) else tf_to_ss(plant)
 
 
 def _admit_plant(controller_type: str, plant: StateSpace) -> None:
@@ -409,11 +413,10 @@ def cmd_simulate(config_path: str, out_dir: Optional[str] = None) -> int:
 
 def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     csv_path, report_path = _output_paths(cfg, out_dir)
-    plant = _plant_ss(cfg.plant)
     cert, cert_info, missing = None, None, None
     if any(name == "lyapunov_monotone" for name, _ in cfg.checks):
-        cert, cert_info, missing = _build_certificate(cfg, plant)
-    traj = _simulate(cfg, plant, cert)
+        cert, cert_info, missing = _build_certificate(cfg, cfg.plant)
+    traj = _simulate(cfg, cfg.plant, cert)
     verdicts = _run_checks(cfg, traj, missing)
     code = _exit_code(verdicts.values())
 
@@ -450,22 +453,29 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     return code
 
 
+def _check_sni(cfg: ScenarioConfig) -> Verdict:
+    if CONTROLLERS[cfg.controller_type].tf is None:
+        raise ConfigError("sni check applies to the linear controllers (irc, pii2rc)")
+    return sni_verdict(cfg.controller)
+
+
+def _check_stability(cfg: ScenarioConfig) -> Verdict:
+    _admit_plant(cfg.controller_type, cfg.plant)
+    return stability_verdict(cfg.plant, cfg.controller)
+
+
+# The verifications of `higsni check`, each ScenarioConfig -> Verdict, in the
+# order its --help lists them.
+_CHECKS = {
+    "ni": lambda cfg: ni_frequency_test(cfg.plant),
+    "sni": _check_sni,
+    "certificate": lambda cfg: certify_ni(cfg.plant),
+    "stability": _check_stability,
+}
+
+
 def cmd_check(config_path: str, which: str) -> int:
-    cfg = load_scenario(config_path)
-    plant = _plant_ss(cfg.plant)
-    if which == "ni":
-        v = ni_frequency_test(cfg.plant)
-    elif which == "sni":
-        if CONTROLLERS[cfg.controller_type].tf is None:
-            raise ConfigError("sni check applies to the linear controllers (irc, pii2rc)")
-        v = sni_verdict(cfg.controller)
-    elif which == "certificate":
-        v = certify_ni(plant)
-    elif which == "stability":
-        _admit_plant(cfg.controller_type, plant)
-        v = stability_verdict(plant, cfg.controller)
-    else:
-        raise ConfigError(f"unknown check {which!r}")
+    v = _CHECKS[which](load_scenario(config_path))
     sys.stdout.write(_dump_json({"name": which, **_verdict_json(v)}))
     return _exit_code([v])
 
@@ -475,8 +485,7 @@ def cmd_design(config_path: str, controller_type: str) -> int:
         raise ConfigError(f"unknown controller type {controller_type!r}")
     raw = _read_json(config_path, "plant config")
     plant = _build_plant(_require(raw, "plant", "design config"))
-    ss = _plant_ss(plant)
-    _admit_plant(controller_type, ss)
+    _admit_plant(controller_type, plant)
     assessment = assess_ni(plant)
     if not assessment.verified:
         raise NotNI(
@@ -484,7 +493,7 @@ def cmd_design(config_path: str, controller_type: str) -> int:
             f"frequency-test minimum {assessment.freq_report.margin:.3e}, "
             f"max pole real part {assessment.freq_report.evidence['max_pole_real']:.3e}"
         )
-    g0 = dc_gain(ss)
+    g0 = dc_gain(plant)
     report = {
         "plant": {
             "dc_gain": g0,
@@ -717,7 +726,7 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="run a single verification against a scenario")
     p_check.add_argument("config")
-    p_check.add_argument("which", choices=["ni", "sni", "certificate", "stability"])
+    p_check.add_argument("which", choices=list(_CHECKS))
 
     p_design = sub.add_parser("design", help="admissible parameter regions for an NI plant")
     p_design.add_argument("config")

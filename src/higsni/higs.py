@@ -118,8 +118,8 @@ def _where(cond, a, b):
     return a if cond else b
 
 
-def project_to_sector(e, x_h, k_bound: float, tol: float):
-    """Clamp x_h into the sector e*x_h >= x_h^2/k_bound - tol for input e.
+def project_to_sector(e, x_h, k_bound: float):
+    """Clamp x_h into the sector e*x_h >= x_h^2/k_bound for input e.
 
     Inside the sector x_h is returned unchanged; outside, the nearest
     boundary point (the sector at fixed e is the interval between 0 and
@@ -132,7 +132,7 @@ def project_to_sector(e, x_h, k_bound: float, tol: float):
     hi = _where(up, edge, 0.0)
     v = _where(lo > x_h, lo, x_h)
     v = _where(hi < v, hi, v)
-    return _where(e * x_h >= x_h * x_h / k_bound - tol, x_h, v)
+    return _where(e * x_h >= x_h * x_h / k_bound, x_h, v)
 
 
 def gain_mode(e, e_dot, x_h, k_bound: float, p, tol: float):
@@ -209,10 +209,10 @@ def element_law(e, e_dot, states, modes, chain) -> ElementLaw:
         if gain:
             new.append(out)
             continue
+        near = project_to_sector(a, x, el.bound)
         scale = abs(x)
-        exit_ = abs(project_to_sector(a, x, el.bound, 0.0) - x) / _where(scale > 1.0, scale, 1.0)
-        event = event | (exit_ > _EVENT_GAP)
-        xc = project_to_sector(a, x, el.bound, SECTOR_CLAMP_TOL)
+        event = event | (abs(near - x) / _where(scale > 1.0, scale, 1.0) > _EVENT_GAP)
+        xc = _where(a * x >= x * x / el.bound - SECTOR_CLAMP_TOL, x, near)
         clamp = clamp | (xc != x)
         new.append(xc)
     return ElementLaw(tuple(gains), event, clamp, new)

@@ -497,18 +497,6 @@ def tf_to_ss(tf: RationalTF) -> StateSpace:
     return StateSpace(A, B, C, float(b[0]))
 
 
-def ss_to_tf(sys: StateSpace) -> RationalTF:
-    """Transfer function via det(sI - A + B C) = det(sI - A) (1 + C (sI-A)^{-1} B)."""
-    den = np.poly(sys.A)
-    num_sp = np.poly(sys.A - np.outer(sys.B, sys.C)) - den
-    num = num_sp + sys.D_ff * den
-    scale = max(1.0, float(np.abs(num).max()))
-    lead = 0
-    while lead < len(num) - 1 and abs(num[lead]) <= 1e-12 * scale:
-        lead += 1
-    return RationalTF(tuple(num[lead:]), tuple(den))
-
-
 @dataclass(frozen=True)
 class NiAssessment:
     """NI verification of a plant by two routes: the certificate Verdict of
@@ -530,15 +518,14 @@ class NiAssessment:
         return self.method is not None
 
 
-def assess_ni(sys: LinearSystem) -> NiAssessment:
+def assess_ni(sys: StateSpace) -> NiAssessment:
     """Try the Lyapunov certificate route and the frequency test.
 
     Either route passing counts as NI verified; method records which one
     did, so that downstream consumers can cite it.
     """
-    ss = sys if isinstance(sys, StateSpace) else tf_to_ss(sys)
     try:
-        cert_report = certify_ni(ss)
+        cert_report = certify_ni(sys)
     except SingularA:
         cert_report = None
     return NiAssessment(cert_report, ni_frequency_test(sys))

@@ -456,7 +456,8 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     mode codes.  Raises ValueError naming the sample count when the sample
     arrays cannot be allocated.
     """
-    n_steps, every, dt = cfg.n_steps, cfg.record_every, cfg.dt
+    n_steps, dt = cfg.n_steps, cfg.dt
+    every = min(cfg.record_every, n_steps)    # from n_steps on: samples at 0 and the end
     N = -(-n_steps // every) + 1    # samples at 0, every `every` steps and at the end
     try:
         # Multiples of every are exact in floating point, so T[i] = (i every) dt

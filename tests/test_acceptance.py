@@ -24,7 +24,7 @@ from higsni import (
     search_ni_certificate,
     simulate_higs_irc_loop,
 )
-from higsni.cli import ConfigError, _plant_ss, _simulate, cmd_simulate, load_scenario
+from higsni.cli import ConfigError, _simulate, cmd_simulate, load_scenario
 from higsni.controllers import pii2rc_sni_value, stability_verdict
 from higsni.lti import NICertificate, verify_ni_certificate
 from higsni.sim import closed_loop_matrices
@@ -141,7 +141,7 @@ def test_criterion_6_sector_all_scenarios(config_dir):
             scenarios.append(cfg)
     results = {}
     for cfg in scenarios:
-        traj = _simulate(cfg, _plant_ss(cfg.plant), None)
+        traj = _simulate(cfg, cfg.plant, None)
         results[cfg.name] = check_sector(traj)
     ok = len(results) == 3 and all(rep.passed for rep in results.values())
     margins = {name: f"{rep.margin:.1e}" for name, rep in results.items()}

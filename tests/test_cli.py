@@ -553,6 +553,75 @@ def test_scenario_without_dt_runs_at_the_default_dt(tmp_path):
     assert cli.load_scenario(cfg).sim.dt == SimConfig(t_end=0.05, x0=[3.0, 1.0]).dt == 1e-3
 
 
+# A damped NI plant whose numerator has a slope, and its controllable
+# canonical realization, which every command checks for it.
+_DAMPED_TF = {"num": [0.1, 1.0], "den": [1.0, 0.5, 2.0]}
+_DAMPED_SS = {"A": [[-0.5, -2.0], [1.0, 0.0]], "B": [1.0, 0.0], "C": [0.1, 1.0]}
+
+
+def test_load_scenario_realizes_a_tf_plant(tmp_path):
+    plant = cli.load_scenario(_write(tmp_path, "tf.json", _quick_scenario(plant=_DAMPED_TF))).plant
+    assert isinstance(plant, StateSpace)
+    want = lti.tf_to_ss(RationalTF(tuple(_DAMPED_TF["num"]), tuple(_DAMPED_TF["den"])))
+    for got, ref in ((plant.A, want.A), (plant.B, want.B), (plant.C, want.C),
+                     (plant.A, _DAMPED_SS["A"]), (plant.B, _DAMPED_SS["B"]),
+                     (plant.C, _DAMPED_SS["C"])):
+        assert np.array_equal(got, ref)
+    assert plant.D_ff == want.D_ff == 0.0
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "ni"], ["check", "certificate"], ["check", "stability"],
+    ["design", "higs_irc"], ["simulate"]], ids=lambda c: "_".join(c))
+def test_tf_plant_gives_the_outputs_of_its_realization(tmp_path, capsys, command):
+    outputs = []
+    for name, plant in (("tf", _DAMPED_TF), ("ss", _DAMPED_SS)):
+        out = tmp_path / name
+        cfg = _write(tmp_path, f"{name}.json", _quick_scenario(
+            name="run", plant=plant, sim={"t_end": 0.5, "x0": [0.3, -0.2]},
+            checks=["sector", "lyapunov_monotone", "dissipation"]))
+        verb, *rest = command
+        args = [cfg, *rest] if verb != "simulate" else [cfg, "--out-dir", str(out)]
+        code = cli.main([verb, *args])
+        files = None
+        if verb == "simulate":
+            report = json.loads((out / "run.report.json").read_text())
+            assert report.pop("config")["plant"] == plant
+            files = ((out / "run.csv").read_bytes(), report)
+        outputs.append((code, capsys.readouterr(), files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == cli.EXIT_OK
+
+
+def test_static_tf_plant_is_a_config_error_when_read(config_dir, tmp_path, monkeypatch, capsys):
+    message = "static transfer function has no state-space realization here"
+    scenario = _quick_scenario(plant={"num": [2.0], "den": [1.0]}, sim={"t_end": 0.5, "x0": [1.0]})
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.load_scenario(_write(tmp_path, "static.json", scenario))
+    assert str(exc.value) == message
+    # a sweep over it stops before it forks a worker
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the sweep forked"))
+    cfg = _write(tmp_path, "sweep.json", {"base": scenario, "output_dir": str(tmp_path / "out"),
+                                          "runs": [{"name": "a"}]})
+    assert cli.main(["sweep", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_record_every_beyond_the_run_records_its_ends(tmp_path):
+    # 10 steps: any record_every from 10 on keeps the samples at 0 and t_end
+    outputs = []
+    for name, every in (("ten", 10), ("huge", 10**400)):
+        cfg = _write(tmp_path, f"{name}.json", _quick_scenario(
+            name="run", sim={"t_end": 0.01, "x0": [3.0, 1.0], "record_every": every},
+            output={"csv": f"{name}.csv", "report": f"{name}.report.json"}))
+        assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        report = json.loads((tmp_path / f"{name}.report.json").read_text())
+        assert report.pop("config")["sim"]["record_every"] == every
+        outputs.append(((tmp_path / f"{name}.csv").read_bytes(), report))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["result"]["n_samples"] == 2
+
+
 def test_convergence_without_threshold_reports_the_default_bound(tmp_path, capsys):
     cfg = _write(tmp_path, "quick.json", _quick_scenario(checks=["convergence"], output={}))
     cli.main(["simulate", cfg])

@@ -97,26 +97,26 @@ def test_kappa_tilde_identities(k_h, D):
 
 def test_sector_contains_examples():
     # the projection leaves exactly the points of the sector in place
-    assert project_to_sector(1.0, 0.5, 1.0, 0.0) == 0.5
-    assert project_to_sector(0.0, 0.0, 7.0, 0.0) == 0.0
-    assert project_to_sector(1.0, 2.0, 1.0, 0.0) != 2.0
+    assert project_to_sector(1.0, 0.5, 1.0) == 0.5
+    assert project_to_sector(0.0, 0.0, 7.0) == 0.0
+    assert project_to_sector(1.0, 2.0, 1.0) != 2.0
 
 
 def test_project_to_sector_examples():
-    assert project_to_sector(1.0, 0.5, 1.0, 0.0) == 0.5
-    assert project_to_sector(1.0, 2.0, 1.0, 0.0) == 1.0
-    assert project_to_sector(0.0, 0.3, 1.0, 0.0) == 0.0
-    assert project_to_sector(-1.0, -2.0, 1.0, 0.0) == -1.0
-    assert project_to_sector(1.0, -0.4, 2.0, 0.0) == 0.0
+    assert project_to_sector(1.0, 0.5, 1.0) == 0.5
+    assert project_to_sector(1.0, 2.0, 1.0) == 1.0
+    assert project_to_sector(0.0, 0.3, 1.0) == 0.0
+    assert project_to_sector(-1.0, -2.0, 1.0) == -1.0
+    assert project_to_sector(1.0, -0.4, 2.0) == 0.0
 
 
 @given(finite, finite, gains)
 def test_projection_lands_inside_sector(e, x_h, k):
-    proj = project_to_sector(e, x_h, k, 0.0)
+    proj = project_to_sector(e, x_h, k)
     slack = 1e-12 * (1.0 + abs(e * proj) + proj * proj / k)
     assert e * proj >= proj * proj / k - slack
     # idempotent, and a no-op on points already inside
-    assert project_to_sector(e, proj, k, 0.0) == proj
+    assert project_to_sector(e, proj, k) == proj
     if e * x_h >= x_h * x_h / k:
         assert proj == x_h
 

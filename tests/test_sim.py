@@ -433,9 +433,8 @@ def _logic_rows(draw):
     return cols, edges
 
 
-@given(_logic_rows(), st.floats(0.1, 30.0), st.floats(0.0, 5.0), st.floats(-3.0, -0.1),
-       st.sampled_from([0.0, 1e-12]))
-def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D, tol):
+@given(_logic_rows(), st.floats(0.1, 30.0), st.floats(0.0, 5.0), st.floats(-3.0, -0.1))
+def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D):
     # The block scans call the element law on arrays, the bisecting step on
     # Python floats; on floats it stays off numpy.
     (e, e_dot, x, _, _), edges = rows
@@ -444,9 +443,9 @@ def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D, tol):
     for k_bound, p in ((irc.kappa_tilde, irc), (k_h, base)):
         xs = np.where(edges[:, 0] > 0, k_bound * e, x)
         cells = list(zip(e.tolist(), e_dot.tolist(), xs.tolist()))
-        clamped = [project_to_sector(a, c, k_bound, tol) for a, _, c in cells]
+        clamped = [project_to_sector(a, c, k_bound) for a, _, c in cells]
         assert all(type(v) is float for v in clamped)
-        assert _bits(project_to_sector(e, xs, k_bound, tol)) == _bits(clamped)
+        assert _bits(project_to_sector(e, xs, k_bound)) == _bits(clamped)
         gains = [gain_mode(a, b, c, k_bound, p, 1e-9) for a, b, c in cells]
         assert all(type(g) is bool for g in gains)
         assert gain_mode(e, e_dot, xs, k_bound, p, 1e-9).tolist() == gains
@@ -490,6 +489,75 @@ def test_element_law_on_a_block_matches_floats(rows, chain_modes):
         assert bool(event[r]) == want[1]
         assert bool(np.broadcast_to(clamp, e.shape)[r]) == want[2]
         assert _bits([x[r] for x in new]) == _bits(want[3])
+
+
+def _project_with_tol(e, x_h, k_bound, tol):
+    """The nearest sector point to x_h unless e x_h >= x_h^2/k_bound - tol."""
+    edge = k_bound * e
+    up = edge >= 0.0
+    lo = higs._where(up, 0.0, edge)
+    hi = higs._where(up, edge, 0.0)
+    v = higs._where(lo > x_h, lo, x_h)
+    v = higs._where(hi < v, hi, v)
+    return higs._where(e * x_h >= x_h * x_h / k_bound - tol, x_h, v)
+
+
+def _element_law_projecting_twice(e, e_dot, states, modes, chain):
+    """element_law as it was written with two projections per integrating
+    element: one at tol 0 for the exit test, one at SECTOR_CLAMP_TOL for
+    the clamp."""
+    gains, new, seen = [], [], []
+    event = clamp = False
+    for el, x, gain in zip(chain, states, modes):
+        if el.source is None:
+            a = a_new = e
+            a_dot = e_dot
+        else:
+            src, g_s = chain[el.source], gains[el.source]
+            a_s, rate_s, a = seen[el.source]
+            a_new = higs._where(g_s, src.bound * a_s, a)
+            a_dot = higs._where(g_s, src.bound * rate_s, src.law.omega_h * a_s)
+        out = el.bound * a if gain else x
+        g = gain_mode(a_new, a_dot, out, el.bound, el.law, higs._EVENT_RTOL)
+        gains.append(g)
+        seen.append((a_new, a_dot, out))
+        event = event | (g != gain)
+        if gain:
+            new.append(out)
+            continue
+        scale = abs(x)
+        exit_ = abs(_project_with_tol(a, x, el.bound, 0.0) - x) / higs._where(scale > 1.0, scale, 1.0)
+        event = event | (exit_ > higs._EVENT_GAP)
+        xc = _project_with_tol(a, x, el.bound, higs.SECTOR_CLAMP_TOL)
+        clamp = clamp | (xc != x)
+        new.append(xc)
+    return tuple(gains), event, clamp, new
+
+
+# Offsets of a state from its sector edge around the clamp's slack, so
+# that rows fall outside the sector, inside it, and in the band between.
+_EDGE_NUDGES = st.sampled_from([0.0, 3e-13, -3e-13, 1e-12, -1e-12, 3e-12, -3e-12])
+
+
+@given(_logic_rows(), _law_chains(), st.data())
+def test_element_law_projects_once_as_it_did_twice(rows, chain_modes, data):
+    (e, e_dot, *xs), edges = rows
+    chain, modes = chain_modes
+    states = []
+    for i, el in enumerate(chain):
+        inp = e if el.source is None else states[el.source]
+        nudge = data.draw(arrays(float, len(e), elements=_EDGE_NUDGES))
+        states.append(np.where(edges[:, i] > 0, el.bound * inp + nudge, xs[i]))
+    for r in [None, *range(len(e))]:
+        if r is None:
+            args = (e, e_dot, tuple(states))
+        else:
+            args = (float(e[r]), float(e_dot[r]), [float(x[r]) for x in states])
+        got = higs.element_law(*args, modes, chain)
+        want = _element_law_projecting_twice(*args, modes, chain)
+        assert [np.array_equal(g, w) for g, w in zip(got.gains, want[0])] == [True] * len(chain)
+        assert np.array_equal(got.event, want[1]) and np.array_equal(got.clamp, want[2])
+        assert _bits(got.states) == _bits(want[3])
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
