@@ -563,10 +563,9 @@ def test_load_scenario_realizes_a_tf_plant(tmp_path):
     plant = cli.load_scenario(_write(tmp_path, "tf.json", _quick_scenario(plant=_DAMPED_TF))).plant
     assert isinstance(plant, StateSpace)
     want = lti.tf_to_ss(RationalTF(tuple(_DAMPED_TF["num"]), tuple(_DAMPED_TF["den"])))
-    for got, ref in ((plant.A, want.A), (plant.B, want.B), (plant.C, want.C),
-                     (plant.A, _DAMPED_SS["A"]), (plant.B, _DAMPED_SS["B"]),
-                     (plant.C, _DAMPED_SS["C"])):
-        assert np.array_equal(got, ref)
+    for key in ("A", "B", "C"):
+        assert np.array_equal(getattr(plant, key), getattr(want, key))
+        assert np.array_equal(getattr(plant, key), _DAMPED_SS[key])
     assert plant.D_ff == want.D_ff == 0.0
 
 

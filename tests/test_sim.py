@@ -555,7 +555,7 @@ def test_element_law_projects_once_as_it_did_twice(rows, chain_modes, data):
             args = (float(e[r]), float(e_dot[r]), [float(x[r]) for x in states])
         got = higs.element_law(*args, modes, chain)
         want = _element_law_projecting_twice(*args, modes, chain)
-        assert [np.array_equal(g, w) for g, w in zip(got.gains, want[0])] == [True] * len(chain)
+        assert all(np.array_equal(g, w) for g, w in zip(got.gains, want[0], strict=True))
         assert np.array_equal(got.event, want[1]) and np.array_equal(got.clamp, want[2])
         assert _bits(got.states) == _bits(want[3])
 
