@@ -337,7 +337,7 @@ def _exit_code(verdicts) -> int:
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_CHECK
 
 
-def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
+def _build_certificate(cfg: ScenarioConfig):
     """Search an NI certificate and assemble the loop Lyapunov form.
 
     Returns (cert, info, missing).  The certificate is returned only when
@@ -347,14 +347,14 @@ def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
     found, failed when the loop form is not positive definite.
     """
     info = {"searched": True, "found": False, "positive_definite": False}
-    found = certify_ni(plant)
+    found = certify_ni(cfg.plant)
     if not found.passed:
         info["reason"] = found.reason
         return None, info, Verdict("inconclusive", MONOTONE_CONDITION, reason=found.reason)
     Y = found.evidence["Y"]
     info["found"] = True
     info["Y"] = Y.tolist()
-    cert = CONTROLLERS[cfg.controller_type].certificate(Y, plant.C, cfg.controller)
+    cert = CONTROLLERS[cfg.controller_type].certificate(Y, cfg.plant.C, cfg.controller)
     info["positive_definite"] = cert.positive_definite
     if not cert.positive_definite:
         info["reason"] = f"certificate not positive definite at stage: {cert.failed_stage}"
@@ -362,8 +362,8 @@ def _build_certificate(cfg: ScenarioConfig, plant: StateSpace):
     return cert, info, None
 
 
-def _simulate(cfg: ScenarioConfig, plant: StateSpace, cert):
-    return CONTROLLERS[cfg.controller_type].simulate(plant, cfg.controller, cfg.sim, cert)
+def _simulate(cfg: ScenarioConfig, cert):
+    return CONTROLLERS[cfg.controller_type].simulate(cfg.plant, cfg.controller, cfg.sim, cert)
 
 
 def _run_checks(cfg: ScenarioConfig, traj, missing: Optional[Verdict]) -> dict:
@@ -415,8 +415,8 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
     csv_path, report_path = _output_paths(cfg, out_dir)
     cert, cert_info, missing = None, None, None
     if any(name == "lyapunov_monotone" for name, _ in cfg.checks):
-        cert, cert_info, missing = _build_certificate(cfg, cfg.plant)
-    traj = _simulate(cfg, cfg.plant, cert)
+        cert, cert_info, missing = _build_certificate(cfg)
+    traj = _simulate(cfg, cert)
     verdicts = _run_checks(cfg, traj, missing)
     code = _exit_code(verdicts.values())
 

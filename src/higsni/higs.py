@@ -29,7 +29,8 @@ controllers.
 A loop's elements form one chain of Element: the single compensated
 element alone, or the PII^2 bank's H1, H2 and H3, with H3 fed by H2.
 element_law walks that chain once for the gain flags, the event that ends
-a step, the sector clamp and the new element states.  It, project_to_sector
+a step, the sector clamp, the new element states and the event margin that
+steers the search for an event inside a step.  It, project_to_sector
 and gain_mode are written once for floats and arrays alike: on arrays they
 act elementwise, and every element equals the float result bit for bit.
 """
@@ -47,13 +48,13 @@ import numpy as np
 # e*x_h < x_h^2/k - SECTOR_CLAMP_TOL, so rounding dust on the edge stays.
 SECTOR_CLAMP_TOL = 1e-12
 
-# Event localization inside one step: boundary eligibility and the
-# sector-exit threshold during bisection.  Much tighter than the
-# recording-level tolerances so that switching a mode moves the state (and
-# the Lyapunov value) by a negligible amount.  Both tests measure distance
-# in state units scaled by max(1, |x_h|); the exit threshold sits strictly
-# inside the eligibility band so that wherever a sector exit is detected,
-# the mode update is allowed to act on it.
+# Event location inside one step: boundary eligibility and the sector-exit
+# threshold that decide which side of an event a probed state lies on.
+# Much tighter than the recording-level tolerances so that switching a mode
+# moves the state (and the Lyapunov value) by a negligible amount.  Both
+# tests measure distance in state units scaled by max(1, |x_h|); the exit
+# threshold sits strictly inside the eligibility band so that wherever a
+# sector exit is detected, the mode update is allowed to act on it.
 _EVENT_RTOL = 1e-12
 _EVENT_GAP = 1e-13
 
@@ -167,16 +168,51 @@ class ElementLaw(NamedTuple):
     """element_law's result: the gain flags the update rule picks; the event
     flag (a mode changes, or an integrating state lies outside its sector by
     more than _EVENT_GAP over max(1, |x_h|)); the clamp flag (the
-    SECTOR_CLAMP_TOL clamp moved a state); and the new states, gain slots
-    refreshed to their outputs and integrator slots clamped."""
+    SECTOR_CLAMP_TOL clamp moved a state); the new states, gain slots
+    refreshed to their outputs and integrator slots clamped; and the event
+    margin, which moves continuously with the state and is positive where
+    the event flag is set and negative where it is not, up to rounding at
+    0.  The flag decides an event; the margin only steers the search for
+    it."""
 
     gains: tuple
     event: object
     clamp: object
     states: list
+    margin: object
 
 
-def element_law(e, e_dot, states, modes, chain) -> ElementLaw:
+def _larger(a, b):
+    """max(a, b), b on a tie or a NaN; elementwise on arrays."""
+    return _where(a > b, a, b)
+
+
+def _event_term(el, gain, a, a_new, a_dot, out):
+    """One element's term of the event margin, positive where the element
+    raises the event; element_law's names.
+
+    gain_mode's two tests give it its parts: off, the distance of the
+    output from the edge over scale = max(1, |output|) less _EVENT_RTOL, is
+    <= 0 on the edge, and rise = omega_h a^2 - k_h a a_dot is > 0 where
+    integrating would leave the sector.  A gain-mode element leaves gain
+    mode off the edge or, on it, where rise <= 0: its term is off there,
+    else -rise, the switching function k_h a a_dot - omega_h a^2.  An
+    integrating element enters gain mode where off <= 0 < rise, and leaves
+    its sector where its signed distance to it (negative inside) over scale
+    exceeds _EVENT_GAP: its term is the larger of that excess and
+    min(-off, rise)."""
+    scale = abs(out)
+    scale = _where(scale > 1.0, scale, 1.0)
+    off = abs(out - el.bound * a_new) / scale - _EVENT_RTOL
+    rise = el.law.omega_h * a_new * a_new - el.law.k_h * a_new * a_dot
+    if gain:
+        return _where(off > 0.0, off, -rise)
+    edge = el.bound * a
+    depth = _where(edge >= 0.0, _larger(-out, out - edge), _larger(edge - out, out))
+    return _larger(depth / scale - _EVENT_GAP, -_larger(off, -rise))
+
+
+def element_law(e, e_dot, states, modes, chain, with_margin: bool = True) -> ElementLaw:
     """The chain's element law at the loop error e, its rate e_dot and the
     element states, read at the frozen modes: one pass over the chain, on
     the floats of one state or elementwise on a block's arrays, bit for bit
@@ -188,10 +224,13 @@ def element_law(e, e_dot, states, modes, chain) -> ElementLaw:
     chained element's input and rate there follow its source's new flag,
     decided earlier in the pass: bound times the source's input and rate in
     gain mode, else the source's output and omega_h times the source's input
-    (the source is a base element)."""
+    (the source is a base element).  The margin is the largest of the
+    elements' _event_term; with_margin=False leaves it None, for callers
+    that need only the flags and the states."""
     gains, new = [], []
     seen = []    # per element: input and rate under its new flag, frozen-mode output
     event = clamp = False
+    margin = -math.inf if with_margin else None
     for el, x, gain in zip(chain, states, modes):
         if el.source is None:
             a = a_new = e
@@ -206,6 +245,8 @@ def element_law(e, e_dot, states, modes, chain) -> ElementLaw:
         gains.append(g)
         seen.append((a_new, a_dot, out))
         event = event | (g != gain)
+        if with_margin:
+            margin = _larger(margin, _event_term(el, gain, a, a_new, a_dot, out))
         if gain:
             new.append(out)
             continue
@@ -215,7 +256,7 @@ def element_law(e, e_dot, states, modes, chain) -> ElementLaw:
         xc = _where(a * x >= x * x / el.bound - SECTOR_CLAMP_TOL, x, near)
         clamp = clamp | (xc != x)
         new.append(xc)
-    return ElementLaw(tuple(gains), event, clamp, new)
+    return ElementLaw(tuple(gains), event, clamp, new, margin)
 
 
 def storage_V_h(x_h: float, p: HigsIrcParams) -> float:

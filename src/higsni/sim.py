@@ -21,8 +21,9 @@ an integrator slot changes only where a clamp fires, which ends the block.
 Both hybrid loops run one event mechanism, _hybrid_loop, over a chain of
 HIGS elements (higs.Element): the single-element loop is the one-element
 chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a block before a
-row where a mode changes or a sector is left, and its bisecting step
-locates that event inside the step and switches on the boundary itself.
+row where a mode changes or a sector is left, and its step locates that
+event inside the step, by regula falsi on the element law's event margin
+with a midpoint fallback, and switches on the boundary itself.
 Both read the chain's higs.element_law: the scan on a block of rows, the
 step on the floats of one state, once per probed state, whose new states a
 chunk then keeps.  Recorded samples satisfy the sector inequalities by
@@ -471,13 +472,13 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     Z[0], M[0] = z, modes
     buf = np.empty((_BLOCK_ROWS, z.shape[0]))
     rows = list(buf)
-    k, bisect = 0, False
+    k, locate = 0, False
     # Rows past a guard trip or an event may overflow; they are never kept.
     with np.errstate(all="ignore"):
         while k < n_steps:
-            if bisect:
+            if locate:
                 z, modes = step(k + 1, z, modes)
-                blk, q, bisect = z[None], 1, False
+                blk, q, locate = z[None], 1, False
             else:
                 R = maps(modes)
                 blk = buf[:min(_BLOCK_ROWS, n_steps - k)]
@@ -487,7 +488,7 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
                     np.dot(R, prev, out=row)
                     prev = row
                 q = len(blk) if scan is None else scan(blk, modes)
-                bisect = q < len(blk)
+                locate = q < len(blk)
             ok = np.abs(blk[:q]).max(axis=1) <= DIVERGENCE_LIMIT
             if not ok.all():
                 t = (k + 1 + int(np.argmin(ok))) * dt
@@ -594,9 +595,54 @@ def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) ->
 # ---------------------------------------------------------------------------
 # Hybrid loops
 
-# The smallest chunk of a step that the bisecting step resolves, as a
-# fraction of dt.
+# The width to which the event search closes its bracket, as a fraction of
+# dt: the step lands at most this far past an event.
 _EVENT_MIN_FRAC = 1e-12
+
+# Probes after which an event bracket that has not halved takes a midpoint.
+_EVENT_STALL_PROBES = 4
+
+
+def _locate_event(at, f_lo: float, hi: float, z_hi, law_hi, h_min: float):
+    """Close the bracket (0, hi] of a chunk's earliest event to a width of
+    at most h_min.
+
+    0 lies before the event, with margin f_lo, and hi on it, with state
+    z_hi and element law law_hi; at(h) -> (z, law) probes the state h into
+    the chunk.  Each probe's event flag decides which end it replaces.  The
+    next probe is the Illinois step of regula falsi on the law's margin
+    (Dowell & Jarratt, BIT 1971), kept h_min / 2 inside the bracket so that
+    an event next to an end closes it: a margin of 0 puts the event at
+    that end.  The midpoint is taken instead while the end margins do not
+    bracket 0, or once _EVENT_STALL_PROBES probes have not halved the
+    bracket.  Returns hi, z_hi and law_hi of the last probe on the event
+    side.
+    """
+    lo, f_hi = 0.0, law_hi.margin
+    side = stalled = 0
+    width = hi
+    while hi - lo > h_min:
+        h = 0.5 * (lo + hi)
+        if stalled < _EVENT_STALL_PROBES and f_lo <= 0.0 <= f_hi < math.inf and f_lo < f_hi:
+            h = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+            h = min(max(h, lo + 0.5 * h_min), hi - 0.5 * h_min)
+        z, law = at(h)
+        # Illinois: an end kept twice in a row has its margin halved.
+        if law.event:
+            hi, z_hi, law_hi, f_hi = h, z, law, law.margin
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = h, law.margin
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        if hi - lo <= 0.5 * width:
+            width, stalled = hi - lo, 0
+        else:
+            stalled += 1
+    return hi, z_hi, law_hi
 
 
 def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
@@ -607,7 +653,7 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
 
     With the modes frozen every chunk advances by an RK4 map of
     system(modes).  Sector exits and mode switches are located inside the
-    step by bisection before the modes change: switching happens on the
+    step by _locate_event before the modes change: switching happens on the
     boundary itself, so element states stay continuous and the Lyapunov
     trace is free of projection jumps.  Where the error couples back
     through the element states, a project-after-step scheme would chatter
@@ -627,6 +673,11 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         a probe stays off numpy's elementwise calls."""
         s = system(modes)
         return element_law(float(s.w_e @ z), float(s.w_de @ z), z[n:].tolist(), modes, chain)
+
+    def probed(z, modes, h):
+        """The state h into a chunk from z, and its probe."""
+        zh = advance(z, modes, h)
+        return zh, probe(zh, modes)
 
     def settle(z, modes):
         """Fixed point of (resolve error, update modes, refresh gain states)."""
@@ -652,28 +703,20 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
     def step(k, z, modes):
         """The step from (k-1) dt to k dt.  A chunk keeps the new states of
         the probe that decided it: the one that found no event, or the last
-        one on the event side of the bisection."""
+        one on the event side of _locate_event."""
         remaining = dt
         events = 0
         while remaining > h_min:
-            zc = advance(z, modes, remaining)
-            law = probe(zc, modes)
+            zc, law = probed(z, modes, remaining)
             if not law.event:
                 z = zc
                 z[n:] = law.states
                 break
-            # Earliest event in (0, remaining]: bisect on (mode change or
-            # sector exit), land just past it, switch exactly there.
-            lo, hi, ze = 0.0, remaining, zc
-            while hi - lo > h_min:
-                mid = 0.5 * (lo + hi)
-                zm = advance(z, modes, mid)
-                law_m = probe(zm, modes)
-                if law_m.event:
-                    hi, ze, law = mid, zm, law_m
-                else:
-                    lo = mid
-            z = ze
+            # Earliest event in (0, remaining]: locate the first state with a
+            # mode change or a sector exit, land just past it, switch exactly
+            # there.
+            hi, z, law = _locate_event(functools.partial(probed, z, modes), probe(z, modes).margin,
+                                       remaining, zc, law, h_min)
             z[n:] = law.states
             new_modes = settle(z, modes)
             stalled = new_modes == modes
@@ -695,11 +738,12 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
 
     def scan(Zb, modes):
         """element_law on rows stepped in `modes`, which take its new
-        states.  Keeps the rows before the first event (the bisecting step
-        takes that row) and up to the first row the clamp moved."""
+        states.  Keeps the rows before the first event (the event-locating
+        step takes that row) and up to the first row the clamp moved."""
         s = system(modes)
-        _, event, clamp, new = element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
-                                            tuple(Zb[:, n:].T.copy()), modes, chain)
+        _, event, clamp, new, _ = element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
+                                               tuple(Zb[:, n:].T.copy()), modes, chain,
+                                               with_margin=False)
         Zb[:, n:] = np.column_stack(new)
         fired = np.flatnonzero(event | clamp)
         if not len(fired):

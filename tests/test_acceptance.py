@@ -141,7 +141,7 @@ def test_criterion_6_sector_all_scenarios(config_dir):
             scenarios.append(cfg)
     results = {}
     for cfg in scenarios:
-        traj = _simulate(cfg, cfg.plant, None)
+        traj = _simulate(cfg, None)
         results[cfg.name] = check_sector(traj)
     ok = len(results) == 3 and all(rep.passed for rep in results.values())
     margins = {name: f"{rep.margin:.1e}" for name, rep in results.items()}

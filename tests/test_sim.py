@@ -435,8 +435,8 @@ def _logic_rows(draw):
 
 @given(_logic_rows(), st.floats(0.1, 30.0), st.floats(0.0, 5.0), st.floats(-3.0, -0.1))
 def test_element_kernels_match_scalar_logic(rows, k_h, omega_h, D):
-    # The block scans call the element law on arrays, the bisecting step on
-    # Python floats; on floats it stays off numpy.
+    # The block scans call the element law on arrays, the event-locating
+    # step on Python floats; on floats it stays off numpy.
     (e, e_dot, x, _, _), edges = rows
     irc = HigsIrcParams(omega_h, k_h, D)
     base = HigsParams(omega_h, k_h)
@@ -469,9 +469,10 @@ def _law_chains(draw):
 
 @given(_logic_rows(), _law_chains())
 def test_element_law_on_a_block_matches_floats(rows, chain_modes):
-    # The block scan calls the law on arrays, the bisecting step on Python
-    # floats.  Edges put an element on bound times its input: for H3 on
-    # H2's output, that is x_h2 when H2 integrates and k_h2 e in gain mode.
+    # The block scan calls the law on arrays, the event-locating step on
+    # Python floats.  Edges put an element on bound times its input: for H3
+    # on H2's output, that is x_h2 when H2 integrates and k_h2 e in gain
+    # mode.
     (e, e_dot, *xs), edges = rows
     chain, modes = chain_modes
     states = []
@@ -479,16 +480,17 @@ def test_element_law_on_a_block_matches_floats(rows, chain_modes):
         on = [el.bound * e] if el.source is None else [el.bound * states[el.source],
                                                        el.bound * (chain[el.source].bound * e)]
         states.append(np.select([edges[:, i] == j + 1 for j in range(len(on))], on, xs[i]))
-    gains, event, clamp, new = higs.element_law(e, e_dot, tuple(states), modes, chain)
+    gains, event, clamp, new, margin = higs.element_law(e, e_dot, tuple(states), modes, chain)
     for r in range(len(e)):
         want = higs.element_law(float(e[r]), float(e_dot[r]), [float(x[r]) for x in states],
                                 modes, chain)
         assert all(type(v) is bool for v in (*want[0], want[1], want[2]))
-        assert all(type(v) is float for v in want[3])
+        assert all(type(v) is float for v in (*want[3], want[4]))
         assert [bool(g[r]) for g in gains] == list(want[0])
         assert bool(event[r]) == want[1]
         assert bool(np.broadcast_to(clamp, e.shape)[r]) == want[2]
         assert _bits([x[r] for x in new]) == _bits(want[3])
+        assert _bits(margin[r]) == _bits(want[4])
 
 
 def _project_with_tol(e, x_h, k_bound, tol):
@@ -619,7 +621,7 @@ def _irc_loop_or_error(plant, p, cfg, block_rows):
 
 
 # e = x1 falls to zero at t = 0.1 s: a row inside the first block leaves the
-# sector without a mode change, and the bisecting step takes it.
+# sector without a mode change, and the event-locating step takes it.
 @example((StateSpace([[0.0, 1.0], [-1.0, 0.0]], [0.0, 1.0], [1.0, 0.0]), HIGS20,
           SimConfig(dt=1e-2, t_end=20.0, x0=[0.1, -1.0])))
 # C B = 0.25 enters de/dt through x_h; the loop switches in both directions.
@@ -715,6 +717,131 @@ def test_irc_loop_matches_piecewise_exact_flow(plant):
     assert np.array_equal(traj.modes[:, 0], M_ref)
     Z = np.column_stack([traj.plant_states, traj.controller_states])
     assert np.abs(Z - Z_ref).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# event location: regula falsi on the margin against midpoint bisection
+
+
+def _bisected_event(at, f_lo, hi, z_hi, law_hi, h_min):
+    """sim._locate_event as the step searched before the margin steered
+    it: midpoint bisection of (0, hi] down to a width of h_min."""
+    lo = 0.0
+    while hi - lo > h_min:
+        mid = 0.5 * (lo + hi)
+        z, law = at(mid)
+        if law.event:
+            hi, z_hi, law_hi = mid, z, law
+        else:
+            lo = mid
+    return hi, z_hi, law_hi
+
+
+def _loop_with_search(search, simulate, *args):
+    """simulate(*args) with search as sim._locate_event: its trajectory, or
+    the type and message of the error it stopped with."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_locate_event", search)
+        try:
+            return simulate(*args)
+        except (NonFiniteState, UnsolvableLoop) as exc:
+            return type(exc), str(exc)
+
+
+def _assert_bisection_agrees(traj, ref):
+    """The same mode rows, and states within 1e-12 of the largest."""
+    if isinstance(ref, tuple):
+        assert traj == ref
+        return
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.modes, ref.modes)
+    Z = np.column_stack([traj.plant_states, traj.controller_states])
+    Z_ref = np.column_stack([ref.plant_states, ref.controller_states])
+    assert np.abs(Z - Z_ref).max() <= 1e-12 * np.abs(Z_ref).max()
+
+
+_HYBRID_CONFIGS = ["mass_spring_irc_k20", "mass_spring_irc_k5", "mass_spring_pii2",
+                   "two_mode_collocated"]
+
+
+@pytest.mark.parametrize("name", _HYBRID_CONFIGS)
+def test_event_search_matches_bisection_on_shipped_configs(config_dir, name):
+    cfg = cli.load_scenario(str(config_dir / f"{name}.json"))
+    ref = _loop_with_search(_bisected_event, cli._simulate, cfg, None)
+    assert (np.diff(ref.modes, axis=0) != 0).sum() >= 10
+    _assert_bisection_agrees(_loop_with_search(sim._locate_event, cli._simulate, cfg, None), ref)
+
+
+@settings(deadline=None)
+@given(_irc_runs())
+def test_event_search_matches_bisection_on_irc_corpus(run):
+    ref = _loop_with_search(_bisected_event, simulate_higs_irc_loop, *run)
+    _assert_bisection_agrees(_loop_with_search(sim._locate_event, simulate_higs_irc_loop, *run), ref)
+
+
+@pytest.mark.parametrize("name", _HYBRID_CONFIGS)
+def test_event_steps_build_few_maps(config_dir, name, monkeypatch):
+    # Bisection built about 40 RK4 maps per event; the margin-steered
+    # search needs at most 10 per event step on these runs.
+    builds, per_step = [0], []
+    build, march = sim._rk4_affine_map, sim._march
+
+    def counted_build(J, h):
+        builds[0] += 1
+        return build(J, h)
+
+    def counting_march(cfg, z, modes, maps, scan, step):
+        def counted_step(k, z, modes):
+            before = builds[0]
+            out = step(k, z, modes)
+            per_step.append(builds[0] - before)
+            return out
+        return march(cfg, z, modes, maps, scan, counted_step)
+
+    monkeypatch.setattr(sim, "_rk4_affine_map", counted_build)
+    monkeypatch.setattr(sim, "_march", counting_march)
+    cli._simulate(cli.load_scenario(str(config_dir / f"{name}.json")), None)
+    assert len(per_step) >= 10
+    assert max(per_step) <= 12
+
+
+@given(st.floats(0.0, 1.0), st.sampled_from(["linear", "flat", "wrong_sign", "nan"]))
+def test_locate_event_closes_the_bracket_on_any_margin(root, kind):
+    # The event flag alone decides each side; a margin that misleads the
+    # search or is missing costs probes, never the bracket.
+    h_min = 1e-12
+    margins = {"linear": lambda h: h - root, "flat": lambda h: -1e-13,
+               "wrong_sign": lambda h: root - h, "nan": lambda h: math.nan}
+    probes = []
+
+    def at(h):
+        probes.append(h)
+        return h, higs.ElementLaw((), h >= root, False, [], margins[kind](h))
+
+    hi, z, law = sim._locate_event(at, margins[kind](0.0), 1.0, 1.0,
+                                   higs.ElementLaw((), True, False, [], margins[kind](1.0)), h_min)
+    assert hi == z and law.event
+    assert root <= hi <= root + h_min
+    assert len(probes) <= 5 * 42
+
+
+@given(_logic_rows(), _law_chains(), st.data())
+def test_event_margin_sign_matches_event(rows, chain_modes, data):
+    # Away from rounding at 0, the margin is positive exactly where the law
+    # raises an event; states on and around each sector edge probe the
+    # bands of _EVENT_RTOL and _EVENT_GAP.
+    (e, e_dot, *xs), edges = rows
+    chain, modes = chain_modes
+    states = []
+    for i, el in enumerate(chain):
+        inp = e if el.source is None else states[el.source]
+        nudge = data.draw(arrays(float, len(e), elements=_EDGE_NUDGES))
+        states.append(np.where(edges[:, i] > 0, el.bound * inp + nudge, xs[i]))
+    law = higs.element_law(e, e_dot, tuple(states), modes, chain)
+    finite = np.isfinite(np.column_stack([e, e_dot, *states])).all(axis=1)
+    assert np.isfinite(law.margin[finite]).all()
+    decided = finite & (np.abs(law.margin) > 1e-15)
+    assert np.array_equal((law.margin > 0.0)[decided], law.event[decided])
 
 
 # ---------------------------------------------------------------------------
