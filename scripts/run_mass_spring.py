@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the shipped mass-spring scenarios and collect their outputs.
+"""Run the shipped scenarios and collect their outputs.
 
 Thin wrapper over the same entry point as `higsni simulate`: every scenario
 writes its trajectory CSV and report JSON into one directory and the script
@@ -21,6 +21,7 @@ SCENARIOS = [
     "mass_spring_pii2",
     "mass_spring_irc_linear",
     "mass_spring_pii2_linear",
+    "two_mode_collocated",
 ]
 
 

@@ -289,6 +289,9 @@ def _scenario_from_dict(raw: dict, default_name: str) -> ScenarioConfig:
     ctype, controller = _build_controller(_require(raw, "controller", "scenario"))
     sim = _build_params(SimConfig, _require(raw, "sim", "scenario"), "sim",
                         "invalid sim section")
+    # the simulators' own test, made before any command acts on the scenario
+    if sim.x0.shape != (plant.n,):
+        raise ConfigError(f"x0 must have {plant.n} entries")
     checks = _normalize_checks(raw.get("checks", []), ctype)
     output = raw.get("output", {})
     if not isinstance(output, dict):

@@ -29,8 +29,10 @@ controllers.
 A loop's elements form one chain of Element: the single compensated
 element alone, or the PII^2 bank's H1, H2 and H3, with H3 fed by H2.
 element_law walks that chain once for the gain flags, the event that ends
-a step, the sector clamp, the new element states and the event margin that
-steers the search for an event inside a step.  It, project_to_sector
+a step, the new element states and the event margin that steers the search
+for an event inside a step.  One test, a state outside its sector by more
+than _EVENT_GAP over max(1, |x_h|), both raises a sector-exit event and
+projects that state onto the sector edge.  It, project_to_sector
 and gain_mode are written once for floats and arrays alike: on arrays they
 act elementwise, and every element equals the float result bit for bit.
 """
@@ -43,10 +45,6 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-# Slack of the sector clamp: x_h is projected into the sector only when
-# e*x_h < x_h^2/k - SECTOR_CLAMP_TOL, so rounding dust on the edge stays.
-SECTOR_CLAMP_TOL = 1e-12
 
 # Event location inside one step: boundary eligibility and the sector-exit
 # threshold that decide which side of an event a probed state lies on.
@@ -167,17 +165,15 @@ class Element(NamedTuple):
 class ElementLaw(NamedTuple):
     """element_law's result: the gain flags the update rule picks; the event
     flag (a mode changes, or an integrating state lies outside its sector by
-    more than _EVENT_GAP over max(1, |x_h|)); the clamp flag (the
-    SECTOR_CLAMP_TOL clamp moved a state); the new states, gain slots
-    refreshed to their outputs and integrator slots clamped; and the event
-    margin, which moves continuously with the state and is positive where
-    the event flag is set and negative where it is not, up to rounding at
-    0.  The flag decides an event; the margin only steers the search for
-    it."""
+    more than _EVENT_GAP over max(1, |x_h|)); the new states, gain slots
+    refreshed to their outputs and integrator slots projected into their
+    sectors exactly where they raise the event; and the event margin, which
+    moves continuously with the state and is positive where the event flag
+    is set and negative where it is not, up to rounding at 0.  The flag
+    decides an event; the margin only steers the search for it."""
 
     gains: tuple
     event: object
-    clamp: object
     states: list
     margin: object
 
@@ -229,7 +225,7 @@ def element_law(e, e_dot, states, modes, chain, with_margin: bool = True) -> Ele
     that need only the flags and the states."""
     gains, new = [], []
     seen = []    # per element: input and rate under its new flag, frozen-mode output
-    event = clamp = False
+    event = False
     margin = -math.inf if with_margin else None
     for el, x, gain in zip(chain, states, modes):
         if el.source is None:
@@ -252,11 +248,10 @@ def element_law(e, e_dot, states, modes, chain, with_margin: bool = True) -> Ele
             continue
         near = project_to_sector(a, x, el.bound)
         scale = abs(x)
-        event = event | (abs(near - x) / _where(scale > 1.0, scale, 1.0) > _EVENT_GAP)
-        xc = _where(a * x >= x * x / el.bound - SECTOR_CLAMP_TOL, x, near)
-        clamp = clamp | (xc != x)
-        new.append(xc)
-    return ElementLaw(tuple(gains), event, clamp, new, margin)
+        exits = abs(near - x) / _where(scale > 1.0, scale, 1.0) > _EVENT_GAP
+        event = event | exits
+        new.append(_where(exits, near, x))
+    return ElementLaw(tuple(gains), event, new, margin)
 
 
 def storage_V_h(x_h: float, p: HigsIrcParams) -> float:

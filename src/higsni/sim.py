@@ -11,12 +11,12 @@ _mode_signals reads the recorded e and u off the rows of each sample's mode.
 
 _march steps in blocks: it propagates up to _BLOCK_ROWS rows one step at a
 time (z = R z, as a lone step would), runs the loop's scan (mode
-decision, sector clamp) and the divergence guard on the whole block, keeps
-the rows up to the first one where something fired and resumes there.
-Every kept row is the one a step at a time would give, bit for bit: a
-gain-mode slot has a zero row and column in J and zero weight in e and
-de/dt, so it never feeds the other states and is refreshed afterwards, and
-an integrator slot changes only where a clamp fires, which ends the block.
+decision, sector exits) and the divergence guard on the whole block, keeps
+the rows before the first event and resumes there.  Every kept row is the
+one a step at a time would give, bit for bit: a gain-mode slot has a zero
+row and column in J and zero weight in e and de/dt, so it never feeds the
+other states and is refreshed afterwards, and an integrator slot changes
+only at a sector exit, which is an event.
 
 Both hybrid loops run one event mechanism, _hybrid_loop, over a chain of
 HIGS elements (higs.Element): the single-element loop is the one-element
@@ -81,7 +81,7 @@ from .lti import (
 _CSV_BLOCK_ROWS = 128
 
 # Steps per block of _march.  Propagation stays one row at a time; the mode
-# logic, sector clamp and divergence guard run once per block on all rows.
+# logic, sector-exit test and divergence guard run once per block on all rows.
 _BLOCK_ROWS = 256
 
 # The divergence guard: a kept row with |state| above this (or NaN) ends the
@@ -447,14 +447,15 @@ def _march(cfg: SimConfig, z: np.ndarray, modes: tuple, maps, scan=None,
     maps(modes) -> R is the frozen-mode map of one step.  A block
     propagates up to _BLOCK_ROWS rows one step at a time, z = R z; then
     scan(rows, modes) -> q applies the loop's per-step logic to every row in
-    place and keeps the first q rows.  The next block starts from the last
-    kept row; after a block cut short, step(k, z, modes) -> (z, modes), the
-    step from t = (k-1) dt to k dt, takes the next row.  Without a scan the
-    loop has no events.  The divergence guard (|z| <= DIVERGENCE_LIMIT,
-    which also catches NaN) runs on every kept row; samples are taken at
-    t = 0, every record_every steps and at the final step.  Returns the
-    sample times, the joint states (one row per sample) and the integer
-    mode codes.  Raises ValueError naming the sample count when the sample
+    place and keeps the first q rows, those before the loop's first event:
+    on them the logic only refreshes gain-mode slots.  The next block starts
+    from the last kept row; after a block cut short, step(k, z, modes) ->
+    (z, modes), the step from t = (k-1) dt to k dt, takes the next row.
+    Without a scan the loop has no events.  The divergence guard
+    (|z| <= DIVERGENCE_LIMIT, which also catches NaN) runs on every kept
+    row; samples are taken at t = 0, every record_every steps and at the
+    final step.  Returns the sample times, the joint states (one row per
+    sample) and the integer mode codes.  Raises ValueError naming the sample count when the sample
     arrays cannot be allocated.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
@@ -738,18 +739,15 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
 
     def scan(Zb, modes):
         """element_law on rows stepped in `modes`, which take its new
-        states.  Keeps the rows before the first event (the event-locating
-        step takes that row) and up to the first row the clamp moved."""
+        states.  Keeps the rows before the first event; the event-locating
+        step takes that row."""
         s = system(modes)
-        _, event, clamp, new, _ = element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
-                                               tuple(Zb[:, n:].T.copy()), modes, chain,
-                                               with_margin=False)
+        _, event, new, _ = element_law(np.vecdot(Zb, s.w_e), np.vecdot(Zb, s.w_de),
+                                       tuple(Zb[:, n:].T.copy()), modes, chain,
+                                       with_margin=False)
         Zb[:, n:] = np.column_stack(new)
-        fired = np.flatnonzero(event | clamp)
-        if not len(fired):
-            return len(Zb)
-        first = int(fired[0])
-        return first if event[first] else first + 1
+        fired = np.flatnonzero(event)
+        return int(fired[0]) if len(fired) else len(Zb)
 
     T, Z, M = _march(cfg, z, modes, maps, scan, step)
     e, u = _mode_signals(Z, M, system)

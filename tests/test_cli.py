@@ -31,6 +31,7 @@ from higsni import (
     check_monotone,
     check_sector,
     cli,
+    higs,
     lti,
     ni_frequency_test,
     sim,
@@ -604,6 +605,34 @@ def test_static_tf_plant_is_a_config_error_when_read(config_dir, tmp_path, monke
                                           "runs": [{"name": "a"}]})
     assert cli.main(["sweep", cfg]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_wrong_length_x0_is_a_config_error_when_read(tmp_path, monkeypatch, capsys):
+    # simulate --out-dir creates no directory and searches no certificate,
+    # and a sweep over such a run stops before it forks a worker
+    message = "x0 must have 2 entries"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "certify_ni", _no_run)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the sweep forked"))
+    scenario = _quick_scenario(checks=["sector", "lyapunov_monotone"])
+    scenario["sim"]["x0"] = [3.0, 1.0, 0.0]
+    cfg = _write(tmp_path, "long_x0.json", scenario)
+    sweep = _write(tmp_path, "sweep.json", {"base": scenario, "output_dir": "swept",
+                                            "runs": [{"name": "a"}]})
+    for argv in (["simulate", cfg, "--out-dir", "new"], ["sweep", sweep]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "new").exists()
+
+
+def test_unsettled_step_exit_runtime(config_dir, tmp_path, monkeypatch, capsys):
+    # A negative exit threshold makes every probed integrating state a sector
+    # exit: the event cap ends the first step, one runtime failure line.
+    monkeypatch.setattr(higs, "_EVENT_GAP", -1.0)
+    cfg = str(config_dir / "mass_spring_irc_k20.json")
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr() == ("", "runtime failure: mode switching failed to settle "
+                                       "within the step ending at t = 0.001\n")
 
 
 def test_record_every_beyond_the_run_records_its_ends(tmp_path):

@@ -76,7 +76,6 @@ def test_sim_config_takes_whole_steps_within_rounding(t_end, dt, n_steps):
 
 
 def test_tolerances_defaults():
-    assert higs.SECTOR_CLAMP_TOL == 1e-12
     assert sim.DIVERGENCE_LIMIT == 1e9
     assert controllers.GAIN_SUM_TOL == 1e-9
     assert controllers.ALGEBRAIC_LOOP_TOL == 1e-12
@@ -480,86 +479,58 @@ def test_element_law_on_a_block_matches_floats(rows, chain_modes):
         on = [el.bound * e] if el.source is None else [el.bound * states[el.source],
                                                        el.bound * (chain[el.source].bound * e)]
         states.append(np.select([edges[:, i] == j + 1 for j in range(len(on))], on, xs[i]))
-    gains, event, clamp, new, margin = higs.element_law(e, e_dot, tuple(states), modes, chain)
+    gains, event, new, margin = higs.element_law(e, e_dot, tuple(states), modes, chain)
     for r in range(len(e)):
         want = higs.element_law(float(e[r]), float(e_dot[r]), [float(x[r]) for x in states],
                                 modes, chain)
-        assert all(type(v) is bool for v in (*want[0], want[1], want[2]))
-        assert all(type(v) is float for v in (*want[3], want[4]))
+        assert all(type(v) is bool for v in (*want[0], want[1]))
+        assert all(type(v) is float for v in (*want[2], want[3]))
         assert [bool(g[r]) for g in gains] == list(want[0])
         assert bool(event[r]) == want[1]
-        assert bool(np.broadcast_to(clamp, e.shape)[r]) == want[2]
-        assert _bits([x[r] for x in new]) == _bits(want[3])
-        assert _bits(margin[r]) == _bits(want[4])
+        assert _bits([x[r] for x in new]) == _bits(want[2])
+        assert _bits(margin[r]) == _bits(want[3])
 
 
-def _project_with_tol(e, x_h, k_bound, tol):
-    """The nearest sector point to x_h unless e x_h >= x_h^2/k_bound - tol."""
-    edge = k_bound * e
-    up = edge >= 0.0
-    lo = higs._where(up, 0.0, edge)
-    hi = higs._where(up, edge, 0.0)
-    v = higs._where(lo > x_h, lo, x_h)
-    v = higs._where(hi < v, hi, v)
-    return higs._where(e * x_h >= x_h * x_h / k_bound - tol, x_h, v)
-
-
-def _element_law_projecting_twice(e, e_dot, states, modes, chain):
-    """element_law as it was written with two projections per integrating
-    element: one at tol 0 for the exit test, one at SECTOR_CLAMP_TOL for
-    the clamp."""
-    gains, new, seen = [], [], []
-    event = clamp = False
-    for el, x, gain in zip(chain, states, modes):
-        if el.source is None:
-            a = a_new = e
-            a_dot = e_dot
-        else:
-            src, g_s = chain[el.source], gains[el.source]
-            a_s, rate_s, a = seen[el.source]
-            a_new = higs._where(g_s, src.bound * a_s, a)
-            a_dot = higs._where(g_s, src.bound * rate_s, src.law.omega_h * a_s)
-        out = el.bound * a if gain else x
-        g = gain_mode(a_new, a_dot, out, el.bound, el.law, higs._EVENT_RTOL)
-        gains.append(g)
-        seen.append((a_new, a_dot, out))
-        event = event | (g != gain)
-        if gain:
-            new.append(out)
-            continue
-        scale = abs(x)
-        exit_ = abs(_project_with_tol(a, x, el.bound, 0.0) - x) / higs._where(scale > 1.0, scale, 1.0)
-        event = event | (exit_ > higs._EVENT_GAP)
-        xc = _project_with_tol(a, x, el.bound, higs.SECTOR_CLAMP_TOL)
-        clamp = clamp | (xc != x)
-        new.append(xc)
-    return tuple(gains), event, clamp, new
-
-
-# Offsets of a state from its sector edge around the clamp's slack, so
-# that rows fall outside the sector, inside it, and in the band between.
+# Offsets of a state from its sector edge around the event thresholds
+# _EVENT_GAP and _EVENT_RTOL, so that rows fall outside the sector, inside
+# it, and in the bands between.
 _EDGE_NUDGES = st.sampled_from([0.0, 3e-13, -3e-13, 1e-12, -1e-12, 3e-12, -3e-12])
 
 
-@given(_logic_rows(), _law_chains(), st.data())
-def test_element_law_projects_once_as_it_did_twice(rows, chain_modes, data):
-    (e, e_dot, *xs), edges = rows
-    chain, modes = chain_modes
+def _states_near_edges(e, xs, edges, chain, data):
+    """Element states drawn from xs, each put on its sector edge plus one
+    of _EDGE_NUDGES where edges says so: for a chained element, on bound
+    times its source's state."""
     states = []
     for i, el in enumerate(chain):
         inp = e if el.source is None else states[el.source]
         nudge = data.draw(arrays(float, len(e), elements=_EDGE_NUDGES))
         states.append(np.where(edges[:, i] > 0, el.bound * inp + nudge, xs[i]))
-    for r in [None, *range(len(e))]:
-        if r is None:
-            args = (e, e_dot, tuple(states))
-        else:
-            args = (float(e[r]), float(e_dot[r]), [float(x[r]) for x in states])
-        got = higs.element_law(*args, modes, chain)
-        want = _element_law_projecting_twice(*args, modes, chain)
-        assert all(np.array_equal(g, w) for g, w in zip(got.gains, want[0], strict=True))
-        assert np.array_equal(got.event, want[1]) and np.array_equal(got.clamp, want[2])
-        assert _bits(got.states) == _bits(want[3])
+    return states
+
+
+@given(_logic_rows(), _law_chains(), st.data())
+def test_element_law_moves_a_state_exactly_at_its_sector_exit(rows, chain_modes, data):
+    # One test decides a sector exit: an integrating state changes exactly
+    # where it lies outside its sector by more than _EVENT_GAP over
+    # max(1, |x_h|), it takes project_to_sector's point there, and the event
+    # is raised on every such row.  The blocked march keeps the rows before
+    # the first event, so it never keeps a moved state.
+    (e, e_dot, *xs), edges = rows
+    chain, modes = chain_modes
+    states = _states_near_edges(e, xs, edges, chain, data)
+    law = higs.element_law(e, e_dot, tuple(states), modes, chain)
+    outputs = []    # each element's frozen-mode output, the input of a chained one
+    for el, x, gain, new in zip(chain, states, modes, law.states, strict=True):
+        a = e if el.source is None else outputs[el.source]
+        outputs.append(el.bound * a if gain else x)
+        if gain:
+            continue
+        near = project_to_sector(a, x, el.bound)
+        exits = np.abs(near - x) / np.where(np.abs(x) > 1.0, np.abs(x), 1.0) > higs._EVENT_GAP
+        assert np.array_equal(np.asarray(new).view(np.int64) != x.view(np.int64), exits)
+        assert _bits(np.asarray(new)[exits]) == _bits(near[exits])
+        assert law.event[exits].all()
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
@@ -600,8 +571,9 @@ def _irc_runs(draw):
     plant = _lag_plant(modes, lag)
     x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=plant.n, max_size=plant.n))
     p = HigsIrcParams(draw(st.floats(0.1, 3.0)), draw(st.floats(1.0, 30.0)), draw(st.floats(-2.0, -0.2)))
-    # The coarse grid makes rows where the clamp alone moves x_h, which must
-    # end a block; on the fine grids they are rare.
+    # The coarse grid makes rows that leave the sector without a mode
+    # change, each an event that ends a block; on the fine grids they are
+    # rare.
     dt = draw(st.sampled_from([1e-3, 4e-3, 5e-2]))
     cfg = SimConfig(dt=dt, t_end=draw(st.integers(100, 3000)) * dt, x0=x0,
                     controller_x0=draw(st.floats(-1.0, 1.0)),
@@ -655,6 +627,35 @@ def test_irc_divergence_in_block_names_the_per_step_time(plant, limit, monkeypat
     assert ref[0] is NonFiniteState
     with pytest.raises(NonFiniteState, match=re.escape(ref[1])):
         simulate_higs_irc_loop(plant, wild, cfg)
+
+
+@pytest.mark.parametrize("loop", ["higs_irc", "higs_pii2"])
+def test_event_cap_ends_a_step_that_cannot_settle(plant, loop, monkeypatch):
+    # A negative exit threshold makes every probed integrating state a sector
+    # exit that settles back to the same modes: each event lands on the
+    # chunk start, a grazing nudge moves the step on, and the 65th event
+    # ends the run in its first step.
+    monkeypatch.setattr(higs, "_EVENT_GAP", -1.0)
+    dt = 1e-3
+    chunks = []
+    build = sim._rk4_affine_map
+    monkeypatch.setattr(sim, "_rk4_affine_map", lambda J, h: chunks.append(h) or build(J, h))
+    with pytest.raises(UnsolvableLoop, match=re.escape("within the step ending at t = 0.001")):
+        LOOPS[loop](plant, SimConfig(dt=dt, t_end=1.0, x0=[3.0, 1.0]))
+    assert 1e-6 * dt in chunks
+
+
+def test_stiff_loop_holds_its_sector_at_the_coarse_step():
+    # A 1446 rad/s mode beside a 3.05 rad/s one: at dt = 1e-3 the states
+    # leave the sector inside many steps.  Each exit's projection must move
+    # the state, or the exit fires again on every probe until the event cap
+    # raises UnsolvableLoop.
+    plant = StateSpace(*modal_plant([(1446.0, 0.0, 1.29), (3.05, 0.0, 0.32)]))
+    traj = simulate_higs_irc_loop(plant, HigsIrcParams(0.38, 132.0, -1.3),
+                                  SimConfig(dt=1e-3, t_end=1.0, x0=[1.99, -2.75, 4.0, 1.89]))
+    assert traj.times[-1] == 1.0
+    assert (np.diff(traj.modes, axis=0) != 0).any()
+    assert check_sector(traj).passed
 
 
 def _irc_piecewise_reference(p, x0, dt, n_steps):
@@ -816,10 +817,10 @@ def test_locate_event_closes_the_bracket_on_any_margin(root, kind):
 
     def at(h):
         probes.append(h)
-        return h, higs.ElementLaw((), h >= root, False, [], margins[kind](h))
+        return h, higs.ElementLaw((), h >= root, [], margins[kind](h))
 
     hi, z, law = sim._locate_event(at, margins[kind](0.0), 1.0, 1.0,
-                                   higs.ElementLaw((), True, False, [], margins[kind](1.0)), h_min)
+                                   higs.ElementLaw((), True, [], margins[kind](1.0)), h_min)
     assert hi == z and law.event
     assert root <= hi <= root + h_min
     assert len(probes) <= 5 * 42
@@ -832,11 +833,7 @@ def test_event_margin_sign_matches_event(rows, chain_modes, data):
     # bands of _EVENT_RTOL and _EVENT_GAP.
     (e, e_dot, *xs), edges = rows
     chain, modes = chain_modes
-    states = []
-    for i, el in enumerate(chain):
-        inp = e if el.source is None else states[el.source]
-        nudge = data.draw(arrays(float, len(e), elements=_EDGE_NUDGES))
-        states.append(np.where(edges[:, i] > 0, el.bound * inp + nudge, xs[i]))
+    states = _states_near_edges(e, xs, edges, chain, data)
     law = higs.element_law(e, e_dot, tuple(states), modes, chain)
     finite = np.isfinite(np.column_stack([e, e_dot, *states])).all(axis=1)
     assert np.isfinite(law.margin[finite]).all()
