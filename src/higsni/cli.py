@@ -8,10 +8,11 @@ base scenario out over parameter overrides in forked worker processes).
 Every check gives an lti.Verdict whose status is holds, fails or
 inconclusive; simulate reports each under its name in the same JSON shape,
 check prints its one.  Scenario files are JSON; see the README for the
-schema.  Exit codes: 0 success (every verdict holds), 1 configuration or
-usage errors, 2 runtime or numerical failures, 3 a verdict that fails or is
-inconclusive (its status says which).  Set HIGSNI_LOG=debug|info|warning to
-control log verbosity.
+schema.  A controller type's keys, checks, loop and certificate are its
+row of the one table sim.CONTROLLERS.  Exit codes: 0 success (every
+verdict holds), 1 configuration or usage errors, 2 runtime or numerical
+failures, 3 a verdict that fails or is inconclusive (its status says
+which).  Set HIGSNI_LOG=debug|info|warning to control log verbosity.
 """
 
 from __future__ import annotations
@@ -27,18 +28,9 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
-from .controllers import (
-    HigsPii2Params,
-    IrcParams,
-    Pii2Params,
-    UnsolvableLoop,
-    irc_tf,
-    pii2rc_tf,
-    sni_verdict,
-    stability_verdict,
-)
+from .controllers import UnsolvableLoop, sni_verdict, stability_verdict
 from .higs import HigsIrcParams, HigsParams
 from .lti import (
     RationalTF,
@@ -51,9 +43,8 @@ from .lti import (
     tf_to_ss,
 )
 from .sim import (
+    CONTROLLERS,
     MONOTONE_CONDITION,
-    LyapunovIrcCertificate,
-    LyapunovPii2Certificate,
     NonFiniteState,
     SimConfig,
     check_convergence,
@@ -61,9 +52,7 @@ from .sim import (
     check_monotone,
     check_sector,
     require_strictly_proper,
-    simulate_higs_irc_loop,
-    simulate_higs_pii2_loop,
-    simulate_linear_loop,
+    simulate,
 )
 
 log = logging.getLogger("higsni")
@@ -74,37 +63,10 @@ EXIT_RUNTIME = 2
 EXIT_CHECK = 3
 
 
-class _Controller(NamedTuple):
-    """What the CLI needs to know about one controller type."""
-
-    params: type                  # its init fields are the config keys
-    checks: set
-    simulate: Callable            # (plant, params, SimConfig, cert) -> Trajectory
-    certificate: Optional[Callable] = None   # (Y, C, params) -> Lyapunov form; hybrid types
-    tf: Optional[Callable] = None            # params -> RationalTF; linear types
-
-
 # The trajectory checks a scenario may list, each (Trajectory, **options)
 # -> Verdict: its keyword parameters are the options a scenario may set.
 _TRAJECTORY_CHECKS = {"sector": check_sector, "lyapunov_monotone": check_monotone,
                       "dissipation": check_dissipation, "convergence": check_convergence}
-
-
-def _linear_loop(tf: Callable) -> Callable:
-    return lambda plant, c, sim, cert: simulate_linear_loop(plant, tf(c), sim)
-
-
-CONTROLLERS = {
-    "irc": _Controller(IrcParams, {"convergence"}, _linear_loop(irc_tf), tf=irc_tf),
-    "pii2rc": _Controller(Pii2Params, {"convergence"}, _linear_loop(pii2rc_tf), tf=pii2rc_tf),
-    "higs_irc": _Controller(
-        HigsIrcParams, {"sector", "lyapunov_monotone", "dissipation", "convergence"},
-        simulate_higs_irc_loop,
-        certificate=lambda Y, C, c: LyapunovIrcCertificate(Y, C, c.kappa_tilde)),
-    "higs_pii2": _Controller(
-        HigsPii2Params, {"sector", "lyapunov_monotone", "convergence"},
-        simulate_higs_pii2_loop, certificate=LyapunovPii2Certificate),
-}
 
 
 class ConfigError(ValueError):
@@ -289,9 +251,12 @@ def _scenario_from_dict(raw: dict, default_name: str) -> ScenarioConfig:
     ctype, controller = _build_controller(_require(raw, "controller", "scenario"))
     sim = _build_params(SimConfig, _require(raw, "sim", "scenario"), "sim",
                         "invalid sim section")
-    # the simulators' own test, made before any command acts on the scenario
+    # the simulators' own tests, made before any command acts on the scenario
     if sim.x0.shape != (plant.n,):
         raise ConfigError(f"x0 must have {plant.n} entries")
+    m = len(CONTROLLERS[ctype].state_names(controller))
+    if sim.controller_x0.size not in (1, m):
+        raise ConfigError(f"controller_x0 must be a scalar or {m} entries")
     checks = _normalize_checks(raw.get("checks", []), ctype)
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -320,7 +285,7 @@ def _scenario_from_dict(raw: dict, default_name: str) -> ScenarioConfig:
 def _admit_plant(controller_type: str, plant: StateSpace) -> None:
     """A hybrid type needs the strictly proper plant its simulator needs:
     check stability and design refuse any other as simulate does."""
-    if CONTROLLERS[controller_type].certificate is not None:
+    if CONTROLLERS[controller_type].hybrid:
         require_strictly_proper(plant)
 
 
@@ -366,7 +331,7 @@ def _build_certificate(cfg: ScenarioConfig):
 
 
 def _simulate(cfg: ScenarioConfig, cert):
-    return CONTROLLERS[cfg.controller_type].simulate(cfg.plant, cfg.controller, cfg.sim, cert)
+    return simulate(cfg.plant, cfg.controller, cfg.sim, cert)
 
 
 def _run_checks(cfg: ScenarioConfig, traj, missing: Optional[Verdict]) -> dict:
@@ -457,8 +422,9 @@ def _simulate_scenario(cfg: ScenarioConfig, out_dir: Optional[str]) -> int:
 
 
 def _check_sni(cfg: ScenarioConfig) -> Verdict:
-    if CONTROLLERS[cfg.controller_type].tf is None:
-        raise ConfigError("sni check applies to the linear controllers (irc, pii2rc)")
+    if CONTROLLERS[cfg.controller_type].hybrid:
+        linear = ", ".join(name for name, row in CONTROLLERS.items() if not row.hybrid)
+        raise ConfigError(f"sni check applies to the linear controllers ({linear})")
     return sni_verdict(cfg.controller)
 
 

@@ -18,6 +18,8 @@ loops are piecewise linear.  ModeSystem is that one description, built by
 irc_mode_system and pii2_mode_system for the hybrid loops, whose modes are
 the elements' gain flags, and by sim.closed_loop_matrices for the linear
 loop.  pii2_chain lays the PII^2 bank out as its chain of higs.Element.
+The controller table sim.CONTROLLERS reads irc_mode_system,
+pii2_mode_system and pii2_chain.
 """
 
 from __future__ import annotations

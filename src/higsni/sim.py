@@ -3,8 +3,9 @@
 All loops use positive feedback against a SISO plant given as a StateSpace,
 and all are piecewise linear: with the element modes frozen, a loop is a
 controllers.ModeSystem, dz/dt = J z on the joint state z = [x; controller
-states] with e, u and de/dt as rows of z.  A simulator supplies
-system(modes) -> ModeSystem; the rest is shared.  _loop_start validates the
+states] with e, u and de/dt as rows of z.  CONTROLLERS describes each
+controller type once, and simulate runs a type's row, found by the class
+of its parameters, on the one runner _run_loop.  _loop_start validates the
 plant, certificate and initial state, _mode_maps caches the RK4 map
 z+ = R z of one grid step per mode, _march owns the time grid and
 _mode_signals reads the recorded e and u off the rows of each sample's mode.
@@ -18,17 +19,17 @@ row and column in J and zero weight in e and de/dt, so it never feeds the
 other states and is refreshed afterwards, and an integrator slot changes
 only at a sector exit, which is an event.
 
-Both hybrid loops run one event mechanism, _hybrid_loop, over a chain of
-HIGS elements (higs.Element): the single-element loop is the one-element
-chain, the PII^2 loop the chain H1, H2, H3.  Its scan ends a block before a
-row where a mode changes or a sector is left, and its step locates that
-event inside the step, by regula falsi on the element law's event margin
-with a midpoint fallback, and switches on the boundary itself.
-Both read the chain's higs.element_law: the scan on a block of rows, the
-step on the floats of one state, once per probed state, whose new states a
-chunk then keeps.  Recorded samples satisfy the sector inequalities by
-construction up to rounding.  The hybrid loops need a strictly proper plant
-(D_ff = 0).
+_run_loop runs any chain of HIGS elements (higs.Element): the linear loop
+is the empty chain with its one mode, the single-element loop the
+one-element chain, the PII^2 loop the chain H1, H2, H3.  A chain's scan
+ends a block before a row where a mode changes or a sector is left, and
+its step locates that event inside the step, by regula falsi on the
+element law's event margin with a midpoint fallback, and switches on the
+boundary itself.  Both read the chain's higs.element_law: the scan on a
+block of rows, the step on the floats of one state, once per probed state,
+whose new states a chunk then keeps.  Recorded samples satisfy the sector
+inequalities by construction up to rounding.  The hybrid loops need a
+strictly proper plant (D_ff = 0).
 
 Lyapunov certificates pair a plant NI certificate Y with controller storage
 into one quadratic form; their positive definiteness reduces to scalar DC
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +50,16 @@ from .controllers import (
     ALGEBRAIC_LOOP_TOL,
     HigsPii2Params,
     InvalidParameters,
+    IrcParams,
     ModeSystem,
+    Pii2Params,
     UnsolvableLoop,
     gain_sum_admissible,
     irc_mode_system,
+    irc_tf,
     pii2_chain,
     pii2_mode_system,
+    pii2rc_tf,
 )
 from .higs import (
     Element,
@@ -574,27 +579,15 @@ def closed_loop_matrices(plant: StateSpace, ctrl: RationalTF) -> ModeSystem:
 
 def simulate_linear_loop(plant: StateSpace, ctrl: RationalTF, cfg: SimConfig) -> Trajectory:
     """The LTI loop on the hybrid loops' RK4 step map (substepped where the
-    loop is stiff): it is their all-integrator limit."""
+    loop is stiff): it is their all-integrator limit, the empty chain."""
     s = closed_loop_matrices(plant, ctrl)
     nk = s.J.shape[0] - plant.n
     z = _loop_start(plant, cfg, nk, hybrid=False)
-    system, maps = _mode_maps(lambda modes: s, cfg.dt)
-    T, Z, M = _march(cfg, z, (), maps)
-    e, u = _mode_signals(Z, M, system)
-
-    return Trajectory(
-        times=T,
-        plant_states=Z[:, :plant.n],
-        controller_states=Z[:, plant.n:],
-        e=e,
-        u=u,
-        y=e,
-        meta={"controller": "linear", "controller_state_names": [f"xc{i+1}" for i in range(nk)]},
-    )
+    return Trajectory(**_run_loop(plant, cfg, z, None, (), lambda modes: s), meta={"controller": "linear"})
 
 
 # ---------------------------------------------------------------------------
-# Hybrid loops
+# The loop runner
 
 # The width to which the event search closes its bracket, as a fraction of
 # dt: the step lands at most this far past an event.
@@ -646,20 +639,21 @@ def _locate_event(at, f_lo: float, hi: float, z_hi, law_hi, h_min: float):
     return hi, z_hi, law_hi
 
 
-def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
-                 cert: Optional[LyapunovCertificate], chain: tuple,
-                 system: Callable[[tuple], ModeSystem]) -> dict:
+def _run_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
+              cert: Optional[LyapunovCertificate], chain: tuple,
+              system: Callable[[tuple], ModeSystem]) -> dict:
     """Run a loop from z, whose last len(chain) states are the chain's
-    elements.
+    elements, and return the Trajectory fields every loop shares.
 
-    With the modes frozen every chunk advances by an RK4 map of
+    The empty chain is a linear loop with its one mode: no scan and no
+    events, and y = e, feedthrough included.  A nonempty chain has y = C x.
+    With its modes frozen every chunk advances by an RK4 map of
     system(modes).  Sector exits and mode switches are located inside the
     step by _locate_event before the modes change: switching happens on the
     boundary itself, so element states stay continuous and the Lyapunov
     trace is free of projection jumps.  Where the error couples back
     through the element states, a project-after-step scheme would chatter
-    against the boundary instead of entering gain mode.  Returns the
-    Trajectory fields both hybrid loops share.
+    against the boundary instead of entering gain mode.
     """
     n = plant.n
     dt = cfg.dt
@@ -694,10 +688,11 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
     # error (a couple of passes, since clamping moves the error), then settle
     # the starting modes.
     modes = (False,) * len(chain)
-    for _ in range(3):
+    if chain:
+        for _ in range(3):
+            z[n:] = probe(z, modes).states
+        modes = settle(z, modes)
         z[n:] = probe(z, modes).states
-    modes = settle(z, modes)
-    z[n:] = probe(z, modes).states
 
     h_min = _EVENT_MIN_FRAC * dt
 
@@ -749,60 +744,94 @@ def _hybrid_loop(plant: StateSpace, cfg: SimConfig, z: np.ndarray,
         fired = np.flatnonzero(event)
         return int(fired[0]) if len(fired) else len(Zb)
 
-    T, Z, M = _march(cfg, z, modes, maps, scan, step)
+    T, Z, M = _march(cfg, z, modes, maps, scan if chain else None, step)
     e, u = _mode_signals(Z, M, system)
     return dict(times=T, plant_states=Z[:, :n], controller_states=Z[:, n:], e=e, u=u,
-                y=_row_dots(Z[:, :n], plant.C), modes=M,
+                y=_row_dots(Z[:, :n], plant.C) if chain else e, modes=M if chain else None,
                 W=None if cert is None else _quadratic_rows(Z, cert.P))
 
 
-def simulate_higs_irc_loop(
-    plant: StateSpace,
-    p: HigsIrcParams,
-    cfg: SimConfig,
-    cert: Optional[LyapunovCertificate] = None,
-) -> Trajectory:
-    """Positive-feedback loop of an NI plant with one compensated element.
-
-    Error signal e = C x; the element output u = x_h drives the plant.
-    The loop is the one-element chain (sector bound kappa_tilde) of
-    _hybrid_loop on controllers.irc_mode_system.  When a certificate is
-    supplied, W is traced alongside the element storage V.
-    """
-    z = _loop_start(plant, cfg, 1, hybrid=True, cert=cert)
-    chain = (Element(p.kappa_tilde, p),)
-    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: irc_mode_system(plant, p, modes))
-    return Trajectory(**run, V=storage_V_h(run["controller_states"][:, 0], p),
-                      meta={"controller": "higs_irc", "controller_state_names": ["xh"], "chain": chain})
+# ---------------------------------------------------------------------------
+# Controller types
 
 
-def simulate_higs_pii2_loop(
-    plant: StateSpace,
-    p: HigsPii2Params,
-    cfg: SimConfig,
-    cert: Optional[LyapunovCertificate] = None,
-) -> Trajectory:
-    """Hybrid PII^2 loop: H1 and the H2->H3 chain in parallel with k_p.
+class ControllerType(NamedTuple):
+    """All the CLI and simulate know of one controller type.  A hybrid
+    type's integrators are the HIGS elements of chain(p); a linear type
+    has the empty chain and its controller tf(p)."""
 
-    The loop error solves a per-sample algebraic equation (gain-mode
-    elements feed through, e = gamma*y + gamma*D*(x_h1 + x_h3)), so with
-    the three modes frozen the joint dynamics are linear, dz/dt = J z
-    (controllers.pii2_mode_system), and the loop is piecewise linear;
-    _hybrid_loop runs the three-element chain on them.
-    """
-    z = _loop_start(plant, cfg, 3, hybrid=True, cert=cert)
+    params: type                  # its init fields are a scenario's controller keys
+    checks: set                   # the trajectory checks a scenario may list
+    chain: Callable               # params -> tuple of higs.Element
+    system: Callable              # (plant, params) -> (modes -> ModeSystem)
+    states: tuple = ()            # a hybrid type's element state names
+    storage: Optional[Callable] = None       # (X, params) -> (V, aux); hybrid types
+    certificate: Optional[Callable] = None   # (Y, C, params) -> LyapunovCertificate; hybrid types
+    tf: Optional[Callable] = None            # params -> RationalTF; linear types
+
+    @property
+    def hybrid(self) -> bool:
+        return self.tf is None
+
+    def state_names(self, p) -> list:
+        """One per controller state: per element, or xc1... per order of tf(p)."""
+        return list(self.states) if self.hybrid else [f"xc{i+1}" for i in range(self.tf(p).order)]
+
+
+def _linear_type(params: type, tf: Callable) -> ControllerType:
+    def system(plant, p):
+        s = closed_loop_matrices(plant, tf(p))
+        return lambda modes: s
+    return ControllerType(params, {"convergence"}, lambda p: (), system, tf=tf)
+
+
+def _pii2_system(plant: StateSpace, p: HigsPii2Params):
+    """The bank's mode systems, once its gain sum is off 1/(G(0) + D)."""
     if not gain_sum_admissible(p, dc_gain(plant)):
-        raise InvalidParameters(
-            "k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains"
-        )
-    chain = pii2_chain(p)
-    run = _hybrid_loop(plant, cfg, z, cert, chain, lambda modes: pii2_mode_system(plant, p, modes))
-    XH = run["controller_states"]
-    V1 = storage_V1(XH[:, 0], p.h1)
-    V2 = storage_V2_cascade(XH[:, 1], XH[:, 2])
-    return Trajectory(**run, V=V1 + V2, aux={"V1": V1, "V2": V2},
-                      meta={"controller": "higs_pii2", "controller_state_names": ["xh1", "xh2", "xh3"],
-                            "chain": chain})
+        raise InvalidParameters("k_h1 + k_h2^2 + k_p coincides with 1/(G(0) + D); perturb the gains")
+    return functools.partial(pii2_mode_system, plant, p)
+
+
+def _pii2_storage(X: np.ndarray, p: HigsPii2Params):
+    V1 = storage_V1(X[:, 0], p.h1)
+    V2 = storage_V2_cascade(X[:, 1], X[:, 2])
+    return V1 + V2, {"V1": V1, "V2": V2}
+
+
+# higs_irc is one element with e = C x and u = x_h; higs_pii2 is H1 and the
+# series pair H2->H3 in parallel with k_p (controllers.pii2_mode_system).
+CONTROLLERS = {
+    "irc": _linear_type(IrcParams, irc_tf),
+    "pii2rc": _linear_type(Pii2Params, pii2rc_tf),
+    "higs_irc": ControllerType(
+        HigsIrcParams, {"sector", "lyapunov_monotone", "dissipation", "convergence"},
+        lambda p: (Element(p.kappa_tilde, p),),
+        lambda plant, p: functools.partial(irc_mode_system, plant, p), ("xh",),
+        lambda X, p: (storage_V_h(X[:, 0], p), {}),
+        lambda Y, C, p: LyapunovIrcCertificate(Y, C, p.kappa_tilde)),
+    "higs_pii2": ControllerType(
+        HigsPii2Params, {"sector", "lyapunov_monotone", "convergence"}, pii2_chain,
+        _pii2_system, ("xh1", "xh2", "xh3"), _pii2_storage, LyapunovPii2Certificate),
+}
+
+
+def simulate(plant: StateSpace, p, cfg: SimConfig,
+             cert: Optional[LyapunovCertificate] = None) -> Trajectory:
+    """The loop of the CONTROLLERS row of p's class around plant; a hybrid
+    loop traces its storage V, and W when a certificate is given."""
+    name, row = next(((k, r) for k, r in CONTROLLERS.items() if type(p) is r.params), (None, None))
+    if row is None:
+        raise TypeError(f"no controller type takes {type(p).__name__}")
+    names = row.state_names(p)
+    z = _loop_start(plant, cfg, len(names), row.hybrid, cert)
+    chain = row.chain(p)
+    run = _run_loop(plant, cfg, z, cert, chain, row.system(plant, p))
+    V, aux = row.storage(run["controller_states"], p) if row.storage else (None, {})
+    return Trajectory(**run, V=V, aux=aux,
+                      meta={"controller": name, "controller_state_names": names, "chain": chain})
+
+
+simulate_higs_irc_loop = simulate_higs_pii2_loop = simulate
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +869,7 @@ def check_monotone(traj: Trajectory) -> Verdict:
 def _sector_pairs(traj: Trajectory):
     """(input, output, bound) per element of the trajectory's chain."""
     chain = traj.meta.get("chain")
-    if chain is None:
+    if not chain:
         raise ValueError(f"no sector constraint for controller kind {traj.meta.get('controller')!r}")
     X = traj.controller_states
     return [(traj.e if el.source is None else X[:, el.source], X[:, i], el.bound)

@@ -250,17 +250,34 @@ def test_simulate_unknown_key_exit_config_before_running(tmp_path, monkeypatch, 
                                                      else cli.EXIT_OK)
 
 
-@pytest.mark.parametrize("controller_x0, message", [
-    ([], "controller_x0 must be a scalar or 1 entries"),
-    ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries"),
-    ({}, "sim controller_x0 must be a number or a list of numbers, got {}"),
-], ids=["empty", "two_entries", "object"])
-def test_simulate_malformed_controller_x0_exit_config(tmp_path, capsys, controller_x0, message):
+@pytest.mark.parametrize("controller_x0, message, controller, command", [
+    ([], "controller_x0 must be a scalar or 1 entries", None, "simulate"),
+    ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries", None, "simulate"),
+    ({}, "sim controller_x0 must be a number or a list of numbers, got {}", None, "simulate"),
+    ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries", None, "out_dir"),
+    ([0.1, 0.2], "controller_x0 must be a scalar or 3 entries", _PII2_CONTROLLER, "simulate"),
+    ([0.1, 0.2, 0.3], "controller_x0 must be a scalar or 2 entries",
+     {"type": "pii2rc", "k_p": 1.0, "k1": 2.0, "k2": 3.0, "D": -2.0}, "simulate"),
+    ([0.1, 0.2], "controller_x0 must be a scalar or 1 entries", None, "sweep"),
+], ids=["empty", "two_entries", "object", "two_entries_out_dir", "higs_pii2_two_entries",
+        "pii2rc_three_entries", "two_entries_sweep"])
+def test_simulate_malformed_controller_x0_exit_config(tmp_path, monkeypatch, capsys, controller_x0,
+                                                      message, controller, command):
+    # The length is tested when the scenario is read: simulate --out-dir
+    # creates no directory, and a sweep stops before it fans its runs out.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_fan_out", lambda *args: pytest.fail("the sweep fanned out"))
     scenario = _quick_scenario()
+    if controller is not None:
+        scenario.update(controller=controller, checks=["convergence"])
     scenario["sim"]["controller_x0"] = controller_x0
     cfg = _write(tmp_path, "bad.json", scenario)
-    assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    sweep = {"base": scenario, "output_dir": "swept", "runs": [{"name": "a"}]}
+    argv = {"simulate": ["simulate", cfg], "out_dir": ["simulate", cfg, "--out-dir", "new"],
+            "sweep": ["sweep", _write(tmp_path, "sweep.json", sweep)]}[command]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("controller, summary", [
@@ -276,12 +293,22 @@ def test_simulate_malformed_controller_x0_exit_config(tmp_path, capsys, controll
       "h3": {"omega_h": 0.4, "k_h": 1.0}}),
 ], ids=["irc", "pii2rc", "higs_irc", "higs_pii2"])
 def test_report_controller_block(tmp_path, capsys, controller, summary):
-    scenario = _quick_scenario(controller=controller, checks=[], output={})
-    scenario["sim"]["t_end"] = 0.01
+    # the table's row for the type: its state names, the count that
+    # controller_x0 is read against, and checks that exist
+    row = sim.CONTROLLERS[controller["type"]]
+    _, params = cli._build_controller(controller)
+    names = row.state_names(params)
+    assert len(names) == (len(row.chain(params)) if row.hybrid else row.tf(params).order)
+    assert row.checks <= cli._TRAJECTORY_CHECKS.keys()
+    scenario = _quick_scenario(controller=controller, checks=[], output={"csv": "quick.csv"})
+    scenario["sim"].update(t_end=0.01, controller_x0=[0.0] * len(names))
     cfg = _write(tmp_path, "quick.json", scenario)
-    assert cli.main(["simulate", cfg]) == 0
+    assert cli.main(["simulate", cfg, "--out-dir", str(tmp_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["controller"] == {"type": controller["type"], **summary}
+    assert len(report["result"]["final_controller_state"]) == len(names)
+    header = (tmp_path / "quick.csv").read_text().splitlines()[0].split(",")
+    assert [name for name in header if name.startswith("x")] == ["x1", "x2", *names]
 
 
 @pytest.mark.parametrize("controller, command", [
@@ -504,7 +531,7 @@ def test_unknown_controller_key_lists_the_constructor_fields(tmp_path, capsys, c
     assert cli.main(["simulate", cfg]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == (
         "", f"config error: unknown key 'bogus' in controller (known: {known})\n")
-    params = cli.CONTROLLERS[controller["type"]].params
+    params = sim.CONTROLLERS[controller["type"]].params
     assert known.split(", ")[1:] == [f.name for f in dataclasses.fields(params) if f.init]
 
 

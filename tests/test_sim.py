@@ -248,7 +248,7 @@ def _expm_reference(plant, ctrl, cfg):
 @pytest.mark.parametrize("name", ["mass_spring_irc_linear", "mass_spring_pii2_linear"])
 def test_shipped_linear_loops_match_exponential_map(config_dir, name):
     cfg = cli.load_scenario(str(config_dir / f"{name}.json"))
-    ctrl = cli.CONTROLLERS[cfg.controller_type].tf(cfg.controller)
+    ctrl = sim.CONTROLLERS[cfg.controller_type].tf(cfg.controller)
     traj = simulate_linear_loop(cfg.plant, ctrl, cfg.sim)
     Z = np.column_stack([traj.plant_states, traj.controller_states])
     assert np.abs(Z - _expm_reference(cfg.plant, ctrl, cfg.sim)).max() <= 1e-11
